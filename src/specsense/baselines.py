@@ -1,8 +1,10 @@
 """Comparison schemes producing per-block decisions from a shared frame.
 
-Every scheme consumes the same conditioned measurement array within a
-realization so differences come only from the decision architecture. A
-DecisionMap marks a block no-decision (decided=False) when the scheme has no
+Every scheme consumes the same unscaled measurement frame within a
+realization, rescaled by one gain per swept threshold, so differences come
+only from the decision architecture. Scheme functions return one DecisionMap
+per gain; the diffusion-based ones run the whole sweep as one network run.
+A DecisionMap marks a block no-decision (decided=False) when the scheme has no
 verdict for it, which only the non-cooperative single-band scheme does.
 """
 
@@ -64,39 +66,27 @@ def centralized_egc(measurements, threshold=1.0):
     return _full_map(np.tile(busy_row, (k_count, 1)))
 
 
-def _standalone_state(measurements, params):
-    """Diffusion on the self-only graph: the per-SAP adaptive filter."""
-    k_count, m_count, _ = measurements.shape
-    return run_diffusion(
-        measurements,
-        np.ones((k_count, m_count), dtype=bool),
-        np.zeros((k_count, k_count)),
-        np.eye(k_count, dtype=bool),
-        params,
-    )
-
-
-def _raw_energy_busy(measurements, energy_threshold):
-    """Plain energy detection on the latest sensing window.
-
-    Without the adaptive filter a SAP has no smoothed statistic; it compares
-    its current window's energy estimate against the threshold directly,
-    which is what makes raw decisions fluctuate window to window.
-    """
-    return np.asarray(measurements)[:, :, -1] >= energy_threshold
-
-
 def noncoop_multiband(measurements, params, thresholds, raw_energy=False,
-                      energy_threshold=1.0):
-    """Every SAP senses all channels and decides alone."""
+                      energy_threshold=1.0, gains=(1.0,), ceiling=None):
+    """Every SAP senses all channels and decides alone.
+
+    The adaptive variant is diffusion on the self-only graph. The raw
+    variant has no smoothed statistic: each SAP compares its latest
+    window's energy estimate, unclamped, against ``energy_threshold``
+    directly, which is what makes raw decisions fluctuate window to window.
+    """
     if raw_energy:
-        return _full_map(_raw_energy_busy(measurements, energy_threshold))
-    state = _standalone_state(measurements, params)
-    return _full_map(decide(state.w, thresholds))
+        last = np.asarray(measurements)[:, :, -1]
+        return [_full_map(last * g >= energy_threshold) for g in gains]
+    k_count = measurements.shape[0]
+    return proposed_multiband(measurements, np.zeros((k_count, k_count)),
+                              np.eye(k_count, dtype=bool), params, thresholds,
+                              gains, ceiling)
 
 
 def noncoop_singleband(measurements, channel_picks, params, thresholds,
-                       raw_energy=False, energy_threshold=1.0):
+                       raw_energy=False, energy_threshold=1.0, gains=(1.0,),
+                       ceiling=None):
     """Every SAP senses one random channel; all other blocks stay undecided."""
     y = np.asarray(measurements)
     k_count, m_count, _ = y.shape
@@ -105,64 +95,68 @@ def noncoop_singleband(measurements, channel_picks, params, thresholds,
         raise ConfigurationError("need one valid channel pick per SAP")
     decided = np.zeros((k_count, m_count), dtype=bool)
     decided[np.arange(k_count), picks] = True
-    if raw_energy:
-        busy = _raw_energy_busy(y, energy_threshold)
-    else:
-        # the self-only filter evolves each channel independently, so running
-        # every channel and masking afterwards matches sensing only the pick
-        state = _standalone_state(y, params)
-        busy = decide(state.w, thresholds)
-    return DecisionMap(busy & decided, decided)
+    # the self-only filter evolves each channel independently, so running
+    # every channel and masking afterwards matches sensing only the pick
+    maps = noncoop_multiband(y, params, thresholds, raw_energy,
+                             energy_threshold, gains, ceiling)
+    return [DecisionMap(dm.busy & decided, decided) for dm in maps]
 
 
 def proposed_multiband(measurements, reference_powers, adjacency, params,
-                       thresholds):
+                       thresholds, gains=(1.0,), ceiling=None):
     """Cooperative diffusion with every SAP sensing the whole spectrum."""
     k_count, m_count, _ = measurements.shape
-    state = run_diffusion(
-        measurements,
-        np.ones((k_count, m_count), dtype=bool),
-        reference_powers,
-        adjacency,
-        params,
-    )
-    return _full_map(decide(state.w, thresholds))
+    return proposed_singleband(measurements,
+                               np.ones((k_count, m_count), dtype=bool),
+                               reference_powers, adjacency, params, thresholds,
+                               gains, ceiling)
 
 
 def proposed_singleband(measurements, sensing_mask, reference_powers,
-                        adjacency, params, thresholds):
+                        adjacency, params, thresholds, gains=(1.0,),
+                        ceiling=None):
     """Full pipeline: scheduler-assigned subsets plus cooperative diffusion.
 
     Decisions exist for every block; unsensed channels are inferred through
-    the reference-power combination branch.
+    the reference-power combination branch. One diffusion run covers every
+    gain; its gain-major weights split into one (K, M) block per gain.
     """
     state = run_diffusion(measurements, sensing_mask, reference_powers,
-                          adjacency, params)
-    return _full_map(decide(state.w, thresholds))
+                          adjacency, params, gains=gains, ceiling=ceiling)
+    return [_full_map(decide(block, thresholds))
+            for block in np.split(state.w, len(gains), axis=1)]
 
 
-def run_scheme(name, *, measurements, truth_busy=None, sensing_mask=None,
-               reference_powers=None, adjacency=None, params=None,
-               thresholds=None, channel_picks=None, raw_energy=False,
-               energy_threshold=1.0):
-    """Dispatch one scheme by id with the inputs it needs."""
+def run_scheme(name, *, measurements, gains=(1.0,), ceiling=None,
+               truth_busy=None, sensing_mask=None, reference_powers=None,
+               adjacency=None, params=None, thresholds=None,
+               channel_picks=None, raw_energy=False, energy_threshold=1.0):
+    """Dispatch one scheme by id over a gain sweep; one DecisionMap per gain.
+
+    ``measurements`` is the unscaled frame; gain t rescales it as
+    ``measurements * gains[t]``. Adaptive-filter schemes see the rescaled
+    frame through the receiver ``ceiling``, raw energy detectors see it
+    as-is, and ``truth_busy`` holds the genie's busy map per gain.
+    """
     if params is None:
         params = DiffusionParams()
     if name == "genie":
-        return genie(truth_busy)
+        return [genie(busy) for _, busy in zip(gains, truth_busy, strict=True)]
     if name == "centralized":
-        return centralized_egc(measurements, energy_threshold)
+        return [centralized_egc(measurements * g, energy_threshold)
+                for g in gains]
     if name == "noncoop-multiband":
-        return noncoop_multiband(measurements, params, thresholds,
-                                 raw_energy, energy_threshold)
+        return noncoop_multiband(measurements, params, thresholds, raw_energy,
+                                 energy_threshold, gains, ceiling)
     if name == "noncoop-singleband":
         return noncoop_singleband(measurements, channel_picks, params,
-                                  thresholds, raw_energy, energy_threshold)
+                                  thresholds, raw_energy, energy_threshold,
+                                  gains, ceiling)
     if name == "proposed-multiband":
         return proposed_multiband(measurements, reference_powers, adjacency,
-                                  params, thresholds)
+                                  params, thresholds, gains, ceiling)
     if name == "proposed-singleband":
         return proposed_singleband(measurements, sensing_mask,
                                    reference_powers, adjacency, params,
-                                   thresholds)
+                                   thresholds, gains, ceiling)
     raise ConfigurationError(f"unknown scheme {name!r}")

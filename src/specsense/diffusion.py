@@ -40,14 +40,14 @@ class DiffusionParams:
 class DiffusionState:
     """Weights, smoothed energies, and last combined values after a run."""
 
-    w: np.ndarray        # (K, M)
-    d: np.ndarray        # (K, M)
-    psi: np.ndarray      # (K, M)
+    w: np.ndarray        # (K, T*M), gain-major
+    d: np.ndarray        # (K, T*M)
+    psi: np.ndarray      # (K, T*M)
     iteration: int
 
 
 # ---------------------------------------------------------------------------
-# Scalar building blocks (the vectorized loop inlines the same arithmetic)
+# Scalar building blocks shared by the network run
 # ---------------------------------------------------------------------------
 
 def smooth_energy(d_prev, y, smoothing):
@@ -56,28 +56,6 @@ def smooth_energy(d_prev, y, smoothing):
 
 def compute_gamma(d, y, w_prev):
     return (d - y * w_prev) * y
-
-
-def alpha_weights(w_self_prev, step_size, gamma, neighbor_w_prev,
-                  epsilon_guard=1e-12):
-    """Distance-based combination weights over a neighborhood (self included)."""
-    target = w_self_prev + step_size * gamma
-    dist2 = (target - np.asarray(neighbor_w_prev, dtype=float)) ** 2
-    inv = 1.0 / np.maximum(dist2, epsilon_guard)
-    return inv / inv.sum()
-
-
-def beta_weights(reference_powers_of_informative):
-    """Reference-power-proportional weights over the informative neighbors."""
-    p = np.asarray(reference_powers_of_informative, dtype=float)
-    total = p.sum()
-    if total <= 0:
-        raise ConfigurationError("no informative neighbor with positive reference power")
-    return p / total
-
-
-def adapt(psi, y, d, step_size, senses_channel):
-    return psi + (step_size * y * (d - y * psi) if senses_channel else 0.0)
 
 
 def decide(w, thresholds):
@@ -106,14 +84,32 @@ def _beta_matrices(adjacency, sensing_mask, reference_powers, beta_set):
     return beta, has_informative
 
 
-def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
-                  params, audit=None, trace=None):
-    """Run the full synchronous algorithm and return the final state.
+class DivergenceError(ArithmeticError):
+    """Final weights went NaN or infinite, first under gain ``gain_index``."""
 
-    ``measurements`` is (K, M, N) energies, already conditioned by the
-    caller (scaling, receiver clipping). ``audit``, if given, is called each
-    iteration with (i, alpha, beta, has_informative) for invariant checks;
-    ``trace``, if a list, collects (i, w, d, psi) snapshots.
+    def __init__(self, gain_index, gain):
+        super().__init__(f"diffusion weights went non-finite under gain "
+                         f"{gain!r} (gain index {gain_index})")
+        self.gain_index = gain_index
+
+
+def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
+                  params, gains=(1.0,), ceiling=None, audit=None, trace=None):
+    """Run the full synchronous algorithm over a gain sweep; return the final state.
+
+    ``measurements`` is the unscaled (K, M, N) energy frame. Gain t sees it
+    as ``clip_dynamic_range(measurements * gains[t], ceiling)`` (``ceiling``
+    None: no receiver clamp), formed one iteration slice at a time. Channels
+    evolve independently, so the T gains run as T*M channels of one network,
+    laid out gain-major: column ``t * M + m`` of the returned (K, T*M)
+    arrays is channel m under gain t, bit for bit what a single-gain run on
+    that frame returns.
+
+    ``audit``, if given, is called each iteration with
+    (i, alpha, beta, has_informative) for invariant checks; alpha lives in a
+    buffer the next iteration overwrites, so ``audit`` must not keep a
+    reference to it. ``trace``, if a list, collects (i, w, d, psi) snapshots.
+    Raises DivergenceError when any final weight is non-finite.
     """
     y_all = np.asarray(measurements, dtype=float)
     k_count, m_count, n_iter = y_all.shape
@@ -121,40 +117,69 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
         raise ConfigurationError("need at least one measurement iteration")
     if params.iterations > n_iter:
         raise ConfigurationError("more iterations requested than measurements")
+    gains = np.asarray(gains, dtype=float)
+    columns = gains.size * m_count
     sensing_mask = np.asarray(sensing_mask, dtype=bool)
     adjacency = np.asarray(adjacency, dtype=bool)
     mu = params.step_size
 
+    def conditioned(i):
+        y = clip_dynamic_range(y_all[:, None, :, i] * gains[None, :, None],
+                               ceiling)
+        return y.reshape(k_count, columns)
+
     beta, has_informative = _beta_matrices(adjacency, sensing_mask,
                                            reference_powers, params.beta_set)
+    # Neighbor-major layout, (j, k, column): every sum over neighbors j runs
+    # as an outer-axis reduction, which numpy accumulates in j order whatever
+    # the column count, so no column's arithmetic depends on T or M.
+    beta_jk = np.tile(beta.transpose(1, 0, 2), gains.size)
+    adj_jk = adjacency.T[:, :, None]
+    sensing_mask = np.tile(sensing_mask, gains.size)
+    has_informative = np.tile(has_informative, gains.size)
     freeze = ~sensing_mask & ~has_informative
+    any_unsensed = not sensing_mask.all()
 
-    w = np.full((k_count, m_count), float(params.initial_weight))
-    d = y_all[:, :, 0].copy()
+    w = np.full((k_count, columns), float(params.initial_weight))
+    d = conditioned(0)
     psi = w.copy()
-    adj3 = adjacency[:, :, None]
+    buf = np.empty((k_count, k_count, columns))
+    total = np.empty((k_count, columns))
 
     for i in range(params.iterations):
-        y = y_all[:, :, i]
+        y = conditioned(i)
         d = smooth_energy(d, y, params.smoothing)
         gamma = compute_gamma(d, y, w)
 
-        target = w + mu * gamma                                    # (K, M)
-        dist2 = (target[:, None, :] - w[None, :, :]) ** 2          # (K, K, M)
-        inv = np.where(adj3, 1.0 / np.maximum(dist2, params.epsilon_guard), 0.0)
-        alpha = inv / inv.sum(axis=1, keepdims=True)
+        # alpha[j, k] = adj * 1/max((target_k - w_j)^2, eps), normalized over j
+        target = w + mu * gamma                                    # (K, T*M)
+        np.subtract(target[None, :, :], w[:, None, :], out=buf)
+        np.square(buf, out=buf)
+        np.maximum(buf, params.epsilon_guard, out=buf)
+        np.divide(1.0, buf, out=buf)
+        buf *= adj_jk
+        np.add.reduce(buf, axis=0, out=total)
+        buf /= total
         if audit is not None:
-            audit(i, alpha, beta, has_informative)
+            audit(i, buf.transpose(1, 0, 2), beta_jk.transpose(1, 0, 2),
+                  has_informative)
 
-        psi_alpha = np.einsum("kjm,jm->km", alpha, w)
-        psi_beta = np.einsum("kjm,jm->km", beta, w)
-        psi = np.where(sensing_mask, psi_alpha, psi_beta)
-        psi[freeze] = w[freeze]
+        buf *= w[:, None, :]
+        psi = np.add.reduce(buf, axis=0)
+        if any_unsensed:
+            np.multiply(beta_jk, w[:, None, :], out=buf)
+            psi = np.where(sensing_mask, psi, np.add.reduce(buf, axis=0))
+            psi[freeze] = w[freeze]
 
         w = psi + np.where(sensing_mask, mu * y * (d - y * psi), 0.0)
         if trace is not None:
             trace.append((i, w.copy(), d.copy(), psi.copy()))
 
+    finite = np.isfinite(w)
+    if not finite.all():
+        per_gain = finite.reshape(k_count, gains.size, m_count).all(axis=(0, 2))
+        first = int(np.argmin(per_gain))
+        raise DivergenceError(first, float(gains[first]))
     return DiffusionState(w, d, psi, params.iterations)
 
 
@@ -181,23 +206,20 @@ def calibrate_threshold(sensing_mask, reference_powers, adjacency, params, rng,
     averages the resulting final weights over ``calibration_runs`` runs.
     The same receiver ``ceiling`` used on live measurements must be
     supplied here. In normalized units the result is threshold-independent.
+    A run whose weights go non-finite raises DivergenceError.
     """
     k_count, m_count = sensing_mask.shape
+    shape = (k_count, m_count, params.iterations)
     total = np.zeros((k_count, m_count))
     for _ in range(calibration_runs):
         if estimate_shape is None:
-            y = np.full((k_count, m_count, params.iterations), reference_level)
+            u = np.ones(shape)
         else:
-            u = rng.gamma(estimate_shape, 1.0 / estimate_shape,
-                          size=(k_count, m_count, params.iterations))
-            y = reference_level * u
-        y = clip_dynamic_range(y, ceiling)
-        state = run_diffusion(y, sensing_mask, reference_powers, adjacency, params)
+            u = rng.gamma(estimate_shape, 1.0 / estimate_shape, size=shape)
+        state = run_diffusion(u, sensing_mask, reference_powers, adjacency,
+                              params, gains=(reference_level,), ceiling=ceiling)
         total += state.w
-    thresholds = total / calibration_runs
-    if not np.isfinite(thresholds).all():
-        raise ArithmeticError("calibration produced non-finite thresholds")
-    return thresholds
+    return total / calibration_runs
 
 
 def dump_trace_csv(trace, path):

@@ -1,15 +1,16 @@
 """Monte-Carlo campaign orchestration and result emission.
 
 A campaign sweeps decision thresholds over many realizations of one
-scenario. Per realization one measurement frame is generated at a fixed
-reference level and every scheme consumes that same frame; per threshold the
-frame is rescaled so the threshold maps to 1.0 in normalized units. Raw
-energy detectors (centralized, and the raw-energy non-cooperative variant)
-see the rescaled frame as-is; adaptive-filter schemes see it through the
-receiver's dynamic-range clamp. Decision thresholds for the diffusion
-schemes are calibrated once per campaign per network structure on a
-representative assignment; in normalized units one calibration covers the
-whole sweep.
+scenario. Per realization, ``prepare_realization`` draws one measurement
+frame at a fixed reference level plus every scheme input, and one decide
+step runs each scheme once over the whole sweep: threshold t is the frame
+times the gain that maps t to 1.0 in normalized units. Raw energy detectors
+(centralized, and the raw-energy non-cooperative variant) see the rescaled
+frame as-is; adaptive-filter schemes see it through the receiver's
+dynamic-range clamp, and run all T gains as one diffusion run over T*M
+channels. Decision thresholds for the diffusion schemes are calibrated once
+per campaign per network structure on a representative assignment; in
+normalized units one calibration covers the whole sweep.
 
 All randomness flows through named substreams of the master seed, so reruns
 are byte-identical and realizations are order-independent.
@@ -26,17 +27,19 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .baselines import CALIBRATION_STRUCTURE, SCHEME_IDS, run_scheme
-from .diffusion import (DiffusionParams, calibrate_threshold,
-                        clip_dynamic_range, default_ceiling)
+from .diffusion import (DiffusionParams, DivergenceError, calibrate_threshold,
+                        default_ceiling)
 from .metrics import (aggregate, correct_decision_pct, misdetection_probability,
                       schedule_devices, utilization_ratio)
 from .model import (ConfigurationError, Incumbent, Scenario,
                     build_grid_topology, build_random_topology,
-                    build_spectrum_plan, check_quota_feasible, scenario_from_dict,
+                    build_spectrum_plan, check_quota_feasible,
                     scenario_to_dict, uniform_quota)
-from .propagation import (PropagationParams, dbm_to_norm, generate_measurements,
+from .propagation import (GroundTruth, MeasurementFrame, PropagationParams,
+                          dbm_to_norm, generate_measurements,
                           generate_reference_powers, compute_ground_truth,
-                          norm_to_dbm, pathloss_db, realize_links)
+                          norm_to_dbm, pathloss_db, realize_links,
+                          threshold_gain)
 from .scheduler import cost_from_reference_powers, heuristic_assign
 from .seeding import substream
 
@@ -123,8 +126,25 @@ def representative_assignment(campaign):
     return assignment
 
 
+def _structure_of(campaign, scheme):
+    """Calibrated structure a scheme decides with.
+
+    None for schemes that decide on raw energy (centralized, and the
+    non-cooperative schemes under ``noncoop_raw_energy``) or on the truth.
+    """
+    if campaign.noncoop_raw_energy and scheme.startswith("noncoop"):
+        return None
+    return CALIBRATION_STRUCTURE.get(scheme)
+
+
+def _ceiling(campaign):
+    """Receiver clamp on adaptive-filter inputs; None when unlimited."""
+    return (default_ceiling(campaign.diffusion)
+            if campaign.limit_dynamic_range else None)
+
+
 def _structure_specs(campaign, rep_assignment):
-    """Network structures whose thresholds the chosen schemes need."""
+    """Network structures whose thresholds the chosen schemes read."""
     scn = campaign.scenario
     k_count = scn.topology.count
     m_count = scn.spectrum.channel_count
@@ -138,16 +158,14 @@ def _structure_specs(campaign, rep_assignment):
         "standalone": (full_mask, np.zeros((k_count, k_count)),
                        np.eye(k_count, dtype=bool)),
     }
-    needed = {CALIBRATION_STRUCTURE[s] for s in campaign.schemes
-              if s in CALIBRATION_STRUCTURE}
+    needed = {_structure_of(campaign, s) for s in campaign.schemes} - {None}
     return {name: specs[name] for name in needed}
 
 
 def calibrate_campaign(campaign, rep_assignment):
     """λ per structure: the once-per-campaign known-energy training pass."""
     prop = campaign.scenario.propagation
-    ceiling = (default_ceiling(campaign.diffusion)
-               if campaign.limit_dynamic_range else None)
+    ceiling = _ceiling(campaign)
     lams = {}
     for name, (mask, p_hat, adjacency) in _structure_specs(campaign,
                                                            rep_assignment).items():
@@ -160,30 +178,44 @@ def calibrate_campaign(campaign, rep_assignment):
     return lams
 
 
+def _calibrate(campaign):
+    """Representative assignment (when a scheme needs one), then λ."""
+    rep_assignment = None
+    if "proposed-singleband" in campaign.schemes:
+        rep_assignment = representative_assignment(campaign)
+    return calibrate_campaign(campaign, rep_assignment)
+
+
 # ---------------------------------------------------------------------------
 # Per-realization work
 # ---------------------------------------------------------------------------
 
-def run_realization(campaign, lams, r):
-    """All schemes, all thresholds, one realization. Returns (crc32, metrics).
+@dataclass
+class RealizationInputs:
+    """One realization's frame, truth and every scheme's side inputs."""
 
-    The metrics dict maps (scheme, threshold_dbm, metric) -> value or None.
-    """
+    frame: MeasurementFrame
+    truth: GroundTruth
+    reference_powers: np.ndarray        # (K, K) realized neighbor powers
+    sensing_mask: np.ndarray | None     # proposed-singleband assignment
+    picks: np.ndarray | None            # noncoop-singleband channel per SAP
+    devices: np.ndarray | None          # (device_count, 2) positions
+
+
+def prepare_realization(campaign, r):
+    """Draw realization ``r``: propagation state, frame, truth, scheme inputs."""
     scn = campaign.scenario
     seed = campaign.seed
-    params = campaign.diffusion
-    ceiling = default_ceiling(params) if campaign.limit_dynamic_range else None
     ref = campaign.reference_dbm
+    topo = scn.topology
 
     links = realize_links(scn, substream(seed, "bands", r),
                           substream(seed, "shadow", r),
                           substream(seed, "fading", r))
-    frame = generate_measurements(scn, links, params.iterations,
+    frame = generate_measurements(scn, links, campaign.diffusion.iterations,
                                   substream(seed, "estimate", r), ref)
-    checksum = zlib.crc32(frame.y.tobytes())
     truth = compute_ground_truth(scn, links, ref)
     p_hat = generate_reference_powers(scn, links, ref)
-    topo = scn.topology
 
     sensing_mask = None
     if "proposed-singleband" in campaign.schemes:
@@ -204,83 +236,83 @@ def run_realization(campaign, lams, r):
         u = substream(seed, "devices", r).uniform(size=(campaign.device_count, 2))
         devices = np.column_stack([x0 + u[:, 0] * (x1 - x0),
                                    y0 + u[:, 1] * (y1 - y0)])
+    return RealizationInputs(frame, truth, p_hat, sensing_mask, picks, devices)
 
-    own_masks = {
-        "proposed-singleband": sensing_mask,
-        "noncoop-singleband": None,  # the decided mask itself is the own set
-    }
 
-    results = {}
-    for t in campaign.thresholds_dbm:
-        y_raw = frame.scaled_to(t)
-        y_clip = clip_dynamic_range(y_raw, ceiling)
-        truth_t = truth.busy_at(t)
-        for scheme in campaign.schemes:
-            structure = CALIBRATION_STRUCTURE.get(scheme)
-            raw_detector = (scheme == "centralized"
-                            or (campaign.noncoop_raw_energy
-                                and scheme.startswith("noncoop")))
-            dm = run_scheme(
+def decide_schemes(campaign, lams, inputs, r):
+    """Yield (scheme, threshold_dbm, DecisionMap, truth busy map) per block.
+
+    Each scheme runs once over the whole threshold sweep. Diffusion weights
+    that go non-finite raise ArithmeticError naming the scheme, the
+    realization ``r`` and the first threshold affected.
+    """
+    thresholds = campaign.thresholds_dbm
+    ref = campaign.reference_dbm
+    gains = [threshold_gain(ref, t) for t in thresholds]
+    truths = [inputs.truth.busy_at(t) for t in thresholds]
+    ceiling = _ceiling(campaign)
+    for scheme in campaign.schemes:
+        structure = _structure_of(campaign, scheme)
+        try:
+            maps = run_scheme(
                 scheme,
-                measurements=y_raw if raw_detector else y_clip,
-                truth_busy=truth_t,
-                sensing_mask=sensing_mask,
-                reference_powers=p_hat,
-                adjacency=topo.adjacency,
-                params=params,
+                measurements=inputs.frame.y,
+                gains=gains,
+                ceiling=ceiling,
+                truth_busy=truths,
+                sensing_mask=inputs.sensing_mask,
+                reference_powers=inputs.reference_powers,
+                adjacency=campaign.scenario.topology.adjacency,
+                params=campaign.diffusion,
                 thresholds=lams.get(structure),
-                channel_picks=picks,
+                channel_picks=inputs.picks,
                 raw_energy=campaign.noncoop_raw_energy,
             )
-            if scheme in own_masks:
-                mask = own_masks[scheme]
-                own_scope = dm.decided if mask is None else mask
-            else:
-                own_scope = None
-            results[(scheme, t, "utilization_ratio")] = utilization_ratio(dm, truth_t)
-            results[(scheme, t, "misdetection_probability")] = (
-                misdetection_probability(dm, truth_t))
-            results[(scheme, t, "correct_decision_pct_all")] = (
-                correct_decision_pct(dm, truth_t))
-            results[(scheme, t, "correct_decision_pct_own")] = (
-                correct_decision_pct(dm, truth_t, own_scope))
-            if devices is not None:
-                results[(scheme, t, "scheduled_devices")] = schedule_devices(
-                    dm, truth_t, devices, topo.positions,
-                    campaign.device_capacity)
+        except DivergenceError as exc:
+            raise ArithmeticError(
+                f"{scheme}: diffusion weights went non-finite in realization "
+                f"{r} at threshold {thresholds[exc.gain_index]!r} dBm") from exc
+        for t, dm, truth_t in zip(thresholds, maps, truths):
+            yield scheme, t, dm, truth_t
+
+
+def run_realization(campaign, lams, r):
+    """All schemes, all thresholds, one realization. Returns (crc32, metrics).
+
+    The metrics dict maps (scheme, threshold_dbm, metric) -> value or None.
+    """
+    inputs = prepare_realization(campaign, r)
+    checksum = zlib.crc32(inputs.frame.y.tobytes())
+    positions = campaign.scenario.topology.positions
+    results = {}
+    for scheme, t, dm, truth_t in decide_schemes(campaign, lams, inputs, r):
+        # the decided mask itself is noncoop-singleband's own set
+        own_scope = {"proposed-singleband": inputs.sensing_mask,
+                     "noncoop-singleband": dm.decided}.get(scheme)
+        results[(scheme, t, "utilization_ratio")] = utilization_ratio(dm, truth_t)
+        results[(scheme, t, "misdetection_probability")] = (
+            misdetection_probability(dm, truth_t))
+        results[(scheme, t, "correct_decision_pct_all")] = (
+            correct_decision_pct(dm, truth_t))
+        results[(scheme, t, "correct_decision_pct_own")] = (
+            correct_decision_pct(dm, truth_t, own_scope))
+        if inputs.devices is not None:
+            results[(scheme, t, "scheduled_devices")] = schedule_devices(
+                dm, truth_t, inputs.devices, positions,
+                campaign.device_capacity)
     return checksum, results
 
 
 _WORKER_CTX = {}
 
 
-def _worker_init(scenario_json, campaign_kwargs, lam_items):
-    campaign = Campaign(scenario=scenario_from_dict(json.loads(scenario_json)),
-                        **campaign_kwargs)
+def _worker_init(campaign, lams):
     _WORKER_CTX["campaign"] = campaign
-    _WORKER_CTX["lams"] = dict(lam_items)
+    _WORKER_CTX["lams"] = lams
 
 
 def _worker_run(r):
     return r, run_realization(_WORKER_CTX["campaign"], _WORKER_CTX["lams"], r)
-
-
-def _campaign_kwargs(campaign):
-    return {
-        "schemes": tuple(campaign.schemes),
-        "thresholds_dbm": tuple(campaign.thresholds_dbm),
-        "realizations": campaign.realizations,
-        "master_seed": campaign.master_seed,
-        "reference_dbm": campaign.reference_dbm,
-        "diffusion": campaign.diffusion,
-        "calibration_runs": campaign.calibration_runs,
-        "limit_dynamic_range": campaign.limit_dynamic_range,
-        "device_count": campaign.device_count,
-        "device_capacity": campaign.device_capacity,
-        "scheduler_restarts": campaign.scheduler_restarts,
-        "noncoop_raw_energy": campaign.noncoop_raw_energy,
-        "workers": 1,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +324,7 @@ def run_campaign(campaign, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     scn = campaign.scenario
 
-    rep_assignment = None
-    if "proposed-singleband" in campaign.schemes:
-        rep_assignment = representative_assignment(campaign)
-    lams = calibrate_campaign(campaign, rep_assignment)
+    lams = _calibrate(campaign)
     log.info("calibrated %d structure/threshold pairs", len(lams))
 
     per_real = [None] * campaign.realizations
@@ -305,11 +334,12 @@ def run_campaign(campaign, out_dir):
             checksums[r], per_real[r] = run_realization(campaign, lams, r)
             log.info("realization %d frame crc32 %08x", r, checksums[r])
     else:
-        init_args = (json.dumps(scenario_to_dict(scn)),
-                     _campaign_kwargs(campaign), list(lams.items()))
+        # workers receive the campaign itself (pickled under spawn), so
+        # every field reaches them unchanged
         with ProcessPoolExecutor(max_workers=campaign.workers,
                                  initializer=_worker_init,
-                                 initargs=init_args) as pool:
+                                 initargs=(replace(campaign, workers=1),
+                                           lams)) as pool:
             for r, (crc, res) in pool.map(_worker_run,
                                           range(campaign.realizations)):
                 checksums[r], per_real[r] = crc, res
@@ -499,59 +529,21 @@ def emit_footprint_snapshot(campaign, out_path, realization=0,
     decision (busy/available/none).
     """
     campaign = replace(campaign, thresholds_dbm=(float(threshold_dbm),))
-    scn = campaign.scenario
-    rep = (representative_assignment(campaign)
-           if "proposed-singleband" in campaign.schemes else None)
-    lams = calibrate_campaign(campaign, rep)
-
-    seed = campaign.seed
-    params = campaign.diffusion
-    ceiling = default_ceiling(params) if campaign.limit_dynamic_range else None
-    links = realize_links(scn, substream(seed, "bands", realization),
-                          substream(seed, "shadow", realization),
-                          substream(seed, "fading", realization))
-    frame = generate_measurements(scn, links, params.iterations,
-                                  substream(seed, "estimate", realization),
+    topo = campaign.scenario.topology
+    lams = _calibrate(campaign)
+    inputs = prepare_realization(campaign, realization)
+    mean_energy_dbm = norm_to_dbm(inputs.frame.y.mean(axis=2),
                                   campaign.reference_dbm)
-    truth = compute_ground_truth(scn, links, campaign.reference_dbm)
-    p_hat = generate_reference_powers(scn, links, campaign.reference_dbm)
-
-    sensing_mask = None
-    if "proposed-singleband" in campaign.schemes:
-        cost = cost_from_reference_powers(p_hat, scn.spectrum.subset_count)
-        assignment, _ = heuristic_assign(
-            cost, scn.topology.positions, scn.spectrum.quota,
-            substream(seed, "assign", realization), campaign.scheduler_restarts)
-        sensing_mask = assignment.sensing_mask(scn.spectrum)
-    picks = None
-    if "noncoop-singleband" in campaign.schemes:
-        picks = substream(seed, "pick", realization).integers(
-            scn.spectrum.channel_count, size=scn.topology.count)
-
-    t = float(threshold_dbm)
-    y_raw = frame.scaled_to(t)
-    y_clip = clip_dynamic_range(y_raw, ceiling)
-    truth_t = truth.busy_at(t)
-    mean_energy_dbm = norm_to_dbm(frame.y.mean(axis=2), campaign.reference_dbm)
 
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scheme", "k", "x", "y", "m", "energy_dbm",
                          "truth_busy", "decision"])
-        for scheme in campaign.schemes:
-            structure = CALIBRATION_STRUCTURE.get(scheme)
-            raw_detector = (scheme == "centralized"
-                            or (campaign.noncoop_raw_energy
-                                and scheme.startswith("noncoop")))
-            dm = run_scheme(
-                scheme, measurements=y_raw if raw_detector else y_clip,
-                truth_busy=truth_t, sensing_mask=sensing_mask,
-                reference_powers=p_hat, adjacency=scn.topology.adjacency,
-                params=params, thresholds=lams.get(structure),
-                channel_picks=picks, raw_energy=campaign.noncoop_raw_energy)
-            for k in range(scn.topology.count):
-                x, y = scn.topology.positions[k]
-                for m in range(scn.spectrum.channel_count):
+        for scheme, _, dm, truth_t in decide_schemes(campaign, lams, inputs,
+                                                     realization):
+            for k in range(topo.count):
+                x, y = topo.positions[k]
+                for m in range(campaign.scenario.spectrum.channel_count):
                     if not dm.decided[k, m]:
                         verdict = "none"
                     elif dm.busy[k, m]:

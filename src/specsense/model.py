@@ -23,17 +23,6 @@ class ConfigurationError(ValueError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SapNode:
-    id: int
-    position: tuple  # (x, y) meters
-    height_m: float
-
-    def __post_init__(self):
-        if self.height_m <= 0:
-            raise ConfigurationError("SAP height must be positive")
-
-
-@dataclass(frozen=True)
 class Topology:
     """SAP positions plus the radius-R neighborhood structure.
 
@@ -49,13 +38,6 @@ class Topology:
     @property
     def count(self):
         return self.positions.shape[0]
-
-    @property
-    def nodes(self):
-        return [
-            SapNode(k, (float(x), float(y)), float(h))
-            for k, ((x, y), h) in enumerate(zip(self.positions, self.heights_m))
-        ]
 
     def neighbors_of(self, k):
         """Sorted array of neighbor ids of SAP k (self included)."""

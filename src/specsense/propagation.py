@@ -32,6 +32,11 @@ def norm_to_dbm(value, ref_dbm):
     return ref_dbm + 10.0 * np.log10(value)
 
 
+def threshold_gain(ref_dbm, threshold_dbm):
+    """Factor that renormalizes ref_dbm-referenced power so threshold_dbm maps to 1.0."""
+    return 10.0 ** ((ref_dbm - threshold_dbm) / 10.0)
+
+
 def noise_floor_dbm(channel_bandwidth_hz, noise_figure_db):
     """Thermal floor -174 dBm/Hz integrated over one channel, plus noise figure."""
     return (THERMAL_NOISE_DBM_PER_HZ
@@ -173,7 +178,7 @@ class MeasurementFrame:
 
     def scaled_to(self, threshold_dbm):
         """Measurements renormalized so threshold_dbm maps to 1.0."""
-        return self.y * 10.0 ** ((self.ref_dbm - threshold_dbm) / 10.0)
+        return self.y * threshold_gain(self.ref_dbm, threshold_dbm)
 
 
 @dataclass
@@ -185,8 +190,8 @@ class GroundTruth:
     ref_dbm: float
 
     def busy_at(self, threshold_dbm):
-        scale = 10.0 ** ((self.ref_dbm - threshold_dbm) / 10.0)
-        return self.true_energy * scale >= 1.0
+        return (self.true_energy * threshold_gain(self.ref_dbm, threshold_dbm)
+                >= 1.0)
 
 
 def _realize_bands(scenario, plan, rng):
@@ -236,9 +241,10 @@ def realize_links(scenario, rng_bands, rng_shadow, rng_fading=None):
 
     ``rng_bands`` drives the realization geometry (incumbent band draws and
     LOS states), ``rng_shadow`` the shadowing, ``rng_fading`` the
-    block-fading gains (defaults to ``rng_shadow`` when omitted). Ground
-    truth depends only on the geometry stream; the other two only corrupt
-    measurements.
+    block-fading gains (defaults to ``rng_shadow`` when omitted). All three
+    shape ground truth, which is the realized (shadowed, faded) level; only
+    the estimation noise drawn by ``generate_measurements`` is confined to
+    the measurements.
     """
     topo = scenario.topology
     plan = scenario.spectrum
@@ -304,8 +310,9 @@ def received_level(scenario, links, ref_dbm, faded=True):
     """Static per-block incumbent energy, shape (K, M).
 
     ``faded=True`` gives the level a receiver actually sees this realization
-    (pathloss + shadowing + block fading); ``faded=False`` gives the
-    shadowing- and fading-free pathloss footprint that defines ground truth.
+    (pathloss + shadowing + block fading), which both the measurements and
+    the ground truth use; ``faded=False`` gives the shadowing- and
+    fading-free pathloss footprint, which no caller in the library uses.
     """
     plan = scenario.spectrum
     k_count = scenario.topology.count

@@ -262,7 +262,7 @@ def test_criterion_6_centralized_verdict_and_genie(capsys):
         truth = compute_ground_truth(scenario, links, ref)
         busy = truth.busy_at(ref)
 
-        dm = run_scheme("centralized", measurements=frame.scaled_to(ref))
+        [dm] = run_scheme("centralized", measurements=frame.scaled_to(ref))
         assert dm.decided.all()
         assert (dm.busy == dm.busy[0]).all()      # one verdict per channel
 

@@ -99,9 +99,9 @@ def test_noncoop_multiband_matches_proposed_on_self_graph():
     y, _, _, lam = _toy_inputs()
     params = DiffusionParams(iterations=30)
     k_count = y.shape[0]
-    nc = noncoop_multiband(y, params, lam)
-    pm = proposed_multiband(y, np.zeros((k_count, k_count)),
-                            np.eye(k_count, dtype=bool), params, lam)
+    [nc] = noncoop_multiband(y, params, lam)
+    [pm] = proposed_multiband(y, np.zeros((k_count, k_count)),
+                              np.eye(k_count, dtype=bool), params, lam)
     assert nc.decided.all() and pm.decided.all()
     np.testing.assert_array_equal(nc.busy, pm.busy)
 
@@ -110,8 +110,8 @@ def test_noncoop_raw_energy_uses_last_window():
     y = np.full((2, 2, 5), 0.1)
     y[0, 0, -1] = 2.0       # only the final reading counts
     y[1, 1, :-1] = 9.0      # earlier readings do not
-    d = noncoop_multiband(y, DiffusionParams(iterations=5), None,
-                          raw_energy=True, energy_threshold=1.0)
+    [d] = noncoop_multiband(y, DiffusionParams(iterations=5), None,
+                            raw_energy=True, energy_threshold=1.0)
     assert d.decided.all()
     np.testing.assert_array_equal(d.busy, [[True, False], [False, False]])
 
@@ -119,13 +119,13 @@ def test_noncoop_raw_energy_uses_last_window():
 def test_noncoop_singleband_covers_one_channel_per_sap():
     y, _, _, lam = _toy_inputs(k_count=4, m_count=3)
     picks = np.array([0, 2, 1, 2])
-    d = noncoop_singleband(y, picks, DiffusionParams(iterations=30), lam)
+    [d] = noncoop_singleband(y, picks, DiffusionParams(iterations=30), lam)
     want = np.zeros((4, 3), dtype=bool)
     want[np.arange(4), picks] = True
     np.testing.assert_array_equal(d.decided, want)
     assert not d.busy[~want].any()
     # the decided entries agree with the multiband run of the same filter
-    full = noncoop_multiband(y, DiffusionParams(iterations=30), lam)
+    [full] = noncoop_multiband(y, DiffusionParams(iterations=30), lam)
     np.testing.assert_array_equal(d.busy[want], full.busy[want])
 
 
@@ -141,10 +141,10 @@ def test_noncoop_singleband_rejects_bad_picks():
 def test_proposed_schemes_decide_everywhere():
     y, p_hat, adjacency, lam = _toy_inputs(seed=7)
     params = DiffusionParams(iterations=30)
-    pm = proposed_multiband(y, p_hat, adjacency, params, lam)
+    [pm] = proposed_multiband(y, p_hat, adjacency, params, lam)
     assert pm.decided.all()
     mask = np.array([[True, False], [False, True], [True, True]])
-    ps = proposed_singleband(y, mask, p_hat, adjacency, params, lam)
+    [ps] = proposed_singleband(y, mask, p_hat, adjacency, params, lam)
     assert ps.decided.all()
     # where every SAP senses, the assigned variant sees the same data
     np.testing.assert_array_equal(ps.busy[2], pm.busy[2])
@@ -157,34 +157,33 @@ def test_run_scheme_dispatch_matches_direct_calls():
     mask = np.ones(y.shape[:2], dtype=bool)
     picks = np.array([0, 1, 0])
 
-    via = run_scheme("genie", measurements=y, truth_busy=truth)
+    [via] = run_scheme("genie", measurements=y, truth_busy=[truth])
     np.testing.assert_array_equal(via.busy, genie(truth).busy)
 
-    via = run_scheme("centralized", measurements=y, energy_threshold=1.0)
+    [via] = run_scheme("centralized", measurements=y, energy_threshold=1.0)
     np.testing.assert_array_equal(via.busy, centralized_egc(y).busy)
 
-    via = run_scheme("proposed-multiband", measurements=y,
-                     reference_powers=p_hat, adjacency=adjacency,
-                     params=params, thresholds=lam)
-    np.testing.assert_array_equal(
-        via.busy, proposed_multiband(y, p_hat, adjacency, params, lam).busy)
+    [via] = run_scheme("proposed-multiband", measurements=y,
+                       reference_powers=p_hat, adjacency=adjacency,
+                       params=params, thresholds=lam)
+    [direct] = proposed_multiband(y, p_hat, adjacency, params, lam)
+    np.testing.assert_array_equal(via.busy, direct.busy)
 
-    via = run_scheme("proposed-singleband", measurements=y, sensing_mask=mask,
-                     reference_powers=p_hat, adjacency=adjacency,
-                     params=params, thresholds=lam)
-    np.testing.assert_array_equal(
-        via.busy,
-        proposed_singleband(y, mask, p_hat, adjacency, params, lam).busy)
+    [via] = run_scheme("proposed-singleband", measurements=y,
+                       sensing_mask=mask, reference_powers=p_hat,
+                       adjacency=adjacency, params=params, thresholds=lam)
+    [direct] = proposed_singleband(y, mask, p_hat, adjacency, params, lam)
+    np.testing.assert_array_equal(via.busy, direct.busy)
 
-    via = run_scheme("noncoop-multiband", measurements=y, params=params,
-                     thresholds=lam, raw_energy=True)
-    np.testing.assert_array_equal(
-        via.busy, noncoop_multiband(y, params, lam, raw_energy=True).busy)
+    [via] = run_scheme("noncoop-multiband", measurements=y, params=params,
+                       thresholds=lam, raw_energy=True)
+    [direct] = noncoop_multiband(y, params, lam, raw_energy=True)
+    np.testing.assert_array_equal(via.busy, direct.busy)
 
-    via = run_scheme("noncoop-singleband", measurements=y,
-                     channel_picks=picks, params=params, thresholds=lam)
-    np.testing.assert_array_equal(
-        via.busy, noncoop_singleband(y, picks, params, lam).busy)
+    [via] = run_scheme("noncoop-singleband", measurements=y,
+                       channel_picks=picks, params=params, thresholds=lam)
+    [direct] = noncoop_singleband(y, picks, params, lam)
+    np.testing.assert_array_equal(via.busy, direct.busy)
 
 
 def test_run_scheme_unknown_name():

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specsense.diffusion import (
     DiffusionParams,
-    adapt,
-    alpha_weights,
-    beta_weights,
+    DivergenceError,
     calibrate_threshold,
     clip_dynamic_range,
     compute_gamma,
@@ -22,8 +22,59 @@ from specsense.seeding import substream
 
 
 # ---------------------------------------------------------------------------
-# Scalar building blocks
+# Scalar building blocks, and the per-SAP reference oracle built from them
 # ---------------------------------------------------------------------------
+
+def alpha_weights(w_self_prev, step_size, gamma, neighbor_w_prev,
+                  epsilon_guard=1e-12):
+    """Distance-based combination weights over a neighborhood (self included)."""
+    target = w_self_prev + step_size * gamma
+    dist2 = (target - np.asarray(neighbor_w_prev, dtype=float)) ** 2
+    inv = 1.0 / np.maximum(dist2, epsilon_guard)
+    return inv / inv.sum()
+
+
+def beta_weights(reference_powers_of_informative):
+    """Reference-power-proportional weights over the informative neighbors."""
+    p = np.asarray(reference_powers_of_informative, dtype=float)
+    total = p.sum()
+    if total <= 0:
+        raise ConfigurationError("no informative neighbor with positive reference power")
+    return p / total
+
+
+def adapt(psi, y, d, step_size, senses_channel):
+    return psi + (step_size * y * (d - y * psi) if senses_channel else 0.0)
+
+
+def per_sap_oracle(y, mask, p_hat, adjacency, params):
+    """Final weights of the synchronous algorithm, one SAP and channel at a time."""
+    k_count, m_count, _ = y.shape
+    w = np.full((k_count, m_count), params.initial_weight)
+    d = y[:, :, 0].copy()
+    for i in range(params.iterations):
+        d = smooth_energy(d, y[:, :, i], params.smoothing)
+        new = np.empty_like(w)
+        for k in range(k_count):
+            nbrs = np.flatnonzero(adjacency[k])
+            others = nbrs[nbrs != k]
+            for m in range(m_count):
+                if mask[k, m]:
+                    gamma = compute_gamma(d[k, m], y[k, m, i], w[k, m])
+                    a = alpha_weights(w[k, m], params.step_size, gamma,
+                                      w[nbrs, m], params.epsilon_guard)
+                    psi = a @ w[nbrs, m]
+                else:
+                    informative = others[mask[others, m]]
+                    if p_hat[k, informative].sum() > 0:
+                        psi = beta_weights(p_hat[k, informative]) @ w[informative, m]
+                    else:
+                        psi = w[k, m]                       # frozen
+                new[k, m] = adapt(psi, y[k, m, i], d[k, m], params.step_size,
+                                  mask[k, m])
+        w = new
+    return w
+
 
 def test_smooth_energy_values():
     assert smooth_energy(1.0, 2.0, 0.9) == pytest.approx(1.1)
@@ -181,6 +232,87 @@ def test_locality_under_non_neighbor_perturbation():
     pert = run_diffusion(y_pert, mask, p_hat, adjacency, params)
     np.testing.assert_array_equal(base.w[:2], pert.w[:2])
     assert not np.array_equal(base.w[2:], pert.w[2:])
+
+
+def _random_network(rng, k_count, m_count, density=0.5, sensed=0.6):
+    adjacency = np.eye(k_count, dtype=bool)
+    adjacency |= rng.uniform(size=(k_count, k_count)) < density
+    adjacency &= adjacency.T
+    mask = rng.uniform(size=(k_count, m_count)) < sensed
+    p_hat = np.where(adjacency & ~np.eye(k_count, dtype=bool),
+                     rng.uniform(0.1, 2.0, size=(k_count, k_count)), 0.0)
+    return adjacency, mask, p_hat
+
+
+def test_network_run_matches_per_sap_oracle():
+    # the vectorized run against a plain loop over SAPs and channels; sums
+    # run in a different order, so agreement is to rounding, not bitwise
+    params = DiffusionParams(iterations=40)
+    rng = substream(13, "oracle")
+    adjacency, mask, p_hat = _random_network(rng, 6, 4, density=0.4)
+    mask[:, 3] = False                   # nobody senses channel 3: frozen
+    y = rng.uniform(0.05, 3.0, size=(6, 4, 40))
+    got = run_diffusion(y, mask, p_hat, adjacency, params).w
+    want = per_sap_oracle(y, mask, p_hat, adjacency, params)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(got[:, 3], params.initial_weight)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k_count=st.integers(1, 16), m_count=st.integers(1, 6),
+       n_iter=st.integers(1, 25), seed=st.integers(0, 2**32 - 1),
+       exponents=st.lists(st.floats(-1.0, 0.6), min_size=1, max_size=4),
+       ceiling=st.sampled_from([None, 3.16]),
+       beta_set=st.sampled_from(["informative", "all-neighbors"]))
+def test_batched_gains_match_single_gain_runs(k_count, m_count, n_iter, seed,
+                                              exponents, ceiling, beta_set):
+    rng = np.random.default_rng(seed)
+    adjacency, mask, p_hat = _random_network(rng, k_count, m_count,
+                                             density=rng.uniform(0.05, 0.9),
+                                             sensed=rng.uniform(0.2, 1.0))
+    y = rng.gamma(0.7, 1 / 0.7, size=(k_count, m_count, n_iter))
+    params = DiffusionParams(iterations=n_iter, beta_set=beta_set)
+    gains = [10.0 ** e for e in exponents]
+
+    def single(g):
+        return run_diffusion(clip_dynamic_range(y * g, ceiling), mask, p_hat,
+                             adjacency, params).w
+
+    try:
+        w = run_diffusion(y, mask, p_hat, adjacency, params, gains=gains,
+                          ceiling=ceiling).w
+    except DivergenceError as exc:
+        for g in gains[:exc.gain_index]:
+            assert np.isfinite(single(g)).all()
+        with pytest.raises(DivergenceError):
+            single(gains[exc.gain_index])
+        return
+    assert w.shape == (k_count, len(gains) * m_count)
+    for t, g in enumerate(gains):
+        block = w[:, t * m_count:(t + 1) * m_count]
+        assert np.array_equal(block, single(g))
+
+
+def test_batched_audit_sees_simplex_in_reused_buffer():
+    params = DiffusionParams(iterations=30)
+    rng = substream(17, "audit")
+    adjacency, mask, p_hat = _random_network(rng, 5, 3)
+    y = rng.uniform(0.05, 3.0, size=(5, 3, 30))
+    gains = (0.5, 1.0, 2.0)
+    buffers = []
+
+    def audit(i, alpha, beta, has_informative):
+        assert alpha.shape == beta.shape == (5, 5, 9)
+        assert (alpha >= 0.0).all()
+        np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-9)
+        assert not alpha[~adjacency].any()
+        covered = ~np.tile(mask, 3) & has_informative
+        np.testing.assert_allclose(beta.sum(axis=1)[covered], 1.0, atol=1e-9)
+        buffers.append(alpha)
+
+    run_diffusion(y, mask, p_hat, adjacency, params, gains=gains, audit=audit)
+    assert len(buffers) == 30
+    assert all(np.shares_memory(a, buffers[0]) for a in buffers)
 
 
 def test_weight_simplex_at_every_iteration():

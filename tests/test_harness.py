@@ -143,6 +143,25 @@ def test_calibration_covers_only_needed_structures(small_campaign):
     assert calibrate_campaign(bare, None) == {}
     solo = replace(small_campaign, schemes=("noncoop-multiband",))
     assert set(calibrate_campaign(solo, None)) == {"standalone"}
+    # raw-energy non-cooperative schemes read no calibrated threshold
+    raw = replace(small_campaign, noncoop_raw_energy=True)
+    assert set(calibrate_campaign(raw, rep)) == {"coop-full", "coop-assigned"}
+    assert calibrate_campaign(replace(solo, noncoop_raw_energy=True), None) == {}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_weights_fail_loud(tmp_path):
+    # without the receiver clamp, -82 dBm pushes the cooperative adaptation
+    # past its stability bound; -52 dBm, earlier in the sweep, stays finite
+    scenario = generate_scenario("small-grid", seed=5, side_count=5,
+                                 incumbent_count=10)
+    campaign = Campaign(scenario=scenario, master_seed=3,
+                        thresholds_dbm=(-52.0, -82.0), realizations=1,
+                        calibration_runs=2, limit_dynamic_range=False)
+    with pytest.raises(ArithmeticError,
+                       match=r"^proposed-multiband: .* realization 0 at "
+                             r"threshold -82\.0 dBm$"):
+        run_campaign(campaign, tmp_path)
 
 
 def test_results_row_cardinality(small_campaign, campaign_output):
