@@ -53,31 +53,32 @@ def genie(truth_busy):
     return _full_map(truth_busy)
 
 
-def centralized_egc(measurements, threshold=1.0):
+def centralized_egc(measurements):
     """Equal-gain combining at a fusion center: one verdict per channel.
 
-    The statistic is the plain mean energy over all SAPs and iterations, so
-    one strong local measurement can drag a whole channel busy everywhere.
+    The statistic is the plain mean energy over all SAPs and iterations,
+    busy at 1.0, so one strong local measurement can drag a whole channel
+    busy everywhere.
     """
     y = np.asarray(measurements)
     k_count = y.shape[0]
     t_m = y.mean(axis=(0, 2))
-    busy_row = t_m >= threshold
+    busy_row = t_m >= 1.0
     return _full_map(np.tile(busy_row, (k_count, 1)))
 
 
 def noncoop_multiband(measurements, params, thresholds, raw_energy=False,
-                      energy_threshold=1.0, gains=(1.0,), ceiling=None):
+                      gains=(1.0,), ceiling=None):
     """Every SAP senses all channels and decides alone.
 
     The adaptive variant is diffusion on the self-only graph. The raw
     variant has no smoothed statistic: each SAP compares its latest
-    window's energy estimate, unclamped, against ``energy_threshold``
+    window's energy estimate times the gain, unclamped, against 1.0
     directly, which is what makes raw decisions fluctuate window to window.
     """
     if raw_energy:
         last = np.asarray(measurements)[:, :, -1]
-        return [_full_map(last * g >= energy_threshold) for g in gains]
+        return [_full_map(last * g >= 1.0) for g in gains]
     k_count = measurements.shape[0]
     return proposed_multiband(measurements, np.zeros((k_count, k_count)),
                               np.eye(k_count, dtype=bool), params, thresholds,
@@ -85,8 +86,7 @@ def noncoop_multiband(measurements, params, thresholds, raw_energy=False,
 
 
 def noncoop_singleband(measurements, channel_picks, params, thresholds,
-                       raw_energy=False, energy_threshold=1.0, gains=(1.0,),
-                       ceiling=None):
+                       raw_energy=False, gains=(1.0,), ceiling=None):
     """Every SAP senses one random channel; all other blocks stay undecided."""
     y = np.asarray(measurements)
     k_count, m_count, _ = y.shape
@@ -97,8 +97,8 @@ def noncoop_singleband(measurements, channel_picks, params, thresholds,
     decided[np.arange(k_count), picks] = True
     # the self-only filter evolves each channel independently, so running
     # every channel and masking afterwards matches sensing only the pick
-    maps = noncoop_multiband(y, params, thresholds, raw_energy,
-                             energy_threshold, gains, ceiling)
+    maps = noncoop_multiband(y, params, thresholds, raw_energy, gains,
+                             ceiling)
     return [DecisionMap(dm.busy & decided, decided) for dm in maps]
 
 
@@ -130,7 +130,7 @@ def proposed_singleband(measurements, sensing_mask, reference_powers,
 def run_scheme(name, *, measurements, gains=(1.0,), ceiling=None,
                truth_busy=None, sensing_mask=None, reference_powers=None,
                adjacency=None, params=None, thresholds=None,
-               channel_picks=None, raw_energy=False, energy_threshold=1.0):
+               channel_picks=None, raw_energy=False):
     """Dispatch one scheme by id over a gain sweep; one DecisionMap per gain.
 
     ``measurements`` is the unscaled frame; gain t rescales it as
@@ -143,15 +143,13 @@ def run_scheme(name, *, measurements, gains=(1.0,), ceiling=None,
     if name == "genie":
         return [genie(busy) for _, busy in zip(gains, truth_busy, strict=True)]
     if name == "centralized":
-        return [centralized_egc(measurements * g, energy_threshold)
-                for g in gains]
+        return [centralized_egc(measurements * g) for g in gains]
     if name == "noncoop-multiband":
         return noncoop_multiband(measurements, params, thresholds, raw_energy,
-                                 energy_threshold, gains, ceiling)
+                                 gains, ceiling)
     if name == "noncoop-singleband":
         return noncoop_singleband(measurements, channel_picks, params,
-                                  thresholds, raw_energy, energy_threshold,
-                                  gains, ceiling)
+                                  thresholds, raw_energy, gains, ceiling)
     if name == "proposed-multiband":
         return proposed_multiband(measurements, reference_powers, adjacency,
                                   params, thresholds, gains, ceiling)

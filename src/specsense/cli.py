@@ -2,10 +2,7 @@
 
 import argparse
 import csv
-import json
 import sys
-
-import numpy as np
 
 from .diffusion import DiffusionParams
 from .harness import (Campaign, configure_logging, emit_footprint_snapshot,

@@ -196,17 +196,17 @@ def default_ceiling(params):
 
 
 def calibrate_threshold(sensing_mask, reference_powers, adjacency, params, rng,
-                        reference_level=1.0, calibration_runs=10,
-                        estimate_shape=0.7, ceiling=None):
+                        calibration_runs=10, estimate_shape=0.7, ceiling=None):
     """Per-(SAP, channel) thresholds from known-energy training runs.
 
-    Feeds the network injected samples of known energy ``reference_level``
-    on every channel, corrupted only by the receiver's own estimation noise
-    (unit-mean Gamma with ``estimate_shape``; None for noiseless), and
-    averages the resulting final weights over ``calibration_runs`` runs.
-    The same receiver ``ceiling`` used on live measurements must be
-    supplied here. In normalized units the result is threshold-independent.
-    A run whose weights go non-finite raises DivergenceError.
+    Feeds the network injected samples of known energy 1.0 (the normalized
+    reference level) on every channel, corrupted only by the receiver's own
+    estimation noise (unit-mean Gamma with ``estimate_shape``; None for
+    noiseless), and averages the resulting final weights over
+    ``calibration_runs`` runs. The same receiver ``ceiling`` used on live
+    measurements must be supplied here. In normalized units the result is
+    threshold-independent. A run whose weights go non-finite raises
+    DivergenceError.
     """
     k_count, m_count = sensing_mask.shape
     shape = (k_count, m_count, params.iterations)
@@ -217,18 +217,7 @@ def calibrate_threshold(sensing_mask, reference_powers, adjacency, params, rng,
         else:
             u = rng.gamma(estimate_shape, 1.0 / estimate_shape, size=shape)
         state = run_diffusion(u, sensing_mask, reference_powers, adjacency,
-                              params, gains=(reference_level,), ceiling=ceiling)
+                              params, ceiling=ceiling)
         total += state.w
     return total / calibration_runs
 
-
-def dump_trace_csv(trace, path):
-    """Write a run's (i, k, m, w, d, psi) trajectory as CSV."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("i,k,m,w,d,psi\n")
-        for i, w, d, psi in trace:
-            k_count, m_count = w.shape
-            for k in range(k_count):
-                for m in range(m_count):
-                    fh.write(f"{i},{k},{m},{float(w[k, m])!r},"
-                             f"{float(d[k, m])!r},{float(psi[k, m])!r}\n")

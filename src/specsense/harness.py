@@ -1,16 +1,17 @@
 """Monte-Carlo campaign orchestration and result emission.
 
 A campaign sweeps decision thresholds over many realizations of one
-scenario. Per realization, ``prepare_realization`` draws one measurement
-frame at a fixed reference level plus every scheme input, and one decide
-step runs each scheme once over the whole sweep: threshold t is the frame
-times the gain that maps t to 1.0 in normalized units. Raw energy detectors
-(centralized, and the raw-energy non-cooperative variant) see the rescaled
-frame as-is; adaptive-filter schemes see it through the receiver's
-dynamic-range clamp, and run all T gains as one diffusion run over T*M
-channels. Decision thresholds for the diffusion schemes are calibrated once
-per campaign per network structure on a representative assignment; in
-normalized units one calibration covers the whole sweep.
+scenario. Per realization, ``prepare_realization`` computes the ground
+truth at a fixed reference level, draws the measurement frame from it and
+draws every other scheme input; then one decide step runs each scheme once
+over the whole sweep: threshold t is the frame times the gain that maps t
+to 1.0 in normalized units. Raw energy detectors (centralized, and the
+raw-energy non-cooperative variant) see the rescaled frame as-is;
+adaptive-filter schemes see it through the receiver's dynamic-range clamp,
+and run all T gains as one diffusion run over T*M channels. Decision
+thresholds for the diffusion schemes are calibrated once per campaign per
+network structure on a representative assignment; in normalized units one
+calibration covers the whole sweep.
 
 All randomness flows through named substreams of the master seed, so reruns
 are byte-identical and realizations are order-independent.
@@ -34,12 +35,11 @@ from .metrics import (aggregate, correct_decision_pct, misdetection_probability,
 from .model import (ConfigurationError, Incumbent, Scenario,
                     build_grid_topology, build_random_topology,
                     build_spectrum_plan, check_quota_feasible,
-                    scenario_to_dict, uniform_quota)
+                    scenario_to_dict)
 from .propagation import (GroundTruth, MeasurementFrame, PropagationParams,
-                          dbm_to_norm, generate_measurements,
-                          generate_reference_powers, compute_ground_truth,
-                          norm_to_dbm, pathloss_db, realize_links,
-                          threshold_gain)
+                          generate_measurements, generate_reference_powers,
+                          compute_ground_truth, norm_to_dbm, pathloss_db,
+                          realize_links, threshold_gain)
 from .scheduler import cost_from_reference_powers, heuristic_assign
 from .seeding import substream
 
@@ -88,6 +88,12 @@ class Campaign:
             raise ConfigurationError(f"unknown schemes {sorted(unknown)}")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
+        if self.calibration_runs < 1:
+            raise ConfigurationError("calibration_runs must be >= 1")
+        if self.device_count < 0:
+            raise ConfigurationError("device_count must be >= 0")
+        if self.device_capacity < 1:
+            raise ConfigurationError("device_capacity must be >= 1")
 
     @property
     def seed(self):
@@ -109,9 +115,7 @@ def representative_reference_powers(scenario, ref_dbm):
     d = np.maximum(d, 1.0)
     pl = pathloss_db(d, carrier, True, ut_height_m=float(topo.heights_m[0]),
                      model=prop.model)
-    p_hat = dbm_to_norm(prop.sap_ref_tx_power_dbm - pl, ref_dbm)
-    mask = topo.adjacency & ~np.eye(topo.count, dtype=bool)
-    return np.where(mask, p_hat, 0.0)
+    return generate_reference_powers(scenario, -pl, ref_dbm)
 
 
 def representative_assignment(campaign):
@@ -172,7 +176,7 @@ def calibrate_campaign(campaign, rep_assignment):
         lams[name] = calibrate_threshold(
             mask, p_hat, adjacency, campaign.diffusion,
             substream(campaign.seed, "calibrate", name),
-            reference_level=1.0, calibration_runs=campaign.calibration_runs,
+            calibration_runs=campaign.calibration_runs,
             estimate_shape=prop.estimate_shape, ceiling=ceiling)
         log.debug("calibrated structure %s", name)
     return lams
@@ -203,7 +207,11 @@ class RealizationInputs:
 
 
 def prepare_realization(campaign, r):
-    """Draw realization ``r``: propagation state, frame, truth, scheme inputs."""
+    """Draw realization ``r``: propagation state, truth, frame, scheme inputs.
+
+    The frame is the truth times estimation noise, so the realized level is
+    computed once.
+    """
     scn = campaign.scenario
     seed = campaign.seed
     ref = campaign.reference_dbm
@@ -212,10 +220,10 @@ def prepare_realization(campaign, r):
     links = realize_links(scn, substream(seed, "bands", r),
                           substream(seed, "shadow", r),
                           substream(seed, "fading", r))
-    frame = generate_measurements(scn, links, campaign.diffusion.iterations,
-                                  substream(seed, "estimate", r), ref)
     truth = compute_ground_truth(scn, links, ref)
-    p_hat = generate_reference_powers(scn, links, ref)
+    frame = generate_measurements(scn, truth, campaign.diffusion.iterations,
+                                  substream(seed, "estimate", r))
+    p_hat = generate_reference_powers(scn, links.sap_gain_db, ref)
 
     sensing_mask = None
     if "proposed-singleband" in campaign.schemes:

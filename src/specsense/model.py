@@ -39,10 +39,6 @@ class Topology:
     def count(self):
         return self.positions.shape[0]
 
-    def neighbors_of(self, k):
-        """Sorted array of neighbor ids of SAP k (self included)."""
-        return np.flatnonzero(self.adjacency[k])
-
     def bounding_box(self):
         lo = self.positions.min(axis=0)
         hi = self.positions.max(axis=0)
@@ -114,14 +110,6 @@ class SpectrumPlan:
         lo = self.center_frequency_hz - self.total_bandwidth_hz / 2.0
         m = np.arange(self.channel_count)
         return lo + (m + 0.5) * self.channel_bandwidth_hz
-
-    def channel_edges_hz(self, m):
-        lo = self.center_frequency_hz - self.total_bandwidth_hz / 2.0
-        return (lo + m * self.channel_bandwidth_hz,
-                lo + (m + 1) * self.channel_bandwidth_hz)
-
-    def channels_in_subset(self, l):
-        return np.flatnonzero(self.subset_of_channel == l)
 
     def with_quota(self, quota):
         quota = tuple(int(q) for q in quota)

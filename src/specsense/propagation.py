@@ -2,16 +2,18 @@
 
 All linear powers inside the simulator are normalized so that the detection
 reference level maps to 1.0 (raw watts around 1e-13 would make the adaptive
-update numerically dead). A MeasurementFrame carries its reference in dBm so
-frames can be rescaled to any swept threshold with a single multiply.
+update numerically dead). Frames and ground truth carry that reference in
+dBm; ``threshold_gain`` maps a swept threshold onto it.
 
 Randomness is layered by time scale. Per realization: incumbent band draws,
 LOS states, shadowing, and small-scale fading, all static across the sensing
-window (block fading). Per iteration: only the energy-estimation noise of
-the detector, a unit-mean Gamma factor whose shape is the effective number
-of averaged signal samples. Ground truth is the realized energy level
-present at each SAP this window, propagation impairments included; the
-detectors only ever see it through noisy per-window estimates.
+window (block fading). Ground truth is the realized energy level present at
+each SAP this window: noise floor plus the shadowed, faded incumbent power,
+computed once by ``compute_ground_truth``. Per iteration: only the
+energy-estimation noise of the detector, a unit-mean Gamma factor whose shape
+is the effective number of averaged signal samples. The measurement frame is
+the truth times that noise, so the detectors only ever see the truth through
+noisy per-window estimates.
 """
 
 from dataclasses import dataclass
@@ -95,13 +97,6 @@ def channel_overlap_fraction(plan, signal_center_hz, signal_bandwidth_hz):
     return overlap / signal_bandwidth_hz
 
 
-def incumbent_power_in_channel(tx_power_dbm, signal_center_hz, signal_bandwidth_hz,
-                               plan, channel):
-    """Transmit power (linear mW) landing in one channel, flat-PSD split."""
-    frac = channel_overlap_fraction(plan, signal_center_hz, signal_bandwidth_hz)[channel]
-    return 10.0 ** (tx_power_dbm / 10.0) * frac
-
-
 # ---------------------------------------------------------------------------
 # Parameters and per-realization link state
 # ---------------------------------------------------------------------------
@@ -158,7 +153,6 @@ class LinkRealization:
     inc_center_hz: np.ndarray      # (n_inc,)
     inc_bandwidth_hz: np.ndarray   # (n_inc,)
     inc_los: np.ndarray            # (n_inc, K) bool
-    inc_pathloss_db: np.ndarray    # (n_inc, K) pathloss at realized LOS states
     inc_gain_db: np.ndarray        # (n_inc, K) -(pathloss + shadowing)
     inc_fade: tuple                # per incumbent (hit_idx, gains)
     sap_los: np.ndarray            # (K, K) bool, symmetric
@@ -172,21 +166,12 @@ class MeasurementFrame:
     y: np.ndarray                  # (K, M, N) > 0
     ref_dbm: float
 
-    @property
-    def iterations(self):
-        return self.y.shape[2]
-
-    def scaled_to(self, threshold_dbm):
-        """Measurements renormalized so threshold_dbm maps to 1.0."""
-        return self.y * threshold_gain(self.ref_dbm, threshold_dbm)
-
 
 @dataclass
 class GroundTruth:
-    """Realized per-block energy levels and their busy verdicts."""
+    """Realized per-block energy levels; ``busy_at`` thresholds them."""
 
     true_energy: np.ndarray        # (K, M) normalized to ref_dbm
-    busy: np.ndarray               # (K, M) bool, at the frame reference level
     ref_dbm: float
 
     def busy_at(self, threshold_dbm):
@@ -302,17 +287,16 @@ def realize_links(scenario, rng_bands, rng_shadow, rng_fading=None):
     sap_gain_db = -(spl + sshadow)
     np.fill_diagonal(sap_gain_db, 0.0)
 
-    return LinkRealization(centers, bandwidths, inc_los, inc_pl, inc_gain_db,
+    return LinkRealization(centers, bandwidths, inc_los, inc_gain_db,
                            tuple(fades), sap_los, sap_gain_db)
 
 
-def received_level(scenario, links, ref_dbm, faded=True):
+def received_level(scenario, links, ref_dbm):
     """Static per-block incumbent energy, shape (K, M).
 
-    ``faded=True`` gives the level a receiver actually sees this realization
-    (pathloss + shadowing + block fading), which both the measurements and
-    the ground truth use; ``faded=False`` gives the shadowing- and
-    fading-free pathloss footprint, which no caller in the library uses.
+    The level a receiver actually sees this realization: transmit power
+    split flat over the channels each signal overlaps, through pathloss,
+    shadowing and block fading.
     """
     plan = scenario.spectrum
     k_count = scenario.topology.count
@@ -323,70 +307,51 @@ def received_level(scenario, links, ref_dbm, faded=True):
         hit, gains = links.inc_fade[i]
         if hit.size == 0:
             continue
-        if faded:
-            rx = dbm_to_norm(inc.tx_power_dbm + links.inc_gain_db[i], ref_dbm)
-            total[:, hit] += rx[:, None] * frac[hit][None, :] * gains
-        else:
-            rx = dbm_to_norm(inc.tx_power_dbm - links.inc_pathloss_db[i], ref_dbm)
-            total[:, hit] += rx[:, None] * frac[hit][None, :]
+        rx = dbm_to_norm(inc.tx_power_dbm + links.inc_gain_db[i], ref_dbm)
+        total[:, hit] += rx[:, None] * frac[hit][None, :] * gains
     return total
 
 
-def generate_measurements(scenario, links, iterations, rng_estimate, ref_dbm):
-    """Energy frame Y[k, m, i]: static received level times estimation noise.
+def compute_ground_truth(scenario, links, ref_dbm):
+    """Energy actually present at each SAP this window, normalized to ref_dbm.
 
-    The static level is noise floor plus faded incumbent power; the
-    per-iteration factor is unit-mean Gamma with the receiver's
-    ``estimate_shape`` (None: noiseless estimates).
+    Noise floor plus shadowed, faded incumbent power. A block is busy at
+    threshold t when ``busy_at(t)`` says this level reaches it; the
+    measurements estimate this level, so the genie is exactly a perfect
+    estimator.
     """
     plan = scenario.spectrum
     prop = scenario.propagation
-    k_count = scenario.topology.count
     v = dbm_to_norm(noise_floor_dbm(plan.channel_bandwidth_hz, prop.noise_figure_db),
                     ref_dbm)
-    level = v + received_level(scenario, links, ref_dbm, faded=True)
-    shape = prop.estimate_shape
+    return GroundTruth(v + received_level(scenario, links, ref_dbm), ref_dbm)
+
+
+def generate_measurements(scenario, truth, iterations, rng_estimate):
+    """Energy frame Y[k, m, i]: the true level times estimation noise.
+
+    The per-iteration factor is unit-mean Gamma with the receiver's
+    ``estimate_shape`` (None: noiseless estimates, every window reads the
+    truth exactly).
+    """
+    level = truth.true_energy[:, :, None]
+    shape = scenario.propagation.estimate_shape
     if shape is None:
-        y = np.repeat(level[:, :, None], iterations, axis=2)
+        y = np.repeat(level, iterations, axis=2)
     else:
         u = rng_estimate.gamma(shape, 1.0 / shape,
-                               size=(k_count, plan.channel_count, iterations))
-        y = level[:, :, None] * u
-    return MeasurementFrame(y, ref_dbm)
+                               size=truth.true_energy.shape + (iterations,))
+        y = level * u
+    return MeasurementFrame(y, truth.ref_dbm)
 
 
-def generate_reference_powers(scenario, links, ref_dbm):
-    """Neighbor reference-signal powers P[k, j]; zero off-neighborhood and on the diagonal."""
-    prop = scenario.propagation
+def generate_reference_powers(scenario, sap_gain_db, ref_dbm):
+    """Neighbor reference-signal powers P[k, j] over SAP link gains in dB.
+
+    Zero off-neighborhood and on the diagonal.
+    """
     adjacency = scenario.topology.adjacency
-    rx_dbm = prop.sap_ref_tx_power_dbm + links.sap_gain_db
+    rx_dbm = scenario.propagation.sap_ref_tx_power_dbm + sap_gain_db
     p_hat = dbm_to_norm(rx_dbm, ref_dbm)
     mask = adjacency & ~np.eye(adjacency.shape[0], dtype=bool)
     return np.where(mask, p_hat, 0.0)
-
-
-def compute_ground_truth(scenario, links, ref_dbm, threshold_norm=1.0):
-    """Busy map of the realized energy footprint: busy where level >= threshold.
-
-    A block is busy when the energy actually present at the SAP's location
-    this window (noise floor plus shadowed, faded incumbent power) reaches
-    the threshold; this is the level the measurements estimate, so the genie
-    is exactly a perfect estimator.
-    """
-    plan = scenario.spectrum
-    prop = scenario.propagation
-    v = dbm_to_norm(noise_floor_dbm(plan.channel_bandwidth_hz, prop.noise_figure_db),
-                    ref_dbm)
-    energy = v + received_level(scenario, links, ref_dbm, faded=True)
-    return GroundTruth(energy, energy >= threshold_norm, ref_dbm)
-
-
-def dump_frame_csv(frame, path, realization=0):
-    """Debug dump of a frame as (realization, k, m, i, value) rows."""
-    k_count, m_count, n_iter = frame.y.shape
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("realization,k,m,i,value\n")
-        for k in range(k_count):
-            for m in range(m_count):
-                for i in range(n_iter):
-                    fh.write(f"{realization},{k},{m},{i},{float(frame.y[k, m, i])!r}\n")

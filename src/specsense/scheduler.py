@@ -28,9 +28,6 @@ class Assignment:
     def sap_count(self):
         return self.subset_of_sap.shape[0]
 
-    def members(self, l):
-        return np.flatnonzero(self.subset_of_sap == l)
-
     def counts(self, subset_count):
         return np.bincount(self.subset_of_sap, minlength=subset_count)
 
@@ -138,6 +135,11 @@ def cluster_saps(positions, n_clusters, rng, max_iter=100, tol=1e-6):
                 spread = dist[np.arange(n), labels]
                 labels[spread.argmax()] = c
                 dist[spread.argmax(), :] = 0.0
+        # a steal can empty a singleton cluster (co-located points); refill
+        # any such cluster from the largest one so no centroid goes NaN
+        for c in np.flatnonzero(np.bincount(labels, minlength=n_clusters) == 0):
+            largest = np.bincount(labels, minlength=n_clusters).argmax()
+            labels[np.flatnonzero(labels == largest)[-1]] = c
         new_centers = np.array([pts[labels == c].mean(axis=0)
                                 for c in range(n_clusters)])
         shift = np.abs(new_centers - centers).max()

@@ -257,12 +257,12 @@ def test_criterion_6_centralized_verdict_and_genie(capsys):
         links = realize_links(scenario, scenario.rng("bands", r),
                               scenario.rng("shadow", r),
                               scenario.rng("fading", r))
-        frame = generate_measurements(scenario, links, iterations,
-                                      scenario.rng("estimate", r), ref)
         truth = compute_ground_truth(scenario, links, ref)
+        frame = generate_measurements(scenario, truth, iterations,
+                                      scenario.rng("estimate", r))
         busy = truth.busy_at(ref)
 
-        [dm] = run_scheme("centralized", measurements=frame.scaled_to(ref))
+        [dm] = run_scheme("centralized", measurements=frame.y)
         assert dm.decided.all()
         assert (dm.busy == dm.busy[0]).all()      # one verdict per channel
 

@@ -66,11 +66,12 @@ def test_centralized_threshold_examples():
     # constant level below the threshold stays available everywhere
     low = np.full((3, 2, 4), 0.6)
     assert not centralized_egc(low).busy.any()
-    # two SAPs at {1, 3} average to 2: busy at threshold 2, free at 2.5
+    # two SAPs at {1, 3} average to 2: busy at threshold 2, free at 2.5,
+    # each threshold applied as the gain that maps it to 1.0
     y = np.zeros((2, 1, 1))
     y[0, 0, 0], y[1, 0, 0] = 1.0, 3.0
-    assert centralized_egc(y, threshold=2.0).busy.all()
-    assert not centralized_egc(y, threshold=2.5).busy.any()
+    assert centralized_egc(y / 2.0).busy.all()
+    assert not centralized_egc(y / 2.5).busy.any()
 
 
 def test_centralized_single_hot_sap_flips_channel():
@@ -111,7 +112,7 @@ def test_noncoop_raw_energy_uses_last_window():
     y[0, 0, -1] = 2.0       # only the final reading counts
     y[1, 1, :-1] = 9.0      # earlier readings do not
     [d] = noncoop_multiband(y, DiffusionParams(iterations=5), None,
-                            raw_energy=True, energy_threshold=1.0)
+                            raw_energy=True)
     assert d.decided.all()
     np.testing.assert_array_equal(d.busy, [[True, False], [False, False]])
 
@@ -160,7 +161,7 @@ def test_run_scheme_dispatch_matches_direct_calls():
     [via] = run_scheme("genie", measurements=y, truth_busy=[truth])
     np.testing.assert_array_equal(via.busy, genie(truth).busy)
 
-    [via] = run_scheme("centralized", measurements=y, energy_threshold=1.0)
+    [via] = run_scheme("centralized", measurements=y)
     np.testing.assert_array_equal(via.busy, centralized_egc(y).busy)
 
     [via] = run_scheme("proposed-multiband", measurements=y,

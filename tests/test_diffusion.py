@@ -13,7 +13,6 @@ from specsense.diffusion import (
     compute_gamma,
     decide,
     default_ceiling,
-    dump_trace_csv,
     run_diffusion,
     smooth_energy,
 )
@@ -448,29 +447,9 @@ def test_calibration_applies_ceiling():
     params = DiffusionParams(iterations=80)
     mask, p_hat, adjacency = _self_structure(1, 1)
     free = calibrate_threshold(mask, p_hat, adjacency, params,
-                               substream(37, "cal"), reference_level=2.0,
-                               estimate_shape=None)
+                               substream(37, "cal"), estimate_shape=None)
     capped = calibrate_threshold(mask, p_hat, adjacency, params,
-                                 substream(37, "cal"), reference_level=2.0,
-                                 estimate_shape=None, ceiling=1.0)
+                                 substream(37, "cal"), estimate_shape=None,
+                                 ceiling=0.5)
     assert capped[0, 0] < free[0, 0]
 
-
-# ---------------------------------------------------------------------------
-# Trace dump
-# ---------------------------------------------------------------------------
-
-def test_trace_csv_dump(tmp_path):
-    params = DiffusionParams(iterations=4)
-    y = substream(41, "trace").uniform(0.5, 1.5, size=(2, 3, 4))
-    trace = []
-    run_diffusion(y, np.ones((2, 3), dtype=bool), np.zeros((2, 2)),
-                  np.eye(2, dtype=bool), params, trace=trace)
-    path = tmp_path / "trace.csv"
-    dump_trace_csv(trace, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "i,k,m,w,d,psi"
-    assert len(lines) == 1 + 4 * 2 * 3
-    i, k, m, w, d, psi = lines[1].split(",")
-    assert (i, k, m) == ("0", "0", "0")
-    assert float(w) == trace[0][1][0, 0]

@@ -5,7 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from specsense import propagation
 from specsense.cli import main
 from specsense.diffusion import DiffusionParams
 from specsense.harness import (
@@ -14,12 +17,14 @@ from specsense.harness import (
     emit_footprint_snapshot,
     emit_plot_data,
     generate_scenario,
+    prepare_realization,
     read_results_csv,
     representative_assignment,
     run_campaign,
     write_results_csv,
 )
-from specsense.model import ConfigurationError
+from specsense.model import (ConfigurationError, scenario_from_dict,
+                             scenario_to_dict)
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +102,31 @@ def test_large_synthetic_template_channelizations():
         generate_scenario("large-synthetic", seed=3, channelization="gsm")
 
 
+TEMPLATE_OVERRIDES = st.one_of(
+    st.fixed_dictionaries({
+        "side_count": st.integers(1, 4),
+        "incumbent_count": st.integers(0, 5),
+        "spacing_m": st.floats(1.0, 500.0),
+    }).map(lambda o: ("small-grid", o)),
+    st.fixed_dictionaries({
+        "sap_count": st.integers(1, 12),
+        "incumbent_count": st.integers(0, 5),
+        "total_bandwidth_hz": st.just(20e6),
+        "sap_bandwidth_hz": st.just(5e6),
+        "channelization": st.sampled_from(["nb-iot", "lte-m"]),
+    }).map(lambda o: ("large-synthetic", o)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(template=TEMPLATE_OVERRIDES, seed=st.integers(0, 2 ** 31))
+def test_scenario_dict_round_trips_exactly(template, seed):
+    name, overrides = template
+    spec = scenario_to_dict(generate_scenario(name, seed=seed, **overrides))
+    again = scenario_to_dict(scenario_from_dict(json.loads(json.dumps(spec))))
+    assert json.dumps(again, sort_keys=True) == json.dumps(spec, sort_keys=True)
+
+
 # ---------------------------------------------------------------------------
 # Campaign plumbing
 # ---------------------------------------------------------------------------
@@ -112,6 +142,12 @@ def test_campaign_validation():
         Campaign(scenario=scn, schemes=("genie", "majority-vote"))
     with pytest.raises(ConfigurationError):
         Campaign(scenario=scn, workers=0)
+    # caught up front: each would otherwise write NaN-derived or wrong
+    # numbers, or fail only after the realizations ran
+    for bad in (dict(calibration_runs=0), dict(calibration_runs=-1),
+                dict(device_count=-5), dict(device_capacity=0)):
+        with pytest.raises(ConfigurationError):
+            Campaign(scenario=scn, **bad)
     assert Campaign(scenario=scn).seed == 4
     assert Campaign(scenario=scn, master_seed=9).seed == 9
 
@@ -121,6 +157,22 @@ def test_representative_assignment_deterministic(small_campaign):
     b = representative_assignment(small_campaign)
     np.testing.assert_array_equal(a.subset_of_sap, b.subset_of_sap)
     a.validate(small_campaign.scenario.spectrum.quota)
+
+
+def test_realized_level_computed_once_per_realization(small_campaign,
+                                                     monkeypatch):
+    # the frame is drawn from the ground truth, so one realization sums the
+    # incumbent power once
+    calls = []
+    original = propagation.received_level
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(propagation, "received_level", counted)
+    prepare_realization(small_campaign, 0)
+    assert len(calls) == 1
 
 
 def test_calibration_covers_only_needed_structures(small_campaign):
@@ -339,3 +391,14 @@ def test_cli_reports_errors(tmp_path, capsys):
                "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     assert "scenario" in capsys.readouterr().err
+
+    scenario_path = str(tmp_path / "scenario.json")
+    assert main(["generate-scenario", "--template", "small-grid",
+                 "--saps", "9", "--incumbents", "2", "--seed", "4",
+                 "--out", scenario_path]) == 0
+    capsys.readouterr()
+    rc = main(["simulate", "--scenario", scenario_path,
+               "--out", str(tmp_path / "out"), "--calibration-runs", "0"])
+    assert rc == 1
+    assert "calibration_runs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -17,18 +17,16 @@ from specsense.propagation import (
     channel_overlap_fraction,
     compute_ground_truth,
     dbm_to_norm,
-    dump_frame_csv,
     generate_measurements,
     generate_reference_powers,
-    incumbent_power_in_channel,
     los_probability,
     noise_floor_dbm,
     norm_to_dbm,
     pathloss_db,
     realize_links,
     received_level,
+    threshold_gain,
 )
-from specsense.seeding import substream
 
 
 def test_los_pathloss_reference_point():
@@ -111,13 +109,6 @@ def test_channel_overlap_fractions():
                                [0.5, 0.0, 0.0, 0.0])
 
 
-def test_incumbent_power_in_channel():
-    plan = _plan4()
-    assert incumbent_power_in_channel(30.0, 5.40e9, 20e6, plan, 0) == pytest.approx(1000.0)
-    assert incumbent_power_in_channel(30.0, 5.41e9, 20e6, plan, 1) == pytest.approx(500.0)
-    assert incumbent_power_in_channel(30.0, 5.40e9, 20e6, plan, 3) == 0.0
-
-
 def _scenario(prop, seed=9, incumbents=None):
     topo = build_grid_topology(3, 50.0, 75.0, 10.0)
     plan = _plan4().with_quota((3, 2, 2, 2))
@@ -136,11 +127,17 @@ def _det_params(**kw):
     return PropagationParams(**base)
 
 
+def _measure(scn, links, iterations, rng_estimate):
+    """Frame of one realization, drawn from its ground truth at -62 dBm."""
+    truth = compute_ground_truth(scn, links, -62.0)
+    return generate_measurements(scn, truth, iterations, rng_estimate)
+
+
 def test_measurements_match_independent_link_budget():
     # fully deterministic frame recomputed from first principles
     scn = _scenario(_det_params())
     links = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 0))
-    frame = generate_measurements(scn, links, 5, scn.rng("estimate", 0), -62.0)
+    frame = _measure(scn, links, 5, scn.rng("estimate", 0))
     assert frame.y.shape == (9, 4, 5)
 
     inc = scn.incumbents[0]
@@ -160,10 +157,10 @@ def test_measurements_deterministic_per_substream():
     scn = _scenario(PropagationParams())
     links = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 0),
                           scn.rng("fading", 0))
-    f1 = generate_measurements(scn, links, 20, scn.rng("estimate", 0), -62.0)
-    f2 = generate_measurements(scn, links, 20, scn.rng("estimate", 0), -62.0)
+    f1 = _measure(scn, links, 20, scn.rng("estimate", 0))
+    f2 = _measure(scn, links, 20, scn.rng("estimate", 0))
     assert np.array_equal(f1.y, f2.y)
-    f3 = generate_measurements(scn, links, 20, scn.rng("estimate", 1), -62.0)
+    f3 = _measure(scn, links, 20, scn.rng("estimate", 1))
     assert not np.array_equal(f1.y, f3.y)
     assert (f1.y > 0).all()
 
@@ -175,11 +172,11 @@ def test_block_fading_static_within_realization():
     scn = _scenario(_det_params(fading="rayleigh"), incumbents=inc)
     links0 = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 0),
                            scn.rng("fading", 0))
-    f0 = generate_measurements(scn, links0, 10, scn.rng("estimate", 0), -62.0)
+    f0 = _measure(scn, links0, 10, scn.rng("estimate", 0))
     assert np.ptp(f0.y, axis=2).max() == 0.0
     links1 = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 0),
                            scn.rng("fading", 1))
-    f1 = generate_measurements(scn, links1, 10, scn.rng("estimate", 0), -62.0)
+    f1 = _measure(scn, links1, 10, scn.rng("estimate", 0))
     assert not np.array_equal(f0.y, f1.y)
 
 
@@ -190,13 +187,13 @@ def test_fading_unit_mean_across_realizations():
     scn_det = _scenario(_det_params(), incumbents=inc)
     scn_fad = _scenario(_det_params(fading="rayleigh"), incumbents=inc)
     links = realize_links(scn_det, scn_det.rng("bands", 0), scn_det.rng("shadow", 0))
-    want = received_level(scn_det, links, -62.0, faded=True)[:, 0]
+    want = received_level(scn_det, links, -62.0)[:, 0]
     total = np.zeros(9)
     runs = 2500
     for r in range(runs):
         lr = realize_links(scn_fad, scn_fad.rng("bands", 0),
                            scn_fad.rng("shadow", 0), scn_fad.rng("fading", r))
-        total += received_level(scn_fad, lr, -62.0, faded=True)[:, 0]
+        total += received_level(scn_fad, lr, -62.0)[:, 0]
     np.testing.assert_allclose(total / runs, want, rtol=0.08)
 
 
@@ -205,8 +202,8 @@ def test_estimation_noise_statistics():
     # relative variance 1/shape on a noise-only channel
     scn = _scenario(_det_params(estimate_shape=25.0))
     links = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 0))
-    frame = generate_measurements(scn, links, 4000, scn.rng("estimate", 0), -62.0)
-    level = received_level(scn, links, -62.0, faded=True)
+    frame = _measure(scn, links, 4000, scn.rng("estimate", 0))
+    level = received_level(scn, links, -62.0)
     v = dbm_to_norm(noise_floor_dbm(20e6, 7.0), -62.0)
     ratio = frame.y[:, 3, :] / (level[:, 3] + v)[:, None]
     assert ratio.mean() == pytest.approx(1.0, abs=0.02)
@@ -242,7 +239,7 @@ def test_band_draw_uses_channel_grid_for_channel_width_signals():
 def test_reference_powers_respect_neighborhood():
     scn = _scenario(PropagationParams(), seed=17)
     links = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 0))
-    p_hat = generate_reference_powers(scn, links, -62.0)
+    p_hat = generate_reference_powers(scn, links.sap_gain_db, -62.0)
     adj = scn.topology.adjacency
     assert (p_hat.diagonal() == 0).all()
     assert (p_hat[~adj] == 0).all()
@@ -253,7 +250,7 @@ def test_reference_powers_respect_neighborhood():
 def test_reference_powers_decay_with_distance_when_deterministic():
     scn = _scenario(_det_params(), seed=17)
     links = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 0))
-    p_hat = generate_reference_powers(scn, links, -62.0)
+    p_hat = generate_reference_powers(scn, links.sap_gain_db, -62.0)
     # 50 m orthogonal neighbor beats 70.7 m diagonal neighbor from the corner
     assert p_hat[0, 1] > p_hat[0, 4] > 0
 
@@ -264,9 +261,9 @@ def test_ground_truth_thresholding():
     links = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 0))
     truth = compute_ground_truth(scn, links, -62.0)
     # co-located SAP sees roughly -17 dBm, far channels only noise
-    assert truth.busy[0, 0]
-    assert not truth.busy[:, 1:].any()
-    assert np.array_equal(truth.busy, truth.busy_at(-62.0))
+    busy = truth.busy_at(-62.0)
+    assert busy[0, 0]
+    assert not busy[:, 1:].any()
     # raising the threshold can only shrink the busy set
     prev = truth.busy_at(-90.0).sum()
     for t in (-80.0, -70.0, -60.0, -50.0, -40.0, -10.0):
@@ -281,13 +278,13 @@ def test_received_level_matches_truth_minus_noise():
     links = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 0))
     truth = compute_ground_truth(scn, links, -62.0)
     v = dbm_to_norm(noise_floor_dbm(20e6, 7.0), -62.0)
-    np.testing.assert_allclose(received_level(scn, links, -62.0, faded=True),
+    np.testing.assert_allclose(received_level(scn, links, -62.0),
                                truth.true_energy - v, rtol=1e-12)
 
 
 def test_ground_truth_is_the_realized_level():
     # truth is the level actually present this window, impairments included,
-    # so a perfect estimator (the measurement mean with noise off) recovers it
+    # and the frame is drawn from it, so with noise off it is the truth
     scn = Scenario(build_grid_topology(3, 50.0, 75.0, 10.0),
                    _plan4().with_quota((3, 2, 2, 2)),
                    (Incumbent((25.0, 25.0), 1.5, 30.0, 20e6, 5.40e9),),
@@ -301,24 +298,17 @@ def test_ground_truth_is_the_realized_level():
     # shadowing and fading shift the realized level, hence the truth
     assert not np.array_equal(ta.true_energy, tb.true_energy)
     # with estimation noise off, every window reads exactly the true level
-    frame = generate_measurements(scn, la, 4, scn.rng("estimate", 0), -62.0)
+    frame = generate_measurements(scn, ta, 4, scn.rng("estimate", 0))
     expected = np.broadcast_to(ta.true_energy[:, :, None], frame.y.shape)
-    np.testing.assert_allclose(frame.y, expected, rtol=1e-12)
+    assert np.array_equal(frame.y, expected)
+    assert frame.ref_dbm == ta.ref_dbm
 
 
 def test_frame_rescaling():
+    # a swept threshold sees the frame times the gain that maps it to 1.0
     frame = MeasurementFrame(np.full((2, 1, 3), 2.0), -62.0)
-    np.testing.assert_allclose(frame.scaled_to(-62.0), frame.y)
-    np.testing.assert_allclose(frame.scaled_to(-72.0), frame.y * 10.0)
-    np.testing.assert_allclose(frame.scaled_to(-52.0), frame.y / 10.0)
-    assert frame.iterations == 3
-
-
-def test_frame_csv_dump(tmp_path):
-    frame = MeasurementFrame(np.arange(12, dtype=float).reshape(2, 3, 2) + 1.0, -62.0)
-    path = tmp_path / "frame.csv"
-    dump_frame_csv(frame, path, realization=3)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "realization,k,m,i,value"
-    assert len(lines) == 1 + 12
-    assert lines[1].startswith("3,0,0,0,")
+    assert threshold_gain(frame.ref_dbm, -62.0) == 1.0
+    np.testing.assert_allclose(frame.y * threshold_gain(frame.ref_dbm, -72.0),
+                               frame.y * 10.0)
+    np.testing.assert_allclose(frame.y * threshold_gain(frame.ref_dbm, -52.0),
+                               frame.y / 10.0)

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from specsense.model import ConfigurationError, uniform_quota
 from specsense.scheduler import (
@@ -250,6 +252,11 @@ def test_cluster_labels_cover_and_fill():
         labels = cluster_saps(pts, n, substream(23, "cover-km", trial))
         assert labels.shape == (12,)
         assert set(labels) == set(range(n))
+    # with co-located points, stealing a point for one empty cluster can
+    # empty another; every cluster must still end non-empty, and no centroid
+    # may go NaN (a RuntimeWarning, an error under this suite)
+    for pts in (np.zeros((4, 2)), np.array([[0.0, 0.0]] * 3 + [[1.0, 1.0]] * 2)):
+        assert set(cluster_saps(pts, 3, substream(1, "colocated"))) == {0, 1, 2}
 
 
 def test_cluster_deterministic_under_stream():
@@ -285,6 +292,25 @@ def test_heuristic_feasible_and_dominated_by_exact():
         _, e_obj = solve_exact(cost, quota)
         assert h_obj >= e_obj - 1e-9
         assert h_obj == pytest.approx(_objective_slow(cost, assignment.subset_of_sap))
+
+
+@settings(max_examples=60, deadline=None)
+@given(quota=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+       spread_m=st.sampled_from([0.0, 3.0, 500.0]),
+       restarts=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_heuristic_always_quota_feasible(quota, spread_m, restarts, seed):
+    # any quota, including empty subsets and co-located SAPs
+    k_count = sum(quota)
+    assume(k_count >= 1)
+    rng = substream(seed, "feasible")
+    cost = build_cost_tensor(k_count, len(quota), rng)
+    positions = rng.uniform(0.0, spread_m, size=(k_count, 2))
+    assignment, obj = heuristic_assign(cost, positions, quota,
+                                       substream(seed, "feasible-h"), restarts)
+    assert assignment.subset_of_sap.shape == (k_count,)
+    assert tuple(np.bincount(assignment.subset_of_sap,
+                             minlength=len(quota))) == tuple(quota)
+    assert obj == pytest.approx(_objective_slow(cost, assignment.subset_of_sap))
 
 
 def test_heuristic_restart_monotone():
