@@ -6,7 +6,10 @@ on channels it senses. Channels it senses combine under adaptive distance
 weights; channels it does not sense combine under reference-power weights
 restricted (by default) to neighbors that do sense them, freezing when no
 such neighbor exists. All SAPs advance synchronously: an iteration reads
-only iteration i-1 weights.
+only iteration i-1 weights. Each SAP combines over its own padded row of
+neighbor slots (``neighbor_slots``), summing in ascending neighbor order:
+the order of a dense K x K sum, whose extra terms are exact zeros, so the
+weights are those of the dense combine bit for bit.
 """
 
 from dataclasses import dataclass
@@ -67,20 +70,35 @@ def decide(w, thresholds):
 # Synchronous network run
 # ---------------------------------------------------------------------------
 
-def _beta_matrices(adjacency, sensing_mask, reference_powers, beta_set):
-    """Fixed combination weights for unsensed channels, shape (K, K, M)."""
+def neighbor_slots(adjacency):
+    """Padded neighbor table of a (K, K) graph: ``(nbr, valid)``, each (S, K).
+
+    Slot s of SAP k holds its s-th neighbor j (``adjacency[k, j]``) in
+    ascending j order; S is the largest degree. Slots past a SAP's degree
+    hold the SAP itself with ``valid`` False and get an exact 0 weight.
+    """
+    adjacency = np.asarray(adjacency, dtype=bool)
     k_count = adjacency.shape[0]
-    m_count = sensing_mask.shape[1]
-    non_self = adjacency & ~np.eye(k_count, dtype=bool)
+    degree = adjacency.sum(axis=1)
+    valid = np.arange(degree.max(initial=0))[:, None] < degree
+    nbr = np.tile(np.arange(k_count), (valid.shape[0], 1))
+    nbr.T[valid.T] = np.nonzero(adjacency)[1]      # row-major: k, then j
+    return nbr, valid
+
+
+def _beta_slots(nbr, valid, sensing_mask, reference_powers, beta_set):
+    """Fixed combination weights for unsensed channels in slot form, (S, K, M)."""
+    k_count = nbr.shape[1]
+    others = (valid & (nbr != np.arange(k_count)))[:, :, None]
     if beta_set == "informative":
-        informative = non_self[:, :, None] & sensing_mask[None, :, :]
+        informative = others & sensing_mask[nbr]
     else:
-        informative = np.repeat(non_self[:, :, None], m_count, axis=2)
-    p = np.where(informative, reference_powers[:, :, None], 0.0)
-    denom = p.sum(axis=1)                      # (K, M)
+        informative = np.repeat(others, sensing_mask.shape[1], axis=2)
+    p_slot = np.asarray(reference_powers, dtype=float)[np.arange(k_count), nbr]
+    p = np.where(informative, p_slot[:, :, None], 0.0)
+    denom = np.add.reduce(p, axis=0)                 # (K, M)
     has_informative = denom > 0
-    beta = np.divide(p, denom[:, None, :], out=np.zeros_like(p),
-                     where=denom[:, None, :] > 0)
+    beta = np.divide(p, denom, out=np.zeros_like(p), where=has_informative)
     return beta, has_informative
 
 
@@ -103,13 +121,17 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
     evolve independently, so the T gains run as T*M channels of one network,
     laid out gain-major: column ``t * M + m`` of the returned (K, T*M)
     arrays is channel m under gain t, bit for bit what a single-gain run on
-    that frame returns.
+    that frame returns. Row k of the (K, K) ``adjacency`` lists SAP k's
+    neighbors, itself included; an iteration costs O(S * K * T * M) for
+    largest degree S.
 
     ``audit``, if given, is called each iteration with
-    (i, alpha, beta, has_informative) for invariant checks; alpha lives in a
-    buffer the next iteration overwrites, so ``audit`` must not keep a
-    reference to it. ``trace``, if a list, collects (i, w, d, psi) snapshots.
-    Raises DivergenceError when any final weight is non-finite.
+    (i, alpha, beta, has_informative): alpha[s, k, c] and beta[s, k, c]
+    weigh SAP k's slot-s neighbor on column c. alpha lives in a buffer the
+    next iteration overwrites, so ``audit`` must not keep a reference to
+    it. ``trace``, if a list, collects (i, w, d, psi) snapshots. Raises
+    ConfigurationError on a short frame or a malformed adjacency and
+    DivergenceError when any final weight is non-finite.
     """
     y_all = np.asarray(measurements, dtype=float)
     k_count, m_count, n_iter = y_all.shape
@@ -117,10 +139,14 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
         raise ConfigurationError("need at least one measurement iteration")
     if params.iterations > n_iter:
         raise ConfigurationError("more iterations requested than measurements")
+    adjacency = np.asarray(adjacency, dtype=bool)
+    if adjacency.shape != (k_count, k_count) or not adjacency.diagonal().all():
+        raise ConfigurationError(
+            f"adjacency must be ({k_count}, {k_count}) with every SAP its own "
+            f"neighbor, got shape {adjacency.shape}")
     gains = np.asarray(gains, dtype=float)
     columns = gains.size * m_count
     sensing_mask = np.asarray(sensing_mask, dtype=bool)
-    adjacency = np.asarray(adjacency, dtype=bool)
     mu = params.step_size
 
     def conditioned(i):
@@ -128,13 +154,14 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
                                ceiling)
         return y.reshape(k_count, columns)
 
-    beta, has_informative = _beta_matrices(adjacency, sensing_mask,
-                                           reference_powers, params.beta_set)
-    # Neighbor-major layout, (j, k, column): every sum over neighbors j runs
-    # as an outer-axis reduction, which numpy accumulates in j order whatever
+    nbr, valid = neighbor_slots(adjacency)
+    beta, has_informative = _beta_slots(nbr, valid, sensing_mask,
+                                        reference_powers, params.beta_set)
+    # Slot-major layout, (s, k, column): every neighbor sum runs as an
+    # outer-axis reduction, which numpy accumulates in slot order whatever
     # the column count, so no column's arithmetic depends on T or M.
-    beta_jk = np.tile(beta.transpose(1, 0, 2), gains.size)
-    adj_jk = adjacency.T[:, :, None]
+    beta = np.tile(beta, gains.size)
+    valid = valid[:, :, None]
     sensing_mask = np.tile(sensing_mask, gains.size)
     has_informative = np.tile(has_informative, gains.size)
     freeze = ~sensing_mask & ~has_informative
@@ -143,7 +170,8 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
     w = np.full((k_count, columns), float(params.initial_weight))
     d = conditioned(0)
     psi = w.copy()
-    buf = np.empty((k_count, k_count, columns))
+    w_nbr = np.empty((nbr.shape[0], k_count, columns))
+    buf = np.empty_like(w_nbr)
     total = np.empty((k_count, columns))
 
     for i in range(params.iterations):
@@ -151,23 +179,23 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
         d = smooth_energy(d, y, params.smoothing)
         gamma = compute_gamma(d, y, w)
 
-        # alpha[j, k] = adj * 1/max((target_k - w_j)^2, eps), normalized over j
+        # alpha = valid / max((target_k - w_nbr)^2, eps), normalized over slots
         target = w + mu * gamma                                    # (K, T*M)
-        np.subtract(target[None, :, :], w[:, None, :], out=buf)
+        np.take(w, nbr, axis=0, out=w_nbr, mode="clip")
+        np.subtract(target, w_nbr, out=buf)
         np.square(buf, out=buf)
         np.maximum(buf, params.epsilon_guard, out=buf)
         np.divide(1.0, buf, out=buf)
-        buf *= adj_jk
+        buf *= valid
         np.add.reduce(buf, axis=0, out=total)
         buf /= total
         if audit is not None:
-            audit(i, buf.transpose(1, 0, 2), beta_jk.transpose(1, 0, 2),
-                  has_informative)
+            audit(i, buf, beta, has_informative)
 
-        buf *= w[:, None, :]
+        buf *= w_nbr
         psi = np.add.reduce(buf, axis=0)
         if any_unsensed:
-            np.multiply(beta_jk, w[:, None, :], out=buf)
+            np.multiply(beta, w_nbr, out=buf)
             psi = np.where(sensing_mask, psi, np.add.reduce(buf, axis=0))
             psi[freeze] = w[freeze]
 

@@ -167,17 +167,24 @@ def _structure_specs(campaign, rep_assignment):
 
 
 def calibrate_campaign(campaign, rep_assignment):
-    """λ per structure: the once-per-campaign known-energy training pass."""
+    """λ per structure: the once-per-campaign known-energy training pass.
+
+    Raises ArithmeticError naming the structure whose weights diverge.
+    """
     prop = campaign.scenario.propagation
     ceiling = _ceiling(campaign)
     lams = {}
     for name, (mask, p_hat, adjacency) in _structure_specs(campaign,
                                                            rep_assignment).items():
-        lams[name] = calibrate_threshold(
-            mask, p_hat, adjacency, campaign.diffusion,
-            substream(campaign.seed, "calibrate", name),
-            calibration_runs=campaign.calibration_runs,
-            estimate_shape=prop.estimate_shape, ceiling=ceiling)
+        try:
+            lams[name] = calibrate_threshold(
+                mask, p_hat, adjacency, campaign.diffusion,
+                substream(campaign.seed, "calibrate", name),
+                calibration_runs=campaign.calibration_runs,
+                estimate_shape=prop.estimate_shape, ceiling=ceiling)
+        except DivergenceError as exc:
+            raise ArithmeticError(
+                f"calibration of structure {name}: {exc}") from exc
         log.debug("calibrated structure %s", name)
     return lams
 

@@ -17,7 +17,8 @@ import pytest
 
 from specsense.baselines import genie, run_scheme
 from specsense.diffusion import (DiffusionParams, clip_dynamic_range,
-                                 default_ceiling, run_diffusion)
+                                 default_ceiling, neighbor_slots,
+                                 run_diffusion)
 from specsense.harness import (Campaign, calibrate_campaign, generate_scenario,
                                read_results_csv, representative_assignment,
                                run_campaign, run_realization)
@@ -106,13 +107,19 @@ def test_criterion_3_diffusion_invariants(capsys):
     y = rng.uniform(0.05, 3.0, size=(k_count, m_count, 120))
 
     audited = []
+    # slot s of SAP k is its s-th neighbor; padded slots hold k itself
+    nbr, valid = neighbor_slots(adjacency)
+    for k in range(k_count):
+        assert list(nbr[valid[:, k], k]) == list(np.flatnonzero(adjacency[k]))
+    assert (nbr[~valid] == np.nonzero(~valid)[1]).all()
 
     def audit(i, alpha, beta, has_informative):
         assert (alpha >= 0.0).all() and (beta >= 0.0).all()
-        np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-9)
-        assert not alpha[~adjacency].any()
+        np.testing.assert_allclose(alpha.sum(axis=0), 1.0, atol=1e-9)
+        # no weight off the graph: padded slots carry none
+        assert not alpha[~valid].any() and not beta[~valid].any()
         covered = ~mask & has_informative
-        np.testing.assert_allclose(beta.sum(axis=1)[covered], 1.0, atol=1e-9)
+        np.testing.assert_allclose(beta.sum(axis=0)[covered], 1.0, atol=1e-9)
         audited.append(i)
 
     run_diffusion(y, mask, p_hat, adjacency, params, audit=audit)

@@ -1,5 +1,7 @@
 """Tests for the combine-then-adapt engine: scalar ops, network runs, calibration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from specsense.diffusion import (
     compute_gamma,
     decide,
     default_ceiling,
+    neighbor_slots,
     run_diffusion,
     smooth_energy,
 )
@@ -72,6 +75,69 @@ def per_sap_oracle(y, mask, p_hat, adjacency, params):
                 new[k, m] = adapt(psi, y[k, m, i], d[k, m], params.step_size,
                                   mask[k, m])
         w = new
+    return w
+
+
+def dense_oracle(measurements, mask, p_hat, adjacency, params, gains=(1.0,),
+                 ceiling=None):
+    """Final weights of the network run as a dense (K, K, T*M) combine.
+
+    Every SAP sums over all K SAPs, non-neighbors weighted by exact zeros.
+    The sums run in the same neighbor order as ``run_diffusion``, so for
+    M >= 2 the weights agree bit for bit; with M = 1 the beta normalizer
+    ``p.sum(axis=1)`` is a pairwise sum and may differ in the last bits.
+    """
+    y_all = np.asarray(measurements, dtype=float)
+    k_count, m_count, _ = y_all.shape
+    gains = np.asarray(gains, dtype=float)
+    columns = gains.size * m_count
+    mu = params.step_size
+
+    def conditioned(i):
+        y = clip_dynamic_range(y_all[:, None, :, i] * gains[None, :, None],
+                               ceiling)
+        return y.reshape(k_count, columns)
+
+    non_self = adjacency & ~np.eye(k_count, dtype=bool)
+    if params.beta_set == "informative":
+        informative = non_self[:, :, None] & mask[None, :, :]
+    else:
+        informative = np.repeat(non_self[:, :, None], m_count, axis=2)
+    p = np.where(informative, p_hat[:, :, None], 0.0)
+    denom = p.sum(axis=1)
+    beta = np.divide(p, denom[:, None, :], out=np.zeros_like(p),
+                     where=denom[:, None, :] > 0)
+    beta_jk = np.tile(beta.transpose(1, 0, 2), gains.size)
+    adj_jk = adjacency.T[:, :, None]
+    mask = np.tile(mask, gains.size)
+    freeze = ~mask & ~np.tile(denom > 0, gains.size)
+
+    w = np.full((k_count, columns), float(params.initial_weight))
+    d = conditioned(0)
+    buf = np.empty((k_count, k_count, columns))
+    for i in range(params.iterations):
+        y = conditioned(i)
+        d = smooth_energy(d, y, params.smoothing)
+        target = w + mu * compute_gamma(d, y, w)
+        np.subtract(target[None, :, :], w[:, None, :], out=buf)
+        np.square(buf, out=buf)
+        np.maximum(buf, params.epsilon_guard, out=buf)
+        np.divide(1.0, buf, out=buf)
+        buf *= adj_jk
+        buf /= np.add.reduce(buf, axis=0)
+        buf *= w[:, None, :]
+        psi = np.add.reduce(buf, axis=0)
+        if not mask.all():
+            np.multiply(beta_jk, w[:, None, :], out=buf)
+            psi = np.where(mask, psi, np.add.reduce(buf, axis=0))
+            psi[freeze] = w[freeze]
+        w = psi + np.where(mask, mu * y * (d - y * psi), 0.0)
+
+    finite = np.isfinite(w)
+    if not finite.all():
+        per_gain = finite.reshape(k_count, gains.size, m_count).all(axis=(0, 2))
+        first = int(np.argmin(per_gain))
+        raise DivergenceError(first, float(gains[first]))
     return w
 
 
@@ -203,6 +269,17 @@ def test_run_rejects_short_measurements():
                       np.zeros((1, 1)), np.eye(1, dtype=bool), params)
 
 
+def test_run_rejects_malformed_adjacency():
+    params = DiffusionParams(iterations=5)
+    y = substream(43, "adjacency").uniform(0.1, 2.0, size=(3, 2, 5))
+    mask = np.ones((3, 2), dtype=bool)
+    p_hat = np.ones((3, 3))
+    for adjacency in (~np.eye(3, dtype=bool),          # no self-loops
+                      np.ones((3, 4), dtype=bool)):    # not (K, K)
+        with pytest.raises(ConfigurationError, match="adjacency"):
+            run_diffusion(y, mask, p_hat, adjacency, params)
+
+
 def test_colocated_saps_share_trajectories():
     params = DiffusionParams(iterations=40)
     rng = substream(5, "twin")
@@ -233,10 +310,14 @@ def test_locality_under_non_neighbor_perturbation():
     assert not np.array_equal(base.w[2:], pert.w[2:])
 
 
-def _random_network(rng, k_count, m_count, density=0.5, sensed=0.6):
+def _random_network(rng, k_count, m_count, density=0.5, sensed=0.6,
+                    kind="symmetric"):
+    """Graph with self-loops (symmetric, one-sided or "eye"), mask, powers."""
     adjacency = np.eye(k_count, dtype=bool)
-    adjacency |= rng.uniform(size=(k_count, k_count)) < density
-    adjacency &= adjacency.T
+    if kind != "eye":
+        adjacency |= rng.uniform(size=(k_count, k_count)) < density
+    if kind == "symmetric":
+        adjacency &= adjacency.T
     mask = rng.uniform(size=(k_count, m_count)) < sensed
     p_hat = np.where(adjacency & ~np.eye(k_count, dtype=bool),
                      rng.uniform(0.1, 2.0, size=(k_count, k_count)), 0.0)
@@ -292,6 +373,35 @@ def test_batched_gains_match_single_gain_runs(k_count, m_count, n_iter, seed,
         assert np.array_equal(block, single(g))
 
 
+def _simplex_audit(adjacency, mask, gain_count, record=None):
+    """Audit callback asserting the slot-form weights stay on the simplex.
+
+    The table must list exactly each SAP's neighbors, so zero weight on
+    padded slots is zero weight off the graph.
+    """
+    k_count = adjacency.shape[0]
+    nbr, valid = neighbor_slots(adjacency)
+    assert nbr.shape == valid.shape == (adjacency.sum(axis=1).max(), k_count)
+    for k in range(k_count):
+        np.testing.assert_array_equal(nbr[valid[:, k], k],
+                                      np.flatnonzero(adjacency[k]))
+    assert (nbr[~valid] == np.nonzero(~valid)[1]).all()   # padded with self
+    unsensed = ~np.tile(mask, gain_count)
+
+    def audit(i, alpha, beta, has_informative):
+        assert alpha.shape == beta.shape == nbr.shape + (unsensed.shape[1],)
+        assert (alpha >= 0.0).all() and (beta >= 0.0).all()
+        np.testing.assert_allclose(alpha.sum(axis=0), 1.0, atol=1e-9)
+        # alpha only draws from neighbors
+        assert not alpha[~valid].any()
+        assert not beta[~valid].any()
+        covered = unsensed & has_informative
+        np.testing.assert_allclose(beta.sum(axis=0)[covered], 1.0, atol=1e-9)
+        if record is not None:
+            record.append(alpha)
+    return audit
+
+
 def test_batched_audit_sees_simplex_in_reused_buffer():
     params = DiffusionParams(iterations=30)
     rng = substream(17, "audit")
@@ -299,16 +409,7 @@ def test_batched_audit_sees_simplex_in_reused_buffer():
     y = rng.uniform(0.05, 3.0, size=(5, 3, 30))
     gains = (0.5, 1.0, 2.0)
     buffers = []
-
-    def audit(i, alpha, beta, has_informative):
-        assert alpha.shape == beta.shape == (5, 5, 9)
-        assert (alpha >= 0.0).all()
-        np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-9)
-        assert not alpha[~adjacency].any()
-        covered = ~np.tile(mask, 3) & has_informative
-        np.testing.assert_allclose(beta.sum(axis=1)[covered], 1.0, atol=1e-9)
-        buffers.append(alpha)
-
+    audit = _simplex_audit(adjacency, mask, len(gains), buffers)
     run_diffusion(y, mask, p_hat, adjacency, params, gains=gains, audit=audit)
     assert len(buffers) == 30
     assert all(np.shares_memory(a, buffers[0]) for a in buffers)
@@ -325,16 +426,87 @@ def test_weight_simplex_at_every_iteration():
     p_hat = np.where(adjacency & ~np.eye(k_count, dtype=bool),
                      rng.uniform(0.1, 2.0, size=(k_count, k_count)), 0.0)
     y = rng.uniform(0.05, 3.0, size=(k_count, m_count, 60))
+    run_diffusion(y, mask, p_hat, adjacency, params,
+                  audit=_simplex_audit(adjacency, mask, 1))
 
-    def audit(i, alpha, beta, has_informative):
-        assert (alpha >= 0.0).all() and (beta >= 0.0).all()
-        np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-9)
-        # alpha only draws from neighbors
-        assert not alpha[~adjacency].any()
-        covered = ~mask & has_informative
-        np.testing.assert_allclose(beta.sum(axis=1)[covered], 1.0, atol=1e-9)
 
-    run_diffusion(y, mask, p_hat, adjacency, params, audit=audit)
+@settings(max_examples=60, deadline=None)
+@given(k_count=st.integers(1, 16), m_count=st.integers(1, 6),
+       n_iter=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["symmetric", "one-sided", "eye"]),
+       density=st.floats(0.0, 1.0), sensed=st.floats(0.0, 1.0),
+       gain_count=st.integers(1, 3),
+       beta_set=st.sampled_from(["informative", "all-neighbors"]))
+def test_weights_stay_on_simplex_for_random_graphs(k_count, m_count, n_iter,
+                                                   seed, kind, density, sensed,
+                                                   gain_count, beta_set):
+    rng = np.random.default_rng(seed)
+    adjacency, mask, p_hat = _random_network(rng, k_count, m_count, density,
+                                             sensed, kind)
+    y = rng.uniform(0.05, 3.0, size=(k_count, m_count, n_iter))
+    params = DiffusionParams(iterations=n_iter, beta_set=beta_set)
+    gains = np.linspace(0.5, 1.0, gain_count)
+    audited = []
+    run_diffusion(y, mask, p_hat, adjacency, params, gains=gains,
+                  audit=_simplex_audit(adjacency, mask, gain_count, audited))
+    assert len(audited) == n_iter
+
+
+# the 1e6 step size diverges on purpose; overflow warnings are expected
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(k_count=st.integers(1, 16), m_count=st.integers(1, 6),
+       n_iter=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["symmetric", "one-sided", "eye"]),
+       density=st.floats(0.0, 1.0), sensed=st.floats(0.0, 1.0),
+       exponents=st.lists(st.floats(-1.0, 0.6), min_size=1, max_size=4),
+       step_size=st.sampled_from([0.1, 1e6]),
+       ceiling=st.sampled_from([None, 3.16]),
+       beta_set=st.sampled_from(["informative", "all-neighbors"]))
+def test_slot_kernel_matches_dense_oracle(k_count, m_count, n_iter, seed, kind,
+                                          density, sensed, exponents,
+                                          step_size, ceiling, beta_set):
+    rng = np.random.default_rng(seed)
+    adjacency, mask, p_hat = _random_network(rng, k_count, m_count, density,
+                                             sensed, kind)
+    y = rng.gamma(0.7, 1 / 0.7, size=(k_count, m_count, n_iter))
+    params = DiffusionParams(step_size=step_size, iterations=n_iter,
+                             beta_set=beta_set)
+    gains = [10.0 ** e for e in exponents]
+    args = (y, mask, p_hat, adjacency, params, gains, ceiling)
+    try:
+        want = dense_oracle(*args)
+    except DivergenceError as exc:
+        with pytest.raises(DivergenceError) as got:
+            run_diffusion(*args)
+        assert got.value.gain_index == exc.gain_index
+        return
+    got = run_diffusion(*args).w
+    if m_count >= 2:
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_run_allocates_no_dense_neighbor_array():
+    # a K=400 ring: one (K, K, M) float array alone would be 10.24 MB
+    k_count, m_count, n_iter = 400, 8, 5
+    ring = np.arange(k_count)
+    adjacency = np.zeros((k_count, k_count), dtype=bool)
+    for step in (-1, 0, 1):
+        adjacency[ring, (ring + step) % k_count] = True
+    p_hat = np.where(adjacency & ~np.eye(k_count, dtype=bool), 1.0, 0.0)
+    rng = substream(41, "ring")
+    mask = rng.uniform(size=(k_count, m_count)) < 0.5
+    y = rng.uniform(0.05, 3.0, size=(k_count, m_count, n_iter))
+    params = DiffusionParams(iterations=n_iter)
+    tracemalloc.start()
+    try:
+        run_diffusion(y, mask, p_hat, adjacency, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_unsensed_channel_follows_informative_neighbor_delayed():

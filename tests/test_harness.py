@@ -216,6 +216,21 @@ def test_non_finite_weights_fail_loud(tmp_path):
         run_campaign(campaign, tmp_path)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_calibration_divergence_names_structure(tmp_path):
+    # a step size far past the stability bound diverges on the training
+    # samples, before any realization runs
+    scenario = generate_scenario("small-grid", seed=5, side_count=3,
+                                 incumbent_count=4)
+    campaign = Campaign(scenario=scenario, schemes=("proposed-multiband",),
+                        realizations=1,
+                        diffusion=DiffusionParams(step_size=100.0),
+                        calibration_runs=1, limit_dynamic_range=False)
+    with pytest.raises(ArithmeticError,
+                       match=r"^calibration of structure coop-full: "):
+        run_campaign(campaign, tmp_path)
+
+
 def test_results_row_cardinality(small_campaign, campaign_output):
     rows = read_results_csv(campaign_output[0])
     keys = {(r["scheme"], r["threshold_dbm"], r["metric"]) for r in rows}
