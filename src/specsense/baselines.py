@@ -137,13 +137,16 @@ def run_scheme(name, *, measurements, gains=(1.0,), ceiling=None,
     ``measurements * gains[t]``. Adaptive-filter schemes see the rescaled
     frame through the receiver ``ceiling``, raw energy detectors see it
     as-is, and ``truth_busy`` holds the genie's busy map per gain.
+    ``centralized`` rescales into one buffer reused for every gain.
     """
     if params is None:
         params = DiffusionParams()
     if name == "genie":
         return [genie(busy) for _, busy in zip(gains, truth_busy, strict=True)]
     if name == "centralized":
-        return [centralized_egc(measurements * g) for g in gains]
+        scaled = np.empty_like(measurements)
+        return [centralized_egc(np.multiply(measurements, g, out=scaled))
+                for g in gains]
     if name == "noncoop-multiband":
         return noncoop_multiband(measurements, params, thresholds, raw_energy,
                                  gains, ceiling)

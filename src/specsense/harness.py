@@ -297,7 +297,7 @@ def run_realization(campaign, lams, r):
     The metrics dict maps (scheme, threshold_dbm, metric) -> value or None.
     """
     inputs = prepare_realization(campaign, r)
-    checksum = zlib.crc32(inputs.frame.y.tobytes())
+    checksum = zlib.crc32(inputs.frame.y)
     positions = campaign.scenario.topology.positions
     results = {}
     for scheme, t, dm, truth_t in decide_schemes(campaign, lams, inputs, r):

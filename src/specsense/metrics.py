@@ -49,7 +49,11 @@ def attach_devices(device_positions, sap_positions):
     """Nearest-SAP attachment; ties go to the smaller SAP id."""
     dev = np.asarray(device_positions, dtype=float).reshape(-1, 2)
     sap = np.asarray(sap_positions, dtype=float)
-    d2 = ((dev[:, None, :] - sap[None, :, :]) ** 2).sum(axis=2)
+    d2 = dev[:, 0, None] - sap[None, :, 0]
+    dy = dev[:, 1, None] - sap[None, :, 1]
+    d2 *= d2
+    dy *= dy
+    d2 += dy
     return d2.argmin(axis=1)
 
 

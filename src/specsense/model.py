@@ -7,6 +7,7 @@ otherwise. The neighborhood of SAP k contains every SAP within
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,8 +198,14 @@ class Incumbent:
     signal_center_hz: float | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.tx_power_dbm):
+        if not math.isfinite(self.tx_power_dbm):
             raise ConfigurationError("incumbent tx power must be finite")
+        widths = self.signal_bandwidth_hz
+        if not isinstance(widths, tuple):
+            widths = (widths,)
+        if not widths or not all(0 < w < math.inf for w in widths):
+            raise ConfigurationError(
+                "incumbent signal bandwidths must be finite and positive")
 
 
 @dataclass(frozen=True)

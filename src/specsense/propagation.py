@@ -86,15 +86,21 @@ def los_probability(distance_2d_m):
 
 
 def channel_overlap_fraction(plan, signal_center_hz, signal_bandwidth_hz):
-    """Fraction of a flat incumbent signal falling in each channel, shape (M,)."""
-    lo = signal_center_hz - signal_bandwidth_hz / 2.0
-    hi = signal_center_hz + signal_bandwidth_hz / 2.0
+    """Fraction of a flat incumbent signal falling in each channel.
+
+    Centers and widths of any common shape (...) give shape (..., M), one
+    row per signal; a scalar signal gives shape (M,).
+    """
+    center = np.asarray(signal_center_hz, dtype=float)[..., None]
+    width = np.asarray(signal_bandwidth_hz, dtype=float)[..., None]
+    lo = center - width / 2.0
+    hi = center + width / 2.0
     m = np.arange(plan.channel_count)
     band_lo = (plan.center_frequency_hz - plan.total_bandwidth_hz / 2.0
                + m * plan.channel_bandwidth_hz)
     band_hi = band_lo + plan.channel_bandwidth_hz
     overlap = np.clip(np.minimum(band_hi, hi) - np.maximum(band_lo, lo), 0.0, None)
-    return overlap / signal_bandwidth_hz
+    return overlap / width
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +153,9 @@ class LinkRealization:
 
     Incumbent-to-SAP arrays have shape (n_inc, K). ``inc_fade`` holds one
     (channels_hit, gains) pair per incumbent: the channel indices its signal
-    overlaps and the block-fading power gains of shape (K, len(hit)).
+    overlaps (one contiguous run) and the block-fading power gains of shape
+    (K, len(hit)). The gains are views into one flat draw, in incumbent
+    order.
     """
 
     inc_center_hz: np.ndarray      # (n_inc,)
@@ -258,16 +266,18 @@ def realize_links(scenario, rng_bands, rng_shadow, rng_fading=None):
     shadow = rng_shadow.standard_normal((n_inc, k_count)) * sigma
     inc_gain_db = -(inc_pl + shadow)
 
-    # block fading per incumbent on the channels its signal overlaps
-    fades = []
-    for i in range(n_inc):
-        frac = channel_overlap_fraction(plan, centers[i], bandwidths[i])
-        hit = np.flatnonzero(frac > 0)
-        if prop.fading == "rayleigh":
-            gains = rng_fading.exponential(1.0, size=(k_count, hit.size))
-        else:
-            gains = np.ones((k_count, hit.size))
-        fades.append((hit, gains))
+    # block fading per incumbent on the channels its signal overlaps, drawn
+    # as one flat block in incumbent order and split into (K, hits) views
+    hits = [np.flatnonzero(row)
+            for row in channel_overlap_fraction(plan, centers, bandwidths) > 0]
+    sizes = [k_count * hit.size for hit in hits]
+    if prop.fading == "rayleigh":
+        flat = rng_fading.exponential(1.0, size=sum(sizes))
+    else:
+        flat = np.ones(sum(sizes))
+    blocks = np.split(flat, np.cumsum(sizes)[:-1])
+    fades = [(hit, block.reshape(k_count, hit.size))
+             for hit, block in zip(hits, blocks)]
 
     # SAP <-> SAP links: shared LOS per pair, shadowing per direction
     sd2d = np.sqrt(((topo.positions[:, None, :] - topo.positions[None, :, :]) ** 2).sum(axis=2))
@@ -301,14 +311,15 @@ def received_level(scenario, links, ref_dbm):
     plan = scenario.spectrum
     k_count = scenario.topology.count
     total = np.zeros((k_count, plan.channel_count))
+    frac = channel_overlap_fraction(plan, links.inc_center_hz,
+                                    links.inc_bandwidth_hz)
     for i, inc in enumerate(scenario.incumbents):
-        frac = channel_overlap_fraction(plan, links.inc_center_hz[i],
-                                        links.inc_bandwidth_hz[i])
         hit, gains = links.inc_fade[i]
         if hit.size == 0:
             continue
+        lo, hi = hit[0], hit[-1] + 1  # a signal's channels are contiguous
         rx = dbm_to_norm(inc.tx_power_dbm + links.inc_gain_db[i], ref_dbm)
-        total[:, hit] += rx[:, None] * frac[hit][None, :] * gains
+        total[:, lo:hi] += rx[:, None] * frac[i, lo:hi][None, :] * gains
     return total
 
 
@@ -332,16 +343,17 @@ def generate_measurements(scenario, truth, iterations, rng_estimate):
 
     The per-iteration factor is unit-mean Gamma with the receiver's
     ``estimate_shape`` (None: noiseless estimates, every window reads the
-    truth exactly).
+    truth exactly). The noise draw is scaled in place and becomes the
+    frame, so no second (K, M, N) array is held.
     """
     level = truth.true_energy[:, :, None]
     shape = scenario.propagation.estimate_shape
     if shape is None:
         y = np.repeat(level, iterations, axis=2)
     else:
-        u = rng_estimate.gamma(shape, 1.0 / shape,
+        y = rng_estimate.gamma(shape, 1.0 / shape,
                                size=truth.true_energy.shape + (iterations,))
-        y = level * u
+        y *= level
     return MeasurementFrame(y, truth.ref_dbm)
 
 

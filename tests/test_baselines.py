@@ -22,6 +22,7 @@ from specsense.metrics import (
     utilization_ratio,
 )
 from specsense.model import ConfigurationError
+from specsense.propagation import threshold_gain
 from specsense.seeding import substream
 
 
@@ -72,6 +73,20 @@ def test_centralized_threshold_examples():
     y[0, 0, 0], y[1, 0, 0] = 1.0, 3.0
     assert centralized_egc(y / 2.0).busy.all()
     assert not centralized_egc(y / 2.5).busy.any()
+
+
+def test_centralized_sweep_matches_per_gain_copies():
+    # one rescaling buffer serves every gain without touching the frame
+    y = substream(4, "egc-sweep").gamma(0.7, 1.0 / 0.7, size=(6, 9, 5))
+    frame = y.copy()
+    gains = [threshold_gain(-62.0, t) for t in range(-82, -50, 4)]
+    maps = run_scheme("centralized", measurements=y, gains=gains)
+    assert len(maps) == len(gains)
+    for dm, g in zip(maps, gains):
+        assert np.array_equal(dm.busy, centralized_egc(y * g).busy)
+        assert dm.decided.all()
+    assert len({dm.busy.sum() for dm in maps}) > 1
+    assert np.array_equal(y, frame)
 
 
 def test_centralized_single_hot_sap_flips_channel():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specsense.baselines import DecisionMap, genie
 from specsense.metrics import (
@@ -90,6 +92,29 @@ def test_attach_devices_nearest_sap():
     saps = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0]])
     devices = np.array([[10.0, 5.0], [90.0, 10.0], [5.0, 60.0], [49.0, 0.0]])
     np.testing.assert_array_equal(attach_devices(devices, saps), [0, 1, 2, 0])
+
+
+def _points(count):
+    coord = st.integers(-6, 6)
+    return st.lists(st.tuples(coord, coord), min_size=count, max_size=count)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), k_count=st.integers(1, 6), n_dev=st.integers(0, 25),
+       duplicate=st.booleans())
+def test_attach_devices_matches_broadcast_oracle(data, k_count, n_dev,
+                                                 duplicate):
+    # integer coordinates on a small box make exact distance ties common
+    saps = np.array(data.draw(_points(k_count)), dtype=float).reshape(-1, 2)
+    if duplicate:
+        saps[-1] = saps[0]
+    devices = np.array(data.draw(_points(n_dev)), dtype=float).reshape(-1, 2)
+    d2 = ((devices[:, None, :] - saps[None, :, :]) ** 2).sum(axis=2)
+    home = attach_devices(devices, saps)
+    assert np.array_equal(home, d2.argmin(axis=1))
+    # ties go to the smaller SAP id
+    for n in range(n_dev):
+        assert home[n] == np.flatnonzero(d2[n] == d2[n].min())[0]
 
 
 def test_schedule_devices_examples():

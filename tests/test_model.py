@@ -180,6 +180,26 @@ def test_scenario_dict_unknown_kind_rejected():
         scenario_from_dict(spec)
 
 
+BAD_WIDTHS = [0.0, -20e6, float("nan"), float("inf"), (), (20e6, 0.0),
+              (float("nan"), 40e6)]
+
+
+@pytest.mark.parametrize("width", BAD_WIDTHS)
+def test_incumbent_rejects_bad_signal_bandwidth(width):
+    # such an incumbent used to drop silently out of the ground truth
+    with pytest.raises(ConfigurationError, match="bandwidth"):
+        Incumbent((0.0, 0.0), 1.5, 30.0, width, 5.40e9)
+
+
+@pytest.mark.parametrize("width", BAD_WIDTHS)
+def test_scenario_dict_rejects_bad_signal_bandwidth(width):
+    spec = scenario_to_dict(_small_scenario())
+    spec["incumbents"][0]["signal_bandwidth_hz"] = (
+        list(width) if isinstance(width, tuple) else width)
+    with pytest.raises(ConfigurationError, match="bandwidth"):
+        scenario_from_dict(spec)
+
+
 def test_substream_independence_and_stability():
     # named substreams are stable across calls and distinct across tags
     a1 = substream(5, "alpha").uniform(size=4)

@@ -1,10 +1,13 @@
 """Tests for pathloss, link realization, and measurement generation."""
 
 import math
+import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from specsense.harness import generate_scenario
 from specsense.model import (
     Incumbent,
     Scenario,
@@ -12,8 +15,10 @@ from specsense.model import (
     build_spectrum_plan,
 )
 from specsense.propagation import (
+    LinkRealization,
     MeasurementFrame,
     PropagationParams,
+    _realize_bands,
     channel_overlap_fraction,
     compute_ground_truth,
     dbm_to_norm,
@@ -312,3 +317,180 @@ def test_frame_rescaling():
                                frame.y * 10.0)
     np.testing.assert_allclose(frame.y * threshold_gain(frame.ref_dbm, -52.0),
                                frame.y / 10.0)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the per-incumbent propagation code the vectorized path replaced
+# ---------------------------------------------------------------------------
+
+def _scalar_overlap(plan, signal_center_hz, signal_bandwidth_hz):
+    """One signal's overlap fractions, shape (M,), in Python-float arithmetic."""
+    lo = signal_center_hz - signal_bandwidth_hz / 2.0
+    hi = signal_center_hz + signal_bandwidth_hz / 2.0
+    m = np.arange(plan.channel_count)
+    band_lo = (plan.center_frequency_hz - plan.total_bandwidth_hz / 2.0
+               + m * plan.channel_bandwidth_hz)
+    band_hi = band_lo + plan.channel_bandwidth_hz
+    overlap = np.clip(np.minimum(band_hi, hi) - np.maximum(band_lo, lo), 0.0, None)
+    return overlap / signal_bandwidth_hz
+
+
+def _oracle_realize_links(scenario, rng_bands, rng_shadow, rng_fading=None):
+    """Link realization with one fading draw per incumbent."""
+    topo = scenario.topology
+    plan = scenario.spectrum
+    prop = scenario.propagation
+    if rng_fading is None:
+        rng_fading = rng_shadow
+    carrier = prop.carrier_hz if prop.carrier_hz is not None else plan.center_frequency_hz
+    k_count = topo.count
+    n_inc = len(scenario.incumbents)
+    centers, bandwidths = _realize_bands(scenario, plan, rng_bands)
+
+    inc_pos = np.array([inc.position for inc in scenario.incumbents], dtype=float).reshape(n_inc, 2)
+    inc_h = np.array([inc.height_m for inc in scenario.incumbents], dtype=float)
+    d2d = np.sqrt(((inc_pos[:, None, :] - topo.positions[None, :, :]) ** 2).sum(axis=2))
+    d2d = np.maximum(d2d, 1.0)
+    dz = inc_h[:, None] - topo.heights_m[None, :]
+    d3d = np.sqrt(d2d ** 2 + dz ** 2)
+    if prop.model == "free-space":
+        inc_los = np.ones((n_inc, k_count), dtype=bool)
+    else:
+        inc_los = rng_bands.uniform(size=(n_inc, k_count)) < los_probability(d2d)
+    inc_pl = pathloss_db(d3d, carrier, inc_los,
+                         ut_height_m=float(topo.heights_m[0]), model=prop.model)
+    sigma = np.where(inc_los, prop.shadowing_sigma_los_db, prop.shadowing_sigma_nlos_db)
+    shadow = rng_shadow.standard_normal((n_inc, k_count)) * sigma
+    inc_gain_db = -(inc_pl + shadow)
+
+    fades = []
+    for i in range(n_inc):
+        frac = _scalar_overlap(plan, centers[i], bandwidths[i])
+        hit = np.flatnonzero(frac > 0)
+        if prop.fading == "rayleigh":
+            gains = rng_fading.exponential(1.0, size=(k_count, hit.size))
+        else:
+            gains = np.ones((k_count, hit.size))
+        fades.append((hit, gains))
+
+    sd2d = np.sqrt(((topo.positions[:, None, :] - topo.positions[None, :, :]) ** 2).sum(axis=2))
+    sd2d = np.maximum(sd2d, 1.0)
+    if prop.model == "free-space":
+        sap_los = np.ones((k_count, k_count), dtype=bool)
+    else:
+        upper = rng_bands.uniform(size=(k_count, k_count)) < los_probability(sd2d)
+        iu = np.triu_indices(k_count, 1)
+        sap_los = np.eye(k_count, dtype=bool)
+        sap_los[iu] = upper[iu]
+        sap_los = sap_los | sap_los.T
+    spl = pathloss_db(sd2d, carrier, sap_los,
+                      ut_height_m=float(topo.heights_m[0]), model=prop.model)
+    ssigma = np.where(sap_los, prop.shadowing_sigma_los_db, prop.shadowing_sigma_nlos_db)
+    sshadow = rng_shadow.standard_normal((k_count, k_count)) * ssigma
+    sap_gain_db = -(spl + sshadow)
+    np.fill_diagonal(sap_gain_db, 0.0)
+    return LinkRealization(centers, bandwidths, inc_los, inc_gain_db,
+                           tuple(fades), sap_los, sap_gain_db)
+
+
+def _oracle_received_level(scenario, links, ref_dbm):
+    """Per-incumbent overlap and a fancy-index add over its hit channels."""
+    plan = scenario.spectrum
+    total = np.zeros((scenario.topology.count, plan.channel_count))
+    for i, inc in enumerate(scenario.incumbents):
+        frac = _scalar_overlap(plan, links.inc_center_hz[i],
+                               links.inc_bandwidth_hz[i])
+        hit, gains = links.inc_fade[i]
+        if hit.size == 0:
+            continue
+        rx = dbm_to_norm(inc.tx_power_dbm + links.inc_gain_db[i], ref_dbm)
+        total[:, hit] += rx[:, None] * frac[hit][None, :] * gains
+    return total
+
+
+def _oracle_scenario(template, fading):
+    if template == "small-grid":
+        scn = generate_scenario("small-grid", seed=4, side_count=3,
+                                incumbent_count=12)
+    else:
+        scn = generate_scenario("large-synthetic", seed=4, sap_count=8,
+                                incumbent_count=20, total_bandwidth_hz=100e6)
+        # the top 100 kHz of this band is no channel's: a signal there hits
+        # nothing; a fixed narrow one straddles a channel boundary
+        plan = scn.spectrum
+        top = plan.center_frequency_hz + plan.total_bandwidth_hz / 2.0
+        edge = plan.channel_centers_hz[3] + plan.channel_bandwidth_hz / 2.0
+        scn = replace(scn, incumbents=scn.incumbents + (
+            Incumbent((300.0, 400.0), 10.0, 30.0, 60e3, top - 40e3),
+            Incumbent((900.0, 100.0), 10.0, 30.0, 90e3, edge)))
+    return replace(scn, propagation=replace(scn.propagation, fading=fading))
+
+
+@pytest.mark.parametrize("own_fading_stream", [True, False])
+@pytest.mark.parametrize("fading", ["rayleigh", "none"])
+@pytest.mark.parametrize("template", ["small-grid", "large-synthetic"])
+def test_links_and_truth_match_per_incumbent_oracle(template, fading,
+                                                    own_fading_stream):
+    # the one flat fading draw splits into the per-incumbent draws, in the
+    # same place on the stream: with no fading stream of its own it falls
+    # back to the shadowing stream, between the incumbent and SAP draws
+    scn = _oracle_scenario(template, fading)
+
+    def streams(r):
+        rngs = [scn.rng("bands", r), scn.rng("shadow", r)]
+        return rngs + [scn.rng("fading", r)] if own_fading_stream else rngs
+
+    for r in range(3):
+        links = realize_links(scn, *streams(r))
+        want = _oracle_realize_links(scn, *streams(r))
+        assert len(links.inc_fade) == len(want.inc_fade)
+        for (hit, gains), (want_hit, want_gains) in zip(links.inc_fade,
+                                                        want.inc_fade):
+            assert np.array_equal(hit, want_hit)
+            # the slice add in received_level relies on contiguous hits
+            if hit.size:
+                assert np.array_equal(hit, np.arange(hit[0], hit[-1] + 1))
+            assert gains.shape == want_gains.shape
+            assert np.array_equal(gains, want_gains)
+        assert np.array_equal(links.inc_gain_db, want.inc_gain_db)
+        assert np.array_equal(links.sap_gain_db, want.sap_gain_db)
+        level = received_level(scn, links, -62.0)
+        assert np.array_equal(level, _oracle_received_level(scn, want, -62.0))
+        v = dbm_to_norm(noise_floor_dbm(scn.spectrum.channel_bandwidth_hz,
+                                        scn.propagation.noise_figure_db), -62.0)
+        assert np.array_equal(compute_ground_truth(scn, links, -62.0).true_energy,
+                              v + level)
+    if template == "large-synthetic":
+        assert any(hit.size == 0 for hit, _ in links.inc_fade)
+
+
+def test_overlap_fraction_rows_equal_scalar_calls():
+    plan = build_spectrum_plan(10e6, 180e3, 1, center_frequency_hz=5.43e9)
+    rng = np.random.default_rng(7)
+    widths = rng.choice([60e3, 180e3, 1e6, 3e6], size=40)
+    lo = plan.center_frequency_hz - plan.total_bandwidth_hz / 2.0
+    centers = lo + widths / 2.0 + rng.uniform(size=40) * (10e6 - widths)
+    rows = channel_overlap_fraction(plan, centers, widths)
+    assert rows.shape == (40, plan.channel_count)
+    for c, w, row in zip(centers, widths, rows):
+        assert np.array_equal(row, _scalar_overlap(plan, float(c), float(w)))
+        assert np.array_equal(row, channel_overlap_fraction(plan, c, w))
+
+
+@pytest.mark.parametrize("shape", [0.7, None])
+def test_frame_is_level_times_noise_from_its_substream(shape):
+    scn = _scenario(PropagationParams(estimate_shape=shape))
+    links = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 0),
+                          scn.rng("fading", 0))
+    truth = compute_ground_truth(scn, links, -62.0)
+    frame = generate_measurements(scn, truth, 6, scn.rng("estimate", 2))
+    level = truth.true_energy[:, :, None]
+    if shape is None:
+        want = np.repeat(level, 6, axis=2)
+    else:
+        want = level * scn.rng("estimate", 2).gamma(
+            shape, 1.0 / shape, size=truth.true_energy.shape + (6,))
+    assert np.array_equal(frame.y, want)
+    # the realization checksum reads the frame's buffer directly
+    assert frame.y.flags.c_contiguous
+    assert zlib.crc32(frame.y) == zlib.crc32(frame.y.tobytes())
