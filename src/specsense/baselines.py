@@ -2,10 +2,20 @@
 
 Every scheme consumes the same unscaled measurement frame within a
 realization, rescaled by one gain per swept threshold, so differences come
-only from the decision architecture. Scheme functions return one DecisionMap
-per gain; the diffusion-based ones run the whole sweep as one network run.
-A DecisionMap marks a block no-decision (decided=False) when the scheme has no
-verdict for it, which only the non-cooperative single-band scheme does.
+only from the decision architecture. ``run_scheme`` returns one DecisionMap
+per gain. A DecisionMap marks a block no-decision (decided=False) when the
+scheme has no verdict for it, which only the non-cooperative single-band
+scheme does.
+
+The four diffusion-based schemes are one combine-then-adapt diffusion, run
+once over the whole sweep, on one of three networks, the calibration
+structures (``CALIBRATION_STRUCTURE``, built by ``structure_network``):
+
+* ``coop-full`` (proposed-multiband): all channels, neighbor graph;
+* ``coop-assigned`` (proposed-singleband): scheduled channels, neighbor graph;
+* ``standalone`` (both noncoop schemes): all channels, self-only graph.
+
+Under raw energy the non-cooperative schemes skip the diffusion.
 """
 
 from dataclasses import dataclass
@@ -67,64 +77,30 @@ def centralized_egc(measurements):
     return _full_map(np.tile(busy_row, (k_count, 1)))
 
 
-def noncoop_multiband(measurements, params, thresholds, raw_energy=False,
-                      gains=(1.0,), ceiling=None):
-    """Every SAP senses all channels and decides alone.
+def structure_of(name, raw_energy):
+    """Calibrated structure scheme ``name`` decides with.
 
-    The adaptive variant is diffusion on the self-only graph. The raw
-    variant has no smoothed statistic: each SAP compares its latest
-    window's energy estimate times the gain, unclamped, against 1.0
-    directly, which is what makes raw decisions fluctuate window to window.
+    None for schemes that decide on the truth or on raw energy: genie,
+    centralized, and the non-cooperative schemes under ``raw_energy``.
     """
-    if raw_energy:
-        last = np.asarray(measurements)[:, :, -1]
-        return [_full_map(last * g >= 1.0) for g in gains]
-    k_count = measurements.shape[0]
-    return proposed_multiband(measurements, np.zeros((k_count, k_count)),
-                              np.eye(k_count, dtype=bool), params, thresholds,
-                              gains, ceiling)
+    if raw_energy and name.startswith("noncoop"):
+        return None
+    return CALIBRATION_STRUCTURE.get(name)
 
 
-def noncoop_singleband(measurements, channel_picks, params, thresholds,
-                       raw_energy=False, gains=(1.0,), ceiling=None):
-    """Every SAP senses one random channel; all other blocks stay undecided."""
-    y = np.asarray(measurements)
-    k_count, m_count, _ = y.shape
-    picks = np.asarray(channel_picks, dtype=int)
-    if picks.shape != (k_count,) or picks.min() < 0 or picks.max() >= m_count:
-        raise ConfigurationError("need one valid channel pick per SAP")
-    decided = np.zeros((k_count, m_count), dtype=bool)
-    decided[np.arange(k_count), picks] = True
-    # the self-only filter evolves each channel independently, so running
-    # every channel and masking afterwards matches sensing only the pick
-    maps = noncoop_multiband(y, params, thresholds, raw_energy, gains,
-                             ceiling)
-    return [DecisionMap(dm.busy & decided, decided) for dm in maps]
+def structure_network(structure, sensing_mask, reference_powers, adjacency):
+    """The network a structure diffuses over: (mask, powers, adjacency).
 
-
-def proposed_multiband(measurements, reference_powers, adjacency, params,
-                       thresholds, gains=(1.0,), ceiling=None):
-    """Cooperative diffusion with every SAP sensing the whole spectrum."""
-    k_count, m_count, _ = measurements.shape
-    return proposed_singleband(measurements,
-                               np.ones((k_count, m_count), dtype=bool),
-                               reference_powers, adjacency, params, thresholds,
-                               gains, ceiling)
-
-
-def proposed_singleband(measurements, sensing_mask, reference_powers,
-                        adjacency, params, thresholds, gains=(1.0,),
-                        ceiling=None):
-    """Full pipeline: scheduler-assigned subsets plus cooperative diffusion.
-
-    Decisions exist for every block; unsensed channels are inferred through
-    the reference-power combination branch. One diffusion run covers every
-    gain; its gain-major weights split into one (K, M) block per gain.
+    ``sensing_mask`` is a (K, M) assignment; only ``coop-assigned`` senses
+    by it, the other two sense every channel. ``standalone`` combines
+    nothing: zero reference powers on the self-only graph.
     """
-    state = run_diffusion(measurements, sensing_mask, reference_powers,
-                          adjacency, params, gains=gains, ceiling=ceiling)
-    return [_full_map(decide(block, thresholds))
-            for block in np.split(state.w, len(gains), axis=1)]
+    if structure == "coop-assigned":
+        return sensing_mask, reference_powers, adjacency
+    full = np.ones(np.shape(sensing_mask), dtype=bool)
+    if structure == "coop-full":
+        return full, reference_powers, adjacency
+    return full, np.zeros((len(full), len(full))), np.eye(len(full), dtype=bool)
 
 
 def run_scheme(name, *, measurements, gains=(1.0,), ceiling=None,
@@ -138,26 +114,45 @@ def run_scheme(name, *, measurements, gains=(1.0,), ceiling=None,
     frame through the receiver ``ceiling``, raw energy detectors see it
     as-is, and ``truth_busy`` holds the genie's busy map per gain.
     ``centralized`` rescales into one buffer reused for every gain.
+
+    A diffusion scheme decides its structure's network (``sensing_mask``
+    None: every SAP senses every channel) against ``thresholds``; under
+    ``raw_energy`` a non-cooperative SAP compares its latest window's
+    energy times the gain with 1.0. ``noncoop-singleband`` decides only
+    each SAP's ``channel_picks`` channel.
     """
-    if params is None:
-        params = DiffusionParams()
     if name == "genie":
         return [genie(busy) for _, busy in zip(gains, truth_busy, strict=True)]
     if name == "centralized":
         scaled = np.empty_like(measurements)
         return [centralized_egc(np.multiply(measurements, g, out=scaled))
                 for g in gains]
-    if name == "noncoop-multiband":
-        return noncoop_multiband(measurements, params, thresholds, raw_energy,
-                                 gains, ceiling)
+    if name not in SCHEME_IDS:
+        raise ConfigurationError(f"unknown scheme {name!r}")
+    k_count, m_count, _ = measurements.shape
     if name == "noncoop-singleband":
-        return noncoop_singleband(measurements, channel_picks, params,
-                                  thresholds, raw_energy, gains, ceiling)
-    if name == "proposed-multiband":
-        return proposed_multiband(measurements, reference_powers, adjacency,
-                                  params, thresholds, gains, ceiling)
-    if name == "proposed-singleband":
-        return proposed_singleband(measurements, sensing_mask,
-                                   reference_powers, adjacency, params,
-                                   thresholds, gains, ceiling)
-    raise ConfigurationError(f"unknown scheme {name!r}")
+        picks = np.asarray(channel_picks, dtype=int)
+        if (picks.shape != (k_count,) or picks.min() < 0
+                or picks.max() >= m_count):
+            raise ConfigurationError("need one valid channel pick per SAP")
+
+    structure = structure_of(name, raw_energy)
+    if structure is None:
+        blocks = [measurements[:, :, -1] * g >= 1.0 for g in gains]
+    else:
+        if sensing_mask is None:
+            sensing_mask = np.ones((k_count, m_count), dtype=bool)
+        network = structure_network(structure, sensing_mask, reference_powers,
+                                    adjacency)
+        w = run_diffusion(measurements, *network,
+                          DiffusionParams() if params is None else params,
+                          gains=gains, ceiling=ceiling)
+        blocks = [decide(block, thresholds)
+                  for block in np.split(w, len(gains), axis=1)]
+    if name == "noncoop-singleband":
+        # the self-only filter evolves each channel independently, so
+        # running every channel and masking afterwards matches sensing
+        # only the pick
+        decided = np.arange(m_count) == picks[:, None]
+        return [DecisionMap(busy & decided, decided) for busy in blocks]
+    return [_full_map(busy) for busy in blocks]

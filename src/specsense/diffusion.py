@@ -39,16 +39,6 @@ class DiffusionParams:
             raise ConfigurationError(f"unknown beta_set {self.beta_set!r}")
 
 
-@dataclass
-class DiffusionState:
-    """Weights, smoothed energies, and last combined values after a run."""
-
-    w: np.ndarray        # (K, T*M), gain-major
-    d: np.ndarray        # (K, T*M)
-    psi: np.ndarray      # (K, T*M)
-    iteration: int
-
-
 # ---------------------------------------------------------------------------
 # Scalar building blocks shared by the network run
 # ---------------------------------------------------------------------------
@@ -112,16 +102,18 @@ class DivergenceError(ArithmeticError):
 
 
 def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
-                  params, gains=(1.0,), ceiling=None, audit=None, trace=None):
-    """Run the full synchronous algorithm over a gain sweep; return the final state.
+                  params, gains=(1.0,), ceiling=None, audit=None):
+    """Run the full synchronous algorithm over a gain sweep; return the weights.
 
     ``measurements`` is the unscaled (K, M, N) energy frame. Gain t sees it
     as ``clip_dynamic_range(measurements * gains[t], ceiling)`` (``ceiling``
     None: no receiver clamp), formed one iteration slice at a time. Channels
     evolve independently, so the T gains run as T*M channels of one network,
     laid out gain-major: column ``t * M + m`` of the returned (K, T*M)
-    arrays is channel m under gain t, bit for bit what a single-gain run on
-    that frame returns. Row k of the (K, K) ``adjacency`` lists SAP k's
+    weights is channel m under gain t, bit for bit what a single-gain run on
+    that frame returns. Iteration i reads frame slice i alone: the weights
+    after it are a run on ``measurements[:, :, :i + 1]`` with
+    ``iterations=i + 1``. Row k of the (K, K) ``adjacency`` lists SAP k's
     neighbors, itself included; an iteration costs O(S * K * T * M) for
     largest degree S.
 
@@ -129,9 +121,8 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
     (i, alpha, beta, has_informative): alpha[s, k, c] and beta[s, k, c]
     weigh SAP k's slot-s neighbor on column c. alpha lives in a buffer the
     next iteration overwrites, so ``audit`` must not keep a reference to
-    it. ``trace``, if a list, collects (i, w, d, psi) snapshots. Raises
-    ConfigurationError on a short frame or a malformed adjacency and
-    DivergenceError when any final weight is non-finite.
+    it. Raises ConfigurationError on a short frame or a malformed
+    adjacency and DivergenceError when any final weight is non-finite.
     """
     y_all = np.asarray(measurements, dtype=float)
     k_count, m_count, n_iter = y_all.shape
@@ -169,7 +160,6 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
 
     w = np.full((k_count, columns), float(params.initial_weight))
     d = conditioned(0)
-    psi = w.copy()
     w_nbr = np.empty((nbr.shape[0], k_count, columns))
     buf = np.empty_like(w_nbr)
     total = np.empty((k_count, columns))
@@ -200,15 +190,13 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
             psi[freeze] = w[freeze]
 
         w = psi + np.where(sensing_mask, mu * y * (d - y * psi), 0.0)
-        if trace is not None:
-            trace.append((i, w.copy(), d.copy(), psi.copy()))
 
     finite = np.isfinite(w)
     if not finite.all():
         per_gain = finite.reshape(k_count, gains.size, m_count).all(axis=(0, 2))
         first = int(np.argmin(per_gain))
         raise DivergenceError(first, float(gains[first]))
-    return DiffusionState(w, d, psi, params.iterations)
+    return w
 
 
 def clip_dynamic_range(measurements, ceiling):
@@ -244,8 +232,7 @@ def calibrate_threshold(sensing_mask, reference_powers, adjacency, params, rng,
             u = np.ones(shape)
         else:
             u = rng.gamma(estimate_shape, 1.0 / estimate_shape, size=shape)
-        state = run_diffusion(u, sensing_mask, reference_powers, adjacency,
-                              params, ceiling=ceiling)
-        total += state.w
+        total += run_diffusion(u, sensing_mask, reference_powers, adjacency,
+                               params, ceiling=ceiling)
     return total / calibration_runs
 

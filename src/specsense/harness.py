@@ -10,8 +10,10 @@ raw-energy non-cooperative variant) see the rescaled frame as-is;
 adaptive-filter schemes see it through the receiver's dynamic-range clamp,
 and run all T gains as one diffusion run over T*M channels. Decision
 thresholds for the diffusion schemes are calibrated once per campaign per
-network structure on a representative assignment; in normalized units one
-calibration covers the whole sweep.
+network structure, on the network ``baselines.structure_network`` builds
+from representative inputs (line-of-sight reference powers and a
+representative assignment); in normalized units one calibration covers the
+whole sweep.
 
 All randomness flows through named substreams of the master seed, so reruns
 are byte-identical and realizations are order-independent.
@@ -27,7 +29,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import CALIBRATION_STRUCTURE, SCHEME_IDS, run_scheme
+from .baselines import (SCHEME_IDS, run_scheme, structure_network,
+                        structure_of)
 from .diffusion import (DiffusionParams, DivergenceError, calibrate_threshold,
                         default_ceiling)
 from .metrics import (aggregate, correct_decision_pct, misdetection_probability,
@@ -130,17 +133,6 @@ def representative_assignment(campaign):
     return assignment
 
 
-def _structure_of(campaign, scheme):
-    """Calibrated structure a scheme decides with.
-
-    None for schemes that decide on raw energy (centralized, and the
-    non-cooperative schemes under ``noncoop_raw_energy``) or on the truth.
-    """
-    if campaign.noncoop_raw_energy and scheme.startswith("noncoop"):
-        return None
-    return CALIBRATION_STRUCTURE.get(scheme)
-
-
 def _ceiling(campaign):
     """Receiver clamp on adaptive-filter inputs; None when unlimited."""
     return (default_ceiling(campaign.diffusion)
@@ -148,22 +140,16 @@ def _ceiling(campaign):
 
 
 def _structure_specs(campaign, rep_assignment):
-    """Network structures whose thresholds the chosen schemes read."""
+    """Networks, built from the representative inputs, whose λ schemes read."""
     scn = campaign.scenario
-    k_count = scn.topology.count
-    m_count = scn.spectrum.channel_count
     p_rep = representative_reference_powers(scn, campaign.reference_dbm)
-    full_mask = np.ones((k_count, m_count), dtype=bool)
-    specs = {
-        "coop-full": (full_mask, p_rep, scn.topology.adjacency),
-        "coop-assigned": (rep_assignment.sensing_mask(scn.spectrum)
-                          if rep_assignment is not None else None,
-                          p_rep, scn.topology.adjacency),
-        "standalone": (full_mask, np.zeros((k_count, k_count)),
-                       np.eye(k_count, dtype=bool)),
-    }
-    needed = {_structure_of(campaign, s) for s in campaign.schemes} - {None}
-    return {name: specs[name] for name in needed}
+    mask = (rep_assignment.sensing_mask(scn.spectrum)
+            if rep_assignment is not None else
+            np.ones((scn.topology.count, scn.spectrum.channel_count), dtype=bool))
+    needed = {structure_of(s, campaign.noncoop_raw_energy)
+              for s in campaign.schemes} - {None}
+    return {name: structure_network(name, mask, p_rep, scn.topology.adjacency)
+            for name in needed}
 
 
 def calibrate_campaign(campaign, rep_assignment):
@@ -267,7 +253,7 @@ def decide_schemes(campaign, lams, inputs, r):
     truths = [inputs.truth.busy_at(t) for t in thresholds]
     ceiling = _ceiling(campaign)
     for scheme in campaign.schemes:
-        structure = _structure_of(campaign, scheme)
+        structure = structure_of(scheme, campaign.noncoop_raw_energy)
         try:
             maps = run_scheme(
                 scheme,

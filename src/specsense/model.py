@@ -8,7 +8,7 @@ otherwise. The neighborhood of SAP k contains every SAP within
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -200,6 +200,13 @@ class Incumbent:
     def __post_init__(self):
         if not math.isfinite(self.tx_power_dbm):
             raise ConfigurationError("incumbent tx power must be finite")
+        if not (len(self.position) == 2 and math.isfinite(self.position[0])
+                and math.isfinite(self.position[1])):
+            raise ConfigurationError(
+                "incumbent position must be two finite coordinates")
+        if not 0 < self.height_m < math.inf:
+            raise ConfigurationError(
+                "incumbent height must be finite and positive")
         widths = self.signal_bandwidth_hz
         if not isinstance(widths, tuple):
             widths = (widths,)
@@ -255,7 +262,7 @@ def scenario_to_dict(scenario):
             }
             for inc in scenario.incumbents
         ],
-        "propagation": prop.to_dict(),
+        "propagation": asdict(prop),
         "seed": scenario.seed,
     }
 
@@ -303,7 +310,7 @@ def scenario_from_dict(spec):
         )
         for item in spec["incumbents"]
     )
-    propagation = PropagationParams.from_dict(spec["propagation"])
+    propagation = PropagationParams(**spec["propagation"])
     return Scenario(topology, plan, incumbents, propagation, seed)
 
 

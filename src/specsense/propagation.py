@@ -130,22 +130,6 @@ class PropagationParams:
         if self.estimate_shape is not None and self.estimate_shape <= 0:
             raise ConfigurationError("estimate_shape must be positive or None")
 
-    def to_dict(self):
-        return {
-            "model": self.model,
-            "carrier_hz": self.carrier_hz,
-            "shadowing_sigma_los_db": self.shadowing_sigma_los_db,
-            "shadowing_sigma_nlos_db": self.shadowing_sigma_nlos_db,
-            "fading": self.fading,
-            "noise_figure_db": self.noise_figure_db,
-            "sap_ref_tx_power_dbm": self.sap_ref_tx_power_dbm,
-            "estimate_shape": self.estimate_shape,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class LinkRealization:

@@ -263,7 +263,7 @@ def _solve_dfs(colsum, quota):
     a = np.empty(k_count, dtype=int)
     for k, l in best["a"].items():
         a[k] = l
-    return a, float(best["obj"])
+    return a
 
 
 def _solve_milp(colsum, quota):
@@ -302,7 +302,7 @@ def _solve_milp(colsum, quota):
     if not res.success:
         raise RuntimeError(f"milp solve failed: {res.message}")
     x = res.x[:-1].reshape(k_count, l_count)
-    return x.argmax(axis=1), None
+    return x.argmax(axis=1)
 
 
 def solve_exact(cost, quota, engine="auto"):
@@ -326,9 +326,9 @@ def solve_exact(cost, quota, engine="auto"):
         if k_count > DFS_SAP_LIMIT:
             raise ConfigurationError(
                 f"dfs engine capped at {DFS_SAP_LIMIT} SAPs; use engine='milp'")
-        a, obj = _solve_dfs(colsum, quota)
+        a = _solve_dfs(colsum, quota)
     elif engine == "milp":
-        a, _ = _solve_milp(colsum, quota)
+        a = _solve_milp(colsum, quota)
     else:
         raise ConfigurationError(f"unknown engine {engine!r}")
     assignment = Assignment(a)

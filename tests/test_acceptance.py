@@ -11,6 +11,7 @@ The checks are property- and trend-based at desk scale. Stated tolerances:
 
 import time
 from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,15 +135,15 @@ def test_criterion_3_diffusion_invariants(capsys):
     y2 = rng.uniform(0.1, 2.0, size=(4, 2, 120))
     y2b = y2.copy()
     y2b[2:] *= 7.0
-    w_a = run_diffusion(y2, m2, p2, adj2, params).w
-    w_b = run_diffusion(y2b, m2, p2, adj2, params).w
+    w_a = run_diffusion(y2, m2, p2, adj2, params)
+    w_b = run_diffusion(y2b, m2, p2, adj2, params)
     assert np.array_equal(w_a[:2], w_b[:2]) and not np.array_equal(w_a[2:],
                                                                    w_b[2:])
 
     # self-only reduction equals the scalar standalone recursion bit for bit
     y3 = rng.uniform(0.2, 2.5, size=(1, 1, 120))
     got = run_diffusion(y3, np.ones((1, 1), dtype=bool), np.zeros((1, 1)),
-                        np.eye(1, dtype=bool), params).w[0, 0]
+                        np.eye(1, dtype=bool), params)[0, 0]
     w = params.initial_weight
     d = y3[0, 0, 0]
     for i in range(params.iterations):
@@ -153,12 +154,13 @@ def test_criterion_3_diffusion_invariants(capsys):
     # stability: with mu <= 1/y_max^2 weights stay in a unit-order box
     y_max = float(np.sqrt(1.0 / params.step_size))
     y4 = rng.uniform(0.0, y_max, size=(k_count, m_count, 120))
-    trace = []
-    run_diffusion(y4, np.ones((k_count, m_count), dtype=bool), p_hat,
-                  adjacency, params, trace=trace)
+    # the weights after iteration i are a run on the first i + 1 slices
     bound = max(1.0, params.initial_weight) + 1.0
-    assert all(np.isfinite(w).all() and w.max() <= bound and w.min() >= -1.0
-               for _, w, _, _ in trace)
+    for i in range(params.iterations):
+        w = run_diffusion(y4[:, :, :i + 1],
+                          np.ones((k_count, m_count), dtype=bool), p_hat,
+                          adjacency, replace(params, iterations=i + 1))
+        assert np.isfinite(w).all() and w.max() <= bound and w.min() >= -1.0
 
     _report(capsys, 3, "diffusion invariants", True,
             "simplex within 1e-9 each of 120 iterations, locality bit-exact, "
@@ -180,9 +182,9 @@ def test_criterion_4_filter_discriminability(capsys):
         u = substream(13, "disc", run).gamma(0.7, 1.0 / 0.7,
                                              size=(k_count, m_count, n_iter))
         y = clip_dynamic_range(level[None, :, None] * u, ceiling)
-        state = run_diffusion(y, mask, p_hat, topo.adjacency, params)
-        hi.append(state.w[:, 0].mean())
-        lo.append(state.w[:, 1].mean())
+        w = run_diffusion(y, mask, p_hat, topo.adjacency, params)
+        hi.append(w[:, 0].mean())
+        lo.append(w[:, 1].mean())
     hi, lo = np.array(hi), np.array(lo)
     margin = hi.mean() - lo.mean()
     se = np.sqrt(hi.var(ddof=1) / hi.size + lo.var(ddof=1) / lo.size)

@@ -9,11 +9,8 @@ from specsense.baselines import (
     DecisionMap,
     centralized_egc,
     genie,
-    noncoop_multiband,
-    noncoop_singleband,
-    proposed_multiband,
-    proposed_singleband,
     run_scheme,
+    structure_of,
 )
 from specsense.diffusion import DiffusionParams
 from specsense.metrics import (
@@ -30,10 +27,16 @@ def test_scheme_registry():
     assert SCHEME_IDS == ("genie", "proposed-multiband", "proposed-singleband",
                           "centralized", "noncoop-multiband",
                           "noncoop-singleband")
-    assert set(CALIBRATION_STRUCTURE) == {"proposed-multiband",
-                                          "proposed-singleband",
-                                          "noncoop-multiband",
-                                          "noncoop-singleband"}
+    assert CALIBRATION_STRUCTURE == {"proposed-multiband": "coop-full",
+                                     "proposed-singleband": "coop-assigned",
+                                     "noncoop-multiband": "standalone",
+                                     "noncoop-singleband": "standalone"}
+    # raw energy takes the non-cooperative schemes off the diffusion
+    for name in SCHEME_IDS:
+        assert structure_of(name, False) == CALIBRATION_STRUCTURE.get(name)
+        assert structure_of(name, True) == (
+            None if name.startswith("noncoop")
+            else CALIBRATION_STRUCTURE.get(name))
 
 
 def test_decision_map_available():
@@ -115,9 +118,12 @@ def test_noncoop_multiband_matches_proposed_on_self_graph():
     y, _, _, lam = _toy_inputs()
     params = DiffusionParams(iterations=30)
     k_count = y.shape[0]
-    [nc] = noncoop_multiband(y, params, lam)
-    [pm] = proposed_multiband(y, np.zeros((k_count, k_count)),
-                              np.eye(k_count, dtype=bool), params, lam)
+    [nc] = run_scheme("noncoop-multiband", measurements=y, params=params,
+                      thresholds=lam)
+    [pm] = run_scheme("proposed-multiband", measurements=y,
+                      reference_powers=np.zeros((k_count, k_count)),
+                      adjacency=np.eye(k_count, dtype=bool), params=params,
+                      thresholds=lam)
     assert nc.decided.all() and pm.decided.all()
     np.testing.assert_array_equal(nc.busy, pm.busy)
 
@@ -126,51 +132,70 @@ def test_noncoop_raw_energy_uses_last_window():
     y = np.full((2, 2, 5), 0.1)
     y[0, 0, -1] = 2.0       # only the final reading counts
     y[1, 1, :-1] = 9.0      # earlier readings do not
-    [d] = noncoop_multiband(y, DiffusionParams(iterations=5), None,
-                            raw_energy=True)
-    assert d.decided.all()
+    [d, half] = run_scheme("noncoop-multiband", measurements=y,
+                           gains=(1.0, 0.5), ceiling=0.5,
+                           params=DiffusionParams(iterations=5),
+                           raw_energy=True)
+    assert d.decided.all() and half.decided.all()
+    # the gain scales the reading and no ceiling clamps it
     np.testing.assert_array_equal(d.busy, [[True, False], [False, False]])
+    np.testing.assert_array_equal(half.busy, d.busy)
+    [single] = run_scheme("noncoop-singleband", measurements=y,
+                          channel_picks=np.array([0, 0]), raw_energy=True)
+    np.testing.assert_array_equal(single.busy, [[True, False], [False, False]])
+    np.testing.assert_array_equal(single.decided,
+                                  [[True, False], [True, False]])
 
 
 def test_noncoop_singleband_covers_one_channel_per_sap():
     y, _, _, lam = _toy_inputs(k_count=4, m_count=3)
     picks = np.array([0, 2, 1, 2])
-    [d] = noncoop_singleband(y, picks, DiffusionParams(iterations=30), lam)
+    params = DiffusionParams(iterations=30)
+    [d] = run_scheme("noncoop-singleband", measurements=y,
+                     channel_picks=picks, params=params, thresholds=lam)
     want = np.zeros((4, 3), dtype=bool)
     want[np.arange(4), picks] = True
     np.testing.assert_array_equal(d.decided, want)
     assert not d.busy[~want].any()
     # the decided entries agree with the multiband run of the same filter
-    [full] = noncoop_multiband(y, DiffusionParams(iterations=30), lam)
+    [full] = run_scheme("noncoop-multiband", measurements=y, params=params,
+                        thresholds=lam)
     np.testing.assert_array_equal(d.busy[want], full.busy[want])
 
 
 def test_noncoop_singleband_rejects_bad_picks():
     y, _, _, lam = _toy_inputs()
     params = DiffusionParams(iterations=30)
-    with pytest.raises(ConfigurationError):
-        noncoop_singleband(y, np.array([0, 1]), params, lam)      # wrong length
-    with pytest.raises(ConfigurationError):
-        noncoop_singleband(y, np.array([0, 1, 2]), params, lam)   # out of range
+    for raw_energy in (False, True):
+        for picks in ([0, 1],          # wrong length
+                      [0, 1, 2],       # out of range
+                      [0, -1, 1]):     # negative
+            with pytest.raises(ConfigurationError, match="channel pick"):
+                run_scheme("noncoop-singleband", measurements=y,
+                           channel_picks=np.array(picks), params=params,
+                           thresholds=lam, raw_energy=raw_energy)
 
 
 def test_proposed_schemes_decide_everywhere():
     y, p_hat, adjacency, lam = _toy_inputs(seed=7)
     params = DiffusionParams(iterations=30)
-    [pm] = proposed_multiband(y, p_hat, adjacency, params, lam)
+    network = dict(measurements=y, reference_powers=p_hat,
+                   adjacency=adjacency, params=params, thresholds=lam)
+    [pm] = run_scheme("proposed-multiband", **network)
     assert pm.decided.all()
     mask = np.array([[True, False], [False, True], [True, True]])
-    [ps] = proposed_singleband(y, mask, p_hat, adjacency, params, lam)
+    [ps] = run_scheme("proposed-singleband", sensing_mask=mask, **network)
     assert ps.decided.all()
     # where every SAP senses, the assigned variant sees the same data
     np.testing.assert_array_equal(ps.busy[2], pm.busy[2])
+    # without an assignment every SAP senses every channel
+    [unassigned] = run_scheme("proposed-singleband", **network)
+    np.testing.assert_array_equal(unassigned.busy, pm.busy)
 
 
 def test_run_scheme_dispatch_matches_direct_calls():
-    y, p_hat, adjacency, lam = _toy_inputs(seed=9)
-    params = DiffusionParams(iterations=30)
+    y, _, _, lam = _toy_inputs(seed=9)
     truth = substream(9, "t").uniform(size=y.shape[:2]) < 0.4
-    mask = np.ones(y.shape[:2], dtype=bool)
     picks = np.array([0, 1, 0])
 
     [via] = run_scheme("genie", measurements=y, truth_busy=[truth])
@@ -179,27 +204,19 @@ def test_run_scheme_dispatch_matches_direct_calls():
     [via] = run_scheme("centralized", measurements=y)
     np.testing.assert_array_equal(via.busy, centralized_egc(y).busy)
 
-    [via] = run_scheme("proposed-multiband", measurements=y,
-                       reference_powers=p_hat, adjacency=adjacency,
-                       params=params, thresholds=lam)
-    [direct] = proposed_multiband(y, p_hat, adjacency, params, lam)
-    np.testing.assert_array_equal(via.busy, direct.busy)
+    for name in ("noncoop-multiband", "noncoop-singleband"):
+        [via] = run_scheme(name, measurements=y, thresholds=lam,
+                           channel_picks=picks, raw_energy=True)
+        decided = (np.ones(y.shape[:2], dtype=bool)
+                   if name == "noncoop-multiband" else
+                   np.arange(y.shape[1]) == picks[:, None])
+        np.testing.assert_array_equal(via.decided, decided)
+        np.testing.assert_array_equal(via.busy, (y[:, :, -1] >= 1.0) & decided)
 
-    [via] = run_scheme("proposed-singleband", measurements=y,
-                       sensing_mask=mask, reference_powers=p_hat,
-                       adjacency=adjacency, params=params, thresholds=lam)
-    [direct] = proposed_singleband(y, mask, p_hat, adjacency, params, lam)
-    np.testing.assert_array_equal(via.busy, direct.busy)
-
-    [via] = run_scheme("noncoop-multiband", measurements=y, params=params,
-                       thresholds=lam, raw_energy=True)
-    [direct] = noncoop_multiband(y, params, lam, raw_energy=True)
-    np.testing.assert_array_equal(via.busy, direct.busy)
-
-    [via] = run_scheme("noncoop-singleband", measurements=y,
-                       channel_picks=picks, params=params, thresholds=lam)
-    [direct] = noncoop_singleband(y, picks, params, lam)
-    np.testing.assert_array_equal(via.busy, direct.busy)
+    # params=None runs the default filter
+    short = y[:, :, :DiffusionParams().iterations // 10]
+    with pytest.raises(ConfigurationError, match="iterations"):
+        run_scheme("noncoop-multiband", measurements=short, thresholds=lam)
 
 
 def test_run_scheme_unknown_name():

@@ -1,6 +1,7 @@
 """Tests for the combine-then-adapt engine: scalar ops, network runs, calibration."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -233,29 +234,31 @@ def _standalone_trajectory(y, params):
     return np.array(out)
 
 
+def weights_per_iteration(y, mask, p_hat, adjacency, params, **kwargs):
+    """Weights after each iteration i: a run on the frame cut to i + 1 slices."""
+    return [run_diffusion(y[:, :, :i + 1], mask, p_hat, adjacency,
+                          replace(params, iterations=i + 1), **kwargs)
+            for i in range(params.iterations)]
+
+
 def test_self_graph_reduces_to_standalone_filter_exactly():
     params = DiffusionParams(iterations=50)
     rng = substream(3, "reduce")
     y = rng.uniform(0.2, 2.5, size=(1, 1, 50))
-    trace = []
-    state = run_diffusion(y, np.ones((1, 1), dtype=bool), np.zeros((1, 1)),
-                          np.eye(1, dtype=bool), params, trace=trace)
+    network = (np.ones((1, 1), dtype=bool), np.zeros((1, 1)),
+               np.eye(1, dtype=bool))
     want = _standalone_trajectory(y[0, 0], params)
-    got = np.array([w[0, 0] for _, w, _, _ in trace])
+    got = np.array([w[0, 0] for w in
+                    weights_per_iteration(y, *network, params)])
     np.testing.assert_array_equal(got, want)        # bit-identical reduction
-    assert state.w[0, 0] == want[-1]
-    # psi always equals the previous weight on a self-only graph
-    for (i, w, _, psi) in trace[1:]:
-        assert psi[0, 0] == trace[i - 1][1][0, 0]
 
 
 def test_zero_iterations_returns_initial_state():
     params = DiffusionParams(iterations=0)
     y = np.full((2, 3, 1), 1.3)
-    state = run_diffusion(y, np.ones((2, 3), dtype=bool), np.zeros((2, 2)),
-                          np.eye(2, dtype=bool), params)
-    assert state.iteration == 0
-    np.testing.assert_array_equal(state.w, np.zeros((2, 3)))
+    w = run_diffusion(y, np.ones((2, 3), dtype=bool), np.zeros((2, 2)),
+                      np.eye(2, dtype=bool), params)
+    np.testing.assert_array_equal(w, np.zeros((2, 3)))
 
 
 def test_run_rejects_short_measurements():
@@ -286,9 +289,9 @@ def test_colocated_saps_share_trajectories():
     y_one = rng.uniform(0.1, 2.0, size=(1, 2, 40))
     y = np.repeat(y_one, 2, axis=0)
     p_hat = np.array([[0.0, 1.0], [1.0, 0.0]])
-    state = run_diffusion(y, np.ones((2, 2), dtype=bool), p_hat,
-                          np.ones((2, 2), dtype=bool), params)
-    np.testing.assert_array_equal(state.w[0], state.w[1])
+    w = run_diffusion(y, np.ones((2, 2), dtype=bool), p_hat,
+                      np.ones((2, 2), dtype=bool), params)
+    np.testing.assert_array_equal(w[0], w[1])
 
 
 def test_locality_under_non_neighbor_perturbation():
@@ -306,8 +309,8 @@ def test_locality_under_non_neighbor_perturbation():
     y_pert = y.copy()
     y_pert[2:] = rng.uniform(10.0, 20.0, size=(2, 3, 30))
     pert = run_diffusion(y_pert, mask, p_hat, adjacency, params)
-    np.testing.assert_array_equal(base.w[:2], pert.w[:2])
-    assert not np.array_equal(base.w[2:], pert.w[2:])
+    np.testing.assert_array_equal(base[:2], pert[:2])
+    assert not np.array_equal(base[2:], pert[2:])
 
 
 def _random_network(rng, k_count, m_count, density=0.5, sensed=0.6,
@@ -332,7 +335,7 @@ def test_network_run_matches_per_sap_oracle():
     adjacency, mask, p_hat = _random_network(rng, 6, 4, density=0.4)
     mask[:, 3] = False                   # nobody senses channel 3: frozen
     y = rng.uniform(0.05, 3.0, size=(6, 4, 40))
-    got = run_diffusion(y, mask, p_hat, adjacency, params).w
+    got = run_diffusion(y, mask, p_hat, adjacency, params)
     want = per_sap_oracle(y, mask, p_hat, adjacency, params)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(got[:, 3], params.initial_weight)
@@ -356,11 +359,11 @@ def test_batched_gains_match_single_gain_runs(k_count, m_count, n_iter, seed,
 
     def single(g):
         return run_diffusion(clip_dynamic_range(y * g, ceiling), mask, p_hat,
-                             adjacency, params).w
+                             adjacency, params)
 
     try:
         w = run_diffusion(y, mask, p_hat, adjacency, params, gains=gains,
-                          ceiling=ceiling).w
+                          ceiling=ceiling)
     except DivergenceError as exc:
         for g in gains[:exc.gain_index]:
             assert np.isfinite(single(g)).all()
@@ -481,7 +484,7 @@ def test_slot_kernel_matches_dense_oracle(k_count, m_count, n_iter, seed, kind,
             run_diffusion(*args)
         assert got.value.gain_index == exc.gain_index
         return
-    got = run_diffusion(*args).w
+    got = run_diffusion(*args)
     if m_count >= 2:
         assert np.array_equal(got, want)
     else:
@@ -517,10 +520,8 @@ def test_unsensed_channel_follows_informative_neighbor_delayed():
     y = rng.uniform(0.2, 1.5, size=(2, 2, 20))
     mask = np.array([[True, False], [False, True]])
     p_hat = np.array([[0.0, 0.7], [0.7, 0.0]])
-    trace = []
-    run_diffusion(y, mask, p_hat, np.ones((2, 2), dtype=bool), params,
-                  trace=trace)
-    weights = [w for _, w, _, _ in trace]
+    weights = weights_per_iteration(y, mask, p_hat,
+                                    np.ones((2, 2), dtype=bool), params)
     for i in range(1, len(weights)):
         assert weights[i][0, 1] == weights[i - 1][1, 1]
         assert weights[i][1, 0] == weights[i - 1][0, 0]
@@ -534,9 +535,9 @@ def test_freeze_without_informative_neighbor():
     y = substream(17, "freeze").uniform(0.5, 1.5, size=(2, 2, 25))
     mask = np.array([[True, False], [True, False]])
     p_hat = np.array([[0.0, 1.0], [1.0, 0.0]])
-    state = run_diffusion(y, mask, p_hat, np.ones((2, 2), dtype=bool), params)
-    np.testing.assert_array_equal(state.w[:, 1], [0.2, 0.2])
-    assert (state.w[:, 0] != 0.2).all()
+    w = run_diffusion(y, mask, p_hat, np.ones((2, 2), dtype=bool), params)
+    np.testing.assert_array_equal(w[:, 1], [0.2, 0.2])
+    assert (w[:, 0] != 0.2).all()
 
 
 def test_beta_set_all_neighbors_variant():
@@ -551,11 +552,8 @@ def test_beta_set_all_neighbors_variant():
 
     lone = DiffusionParams(iterations=10)
     both = DiffusionParams(iterations=10, beta_set="all-neighbors")
-    t_lone, t_both = [], []
-    run_diffusion(y, mask, p_hat, adjacency, lone, trace=t_lone)
-    run_diffusion(y, mask, p_hat, adjacency, both, trace=t_both)
-    w_lone = [w for _, w, _, _ in t_lone]
-    w_both = [w for _, w, _, _ in t_both]
+    w_lone = weights_per_iteration(y, mask, p_hat, adjacency, lone)
+    w_both = weights_per_iteration(y, mask, p_hat, adjacency, both)
     # informative: SAP 0 ch0 copies SAP 1's previous weight outright
     assert w_lone[3][0, 0] == w_lone[2][1, 0]
     # all-neighbors: 3/4 on SAP 1 plus 1/4 on SAP 2's frozen ch0 weight
@@ -570,11 +568,9 @@ def test_stability_bound_under_step_size_rule():
     y_max = float(np.sqrt(1.0 / params.step_size))
     rng = substream(23, "stable")
     y = rng.uniform(0.0, y_max, size=(3, 2, 150))
-    trace = []
-    run_diffusion(y, np.ones((3, 2), dtype=bool),
-                  np.where(~np.eye(3, dtype=bool), 1.0, 0.0),
-                  np.ones((3, 3), dtype=bool), params, trace=trace)
-    for _, w, _, _ in trace:
+    for w in weights_per_iteration(y, np.ones((3, 2), dtype=bool),
+                                   np.where(~np.eye(3, dtype=bool), 1.0, 0.0),
+                                   np.ones((3, 3), dtype=bool), params):
         assert np.isfinite(w).all()
         assert w.max() <= 2.0 + 1e-9
         assert w.min() >= -1.0

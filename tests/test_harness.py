@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specsense import propagation
+from specsense.baselines import run_scheme
 from specsense.cli import main
-from specsense.diffusion import DiffusionParams
+from specsense.diffusion import (DiffusionParams, calibrate_threshold, decide,
+                                 default_ceiling, run_diffusion)
 from specsense.harness import (
     Campaign,
     calibrate_campaign,
@@ -20,11 +22,14 @@ from specsense.harness import (
     prepare_realization,
     read_results_csv,
     representative_assignment,
+    representative_reference_powers,
     run_campaign,
     write_results_csv,
 )
 from specsense.model import (ConfigurationError, scenario_from_dict,
                              scenario_to_dict)
+from specsense.propagation import threshold_gain
+from specsense.seeding import substream
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +204,74 @@ def test_calibration_covers_only_needed_structures(small_campaign):
     raw = replace(small_campaign, noncoop_raw_energy=True)
     assert set(calibrate_campaign(raw, rep)) == {"coop-full", "coop-assigned"}
     assert calibrate_campaign(replace(solo, noncoop_raw_energy=True), None) == {}
+
+
+def test_schemes_and_calibration_share_literal_networks(small_campaign):
+    # the three networks written out by hand: every diffusion scheme decides
+    # on its network, and its λ was trained on the same network built from
+    # the representative inputs. On the grid every neighbor is equally far,
+    # so a random layout is needed to tell reference powers apart.
+    scattered = generate_scenario(
+        "large-synthetic", seed=21, sap_count=12, region_m=400.0,
+        radius_m=250.0, incumbent_count=3, channelization="lte-m",
+        total_bandwidth_hz=11.2e6, sap_bandwidth_hz=2.8e6,
+        incumbent_bandwidth_hz=2.8e6)
+    for campaign in (small_campaign,
+                     replace(small_campaign, scenario=scattered)):
+        _check_literal_networks(campaign)
+
+
+def _check_literal_networks(campaign):
+    scn = campaign.scenario
+    k, m = scn.topology.count, scn.spectrum.channel_count
+    adjacency = scn.topology.adjacency
+    ceiling = default_ceiling(campaign.diffusion)
+
+    def networks(mask, p_hat):
+        full = np.ones((k, m), dtype=bool)
+        return {"coop-full": (full, p_hat, adjacency),
+                "coop-assigned": (mask, p_hat, adjacency),
+                "standalone": (full, np.zeros((k, k)),
+                               np.eye(k, dtype=bool))}
+
+    rep = representative_assignment(campaign)
+    lams = calibrate_campaign(campaign, rep)
+    rep_nets = networks(rep.sensing_mask(scn.spectrum),
+                        representative_reference_powers(
+                            scn, campaign.reference_dbm))
+    assert set(lams) == set(rep_nets)
+    for name, network in rep_nets.items():
+        want = calibrate_threshold(
+            *network, campaign.diffusion,
+            substream(campaign.seed, "calibrate", name),
+            calibration_runs=campaign.calibration_runs,
+            estimate_shape=scn.propagation.estimate_shape, ceiling=ceiling)
+        assert np.array_equal(lams[name], want), name
+
+    inputs = prepare_realization(campaign, 0)
+    live_nets = networks(inputs.sensing_mask, inputs.reference_powers)
+    gains = [threshold_gain(campaign.reference_dbm, t)
+             for t in campaign.thresholds_dbm]
+    picked = np.arange(m) == inputs.picks[:, None]
+    for scheme, structure in (("proposed-multiband", "coop-full"),
+                              ("proposed-singleband", "coop-assigned"),
+                              ("noncoop-multiband", "standalone"),
+                              ("noncoop-singleband", "standalone")):
+        maps = run_scheme(scheme, measurements=inputs.frame.y, gains=gains,
+                          ceiling=ceiling, sensing_mask=inputs.sensing_mask,
+                          reference_powers=inputs.reference_powers,
+                          adjacency=adjacency, params=campaign.diffusion,
+                          thresholds=lams[structure],
+                          channel_picks=inputs.picks)
+        w = run_diffusion(inputs.frame.y, *live_nets[structure],
+                          campaign.diffusion, gains=gains, ceiling=ceiling)
+        decided = (picked if scheme == "noncoop-singleband"
+                   else np.ones((k, m), dtype=bool))
+        assert len(maps) == len(gains)
+        for t, dm in enumerate(maps):
+            busy = decide(w[:, t * m:(t + 1) * m], lams[structure])
+            assert np.array_equal(dm.decided, decided), scheme
+            assert np.array_equal(dm.busy, busy & decided), scheme
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -200,6 +200,35 @@ def test_scenario_dict_rejects_bad_signal_bandwidth(width):
         scenario_from_dict(spec)
 
 
+BAD_PLACEMENTS = [
+    ((float("nan"), 0.0), 1.5, "position"),
+    ((0.0, float("inf")), 1.5, "position"),
+    ((0.0,), 1.5, "position"),
+    ((0.0, 0.0, 0.0), 1.5, "position"),
+    ((0.0, 0.0), float("nan"), "height"),
+    ((0.0, 0.0), float("inf"), "height"),
+    ((0.0, 0.0), -5.0, "height"),
+    ((0.0, 0.0), 0.0, "height"),
+]
+
+
+@pytest.mark.parametrize("position, height, field", BAD_PLACEMENTS)
+def test_incumbent_rejects_bad_position_and_height(position, height, field):
+    # a NaN coordinate or height made the ground truth NaN, read as free
+    with pytest.raises(ConfigurationError, match=field):
+        Incumbent(position, height, 30.0, 20e6, 5.40e9)
+
+
+@pytest.mark.parametrize("position, height, field", BAD_PLACEMENTS)
+def test_scenario_dict_rejects_bad_position_and_height(position, height,
+                                                       field):
+    spec = scenario_to_dict(_small_scenario())
+    spec["incumbents"][0]["position"] = list(position)
+    spec["incumbents"][0]["height_m"] = height
+    with pytest.raises(ConfigurationError, match=field):
+        scenario_from_dict(spec)
+
+
 def test_substream_independence_and_stability():
     # named substreams are stable across calls and distinct across tags
     a1 = substream(5, "alpha").uniform(size=4)
