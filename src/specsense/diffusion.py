@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConfigurationError
+from .propagation import estimation_noise
 
 
 @dataclass(frozen=True)
@@ -217,21 +218,18 @@ def calibrate_threshold(sensing_mask, reference_powers, adjacency, params, rng,
 
     Feeds the network injected samples of known energy 1.0 (the normalized
     reference level) on every channel, corrupted only by the receiver's own
-    estimation noise (unit-mean Gamma with ``estimate_shape``; None for
-    noiseless), and averages the resulting final weights over
-    ``calibration_runs`` runs. The same receiver ``ceiling`` used on live
-    measurements must be supplied here. In normalized units the result is
-    threshold-independent. A run whose weights go non-finite raises
-    DivergenceError.
+    estimation noise (``propagation.estimation_noise`` with
+    ``estimate_shape``, drawn serially on the calling thread), and averages
+    the resulting final weights over ``calibration_runs`` runs. The same
+    receiver ``ceiling`` used on live measurements must be supplied here.
+    In normalized units the result is threshold-independent. A run whose
+    weights go non-finite raises DivergenceError.
     """
     k_count, m_count = sensing_mask.shape
     shape = (k_count, m_count, params.iterations)
     total = np.zeros((k_count, m_count))
     for _ in range(calibration_runs):
-        if estimate_shape is None:
-            u = np.ones(shape)
-        else:
-            u = rng.gamma(estimate_shape, 1.0 / estimate_shape, size=shape)
+        u = estimation_noise(np.empty(shape), estimate_shape, rng)
         total += run_diffusion(u, sensing_mask, reference_powers, adjacency,
                                params, ceiling=ceiling)
     return total / calibration_runs

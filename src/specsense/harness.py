@@ -1,9 +1,10 @@
 """Monte-Carlo campaign orchestration and result emission.
 
 A campaign sweeps decision thresholds over many realizations of one
-scenario. Per realization, ``prepare_realization`` computes the ground
-truth at a fixed reference level, draws the measurement frame from it and
-draws every other scheme input; then one decide step runs each scheme once
+scenario. Per realization, ``prepare_realization`` draws the estimation
+noise on a helper thread while it computes the ground truth at a fixed
+reference level and draws every other scheme input; the frame is the truth
+times that noise. Then one decide step runs each scheme once
 over the whole sweep: threshold t is the frame times the gain that maps t
 to 1.0 in normalized units. Raw energy detectors (centralized, and the
 raw-energy non-cooperative variant) see the rescaled frame as-is;
@@ -19,12 +20,14 @@ All randomness flows through named substreams of the master seed, so reruns
 are byte-identical and realizations are order-independent.
 """
 
+import contextlib
 import csv
 import json
 import logging
 import os
+import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -40,9 +43,10 @@ from .model import (ConfigurationError, Incumbent, Scenario,
                     build_spectrum_plan, check_quota_feasible,
                     scenario_to_dict)
 from .propagation import (GroundTruth, MeasurementFrame, PropagationParams,
-                          generate_measurements, generate_reference_powers,
-                          compute_ground_truth, norm_to_dbm, pathloss_db,
-                          realize_links, threshold_gain)
+                          estimation_noise, generate_measurements,
+                          generate_reference_powers, compute_ground_truth,
+                          norm_to_dbm, pathloss_db, realize_links,
+                          threshold_gain)
 from .scheduler import cost_from_reference_powers, heuristic_assign
 from .seeding import substream
 
@@ -203,40 +207,43 @@ def prepare_realization(campaign, r):
     """Draw realization ``r``: propagation state, truth, frame, scheme inputs.
 
     The frame is the truth times estimation noise, so the realized level is
-    computed once.
+    computed once. The noise depends on nothing else: a helper thread draws
+    it (numpy releases the GIL) into a buffer allocated on this thread.
     """
     scn = campaign.scenario
     seed = campaign.seed
     ref = campaign.reference_dbm
     topo = scn.topology
-
-    links = realize_links(scn, substream(seed, "bands", r),
-                          substream(seed, "shadow", r),
-                          substream(seed, "fading", r))
-    truth = compute_ground_truth(scn, links, ref)
-    frame = generate_measurements(scn, truth, campaign.diffusion.iterations,
-                                  substream(seed, "estimate", r))
-    p_hat = generate_reference_powers(scn, links.sap_gain_db, ref)
-
-    sensing_mask = None
-    if "proposed-singleband" in campaign.schemes:
-        cost = cost_from_reference_powers(p_hat, scn.spectrum.subset_count)
-        assignment, _ = heuristic_assign(
-            cost, topo.positions, scn.spectrum.quota,
-            substream(seed, "assign", r), campaign.scheduler_restarts)
-        sensing_mask = assignment.sensing_mask(scn.spectrum)
-
-    picks = None
-    if "noncoop-singleband" in campaign.schemes:
-        picks = substream(seed, "pick", r).integers(
-            scn.spectrum.channel_count, size=topo.count)
-
-    devices = None
-    if campaign.device_count > 0:
-        x0, y0, x1, y1 = topo.bounding_box()
-        u = substream(seed, "devices", r).uniform(size=(campaign.device_count, 2))
-        devices = np.column_stack([x0 + u[:, 0] * (x1 - x0),
-                                   y0 + u[:, 1] * (y1 - y0)])
+    buffer = np.empty((topo.count, scn.spectrum.channel_count,
+                       campaign.diffusion.iterations))
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        noise = helper.submit(estimation_noise, buffer,
+                              scn.propagation.estimate_shape,
+                              substream(seed, "estimate", r))
+        links = realize_links(scn, substream(seed, "bands", r),
+                              substream(seed, "shadow", r),
+                              substream(seed, "fading", r))
+        truth = compute_ground_truth(scn, links, ref)
+        p_hat = generate_reference_powers(scn, links.sap_gain_db, ref)
+        sensing_mask = None
+        if "proposed-singleband" in campaign.schemes:
+            cost = cost_from_reference_powers(p_hat, scn.spectrum.subset_count)
+            assignment, _ = heuristic_assign(
+                cost, topo.positions, scn.spectrum.quota,
+                substream(seed, "assign", r), campaign.scheduler_restarts)
+            sensing_mask = assignment.sensing_mask(scn.spectrum)
+        picks = None
+        if "noncoop-singleband" in campaign.schemes:
+            picks = substream(seed, "pick", r).integers(
+                scn.spectrum.channel_count, size=topo.count)
+        devices = None
+        if campaign.device_count > 0:
+            x0, y0, x1, y1 = topo.bounding_box()
+            u = substream(seed, "devices", r).uniform(
+                size=(campaign.device_count, 2))
+            devices = np.column_stack([x0 + u[:, 0] * (x1 - x0),
+                                       y0 + u[:, 1] * (y1 - y0)])
+        frame = generate_measurements(truth, noise.result())
     return RealizationInputs(frame, truth, p_hat, sensing_mask, picks, devices)
 
 
@@ -313,7 +320,7 @@ def _worker_init(campaign, lams):
 
 
 def _worker_run(r):
-    return r, run_realization(_WORKER_CTX["campaign"], _WORKER_CTX["lams"], r)
+    return run_realization(_WORKER_CTX["campaign"], _WORKER_CTX["lams"], r)
 
 
 # ---------------------------------------------------------------------------
@@ -328,23 +335,25 @@ def run_campaign(campaign, out_dir):
     lams = _calibrate(campaign)
     log.info("calibrated %d structure/threshold pairs", len(lams))
 
-    per_real = [None] * campaign.realizations
-    checksums = [None] * campaign.realizations
-    if campaign.workers == 1:
-        for r in range(campaign.realizations):
-            checksums[r], per_real[r] = run_realization(campaign, lams, r)
-            log.info("realization %d frame crc32 %08x", r, checksums[r])
-    else:
-        # workers receive the campaign itself (pickled under spawn), so
-        # every field reaches them unchanged
-        with ProcessPoolExecutor(max_workers=campaign.workers,
-                                 initializer=_worker_init,
-                                 initargs=(replace(campaign, workers=1),
-                                           lams)) as pool:
-            for r, (crc, res) in pool.map(_worker_run,
-                                          range(campaign.realizations)):
-                checksums[r], per_real[r] = crc, res
-                log.info("realization %d frame crc32 %08x", r, crc)
+    total = campaign.realizations
+    per_real, checksums = [], []
+    start = time.perf_counter()
+    with contextlib.ExitStack() as stack:
+        outcomes = (run_realization(campaign, lams, r) for r in range(total))
+        if campaign.workers > 1:
+            # workers receive the campaign itself (pickled under spawn), so
+            # every field reaches them unchanged; map yields in order
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=campaign.workers, initializer=_worker_init,
+                initargs=(replace(campaign, workers=1), lams)))
+            outcomes = pool.map(_worker_run, range(total))
+        for done, (crc, res) in enumerate(outcomes, 1):
+            checksums.append(crc)
+            per_real.append(res)
+            elapsed = time.perf_counter() - start
+            log.info("realization %d/%d frame crc32 %08x: %.1f s elapsed, "
+                     "ETA %.1f s", done, total, crc, elapsed,
+                     elapsed / done * (total - done))
 
     rows = []
     for scheme in campaign.schemes:

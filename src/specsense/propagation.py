@@ -11,9 +11,10 @@ window (block fading). Ground truth is the realized energy level present at
 each SAP this window: noise floor plus the shadowed, faded incumbent power,
 computed once by ``compute_ground_truth``. Per iteration: only the
 energy-estimation noise of the detector, a unit-mean Gamma factor whose shape
-is the effective number of averaged signal samples. The measurement frame is
-the truth times that noise, so the detectors only ever see the truth through
-noisy per-window estimates.
+is the effective number of averaged signal samples, drawn by
+``estimation_noise`` (in a campaign, on a helper thread while the links are
+realized). The frame is the truth times that noise, so the detectors only
+ever see the truth through noisy per-window estimates.
 """
 
 from dataclasses import dataclass
@@ -220,8 +221,8 @@ def realize_links(scenario, rng_bands, rng_shadow, rng_fading=None):
     LOS states), ``rng_shadow`` the shadowing, ``rng_fading`` the
     block-fading gains (defaults to ``rng_shadow`` when omitted). All three
     shape ground truth, which is the realized (shadowed, faded) level; only
-    the estimation noise drawn by ``generate_measurements`` is confined to
-    the measurements.
+    the estimation noise drawn by ``estimation_noise`` is confined to the
+    measurements.
     """
     topo = scenario.topology
     plan = scenario.spectrum
@@ -322,23 +323,28 @@ def compute_ground_truth(scenario, links, ref_dbm):
     return GroundTruth(v + received_level(scenario, links, ref_dbm), ref_dbm)
 
 
-def generate_measurements(scenario, truth, iterations, rng_estimate):
+def estimation_noise(out, estimate_shape, rng):
+    """Fill ``out`` with unit-mean Gamma(``estimate_shape``) factors; return it.
+
+    Bit-equal to ``rng.gamma(shape, 1 / shape, out.shape)``; None fills ones
+    (noiseless). Touches only ``out`` and ``rng``, so any thread may run it.
+    """
+    if estimate_shape is None:
+        out.fill(1.0)
+    else:
+        rng.standard_gamma(estimate_shape, out=out)
+        out *= 1.0 / estimate_shape
+    return out
+
+
+def generate_measurements(truth, noise):
     """Energy frame Y[k, m, i]: the true level times estimation noise.
 
-    The per-iteration factor is unit-mean Gamma with the receiver's
-    ``estimate_shape`` (None: noiseless estimates, every window reads the
-    truth exactly). The noise draw is scaled in place and becomes the
-    frame, so no second (K, M, N) array is held.
+    ``noise``, the (K, M, N) draw of ``estimation_noise`` (made off the
+    calling thread in a campaign), is scaled in place and becomes the frame.
     """
-    level = truth.true_energy[:, :, None]
-    shape = scenario.propagation.estimate_shape
-    if shape is None:
-        y = np.repeat(level, iterations, axis=2)
-    else:
-        y = rng_estimate.gamma(shape, 1.0 / shape,
-                               size=truth.true_energy.shape + (iterations,))
-        y *= level
-    return MeasurementFrame(y, truth.ref_dbm)
+    noise *= truth.true_energy[:, :, None]
+    return MeasurementFrame(noise, truth.ref_dbm)
 
 
 def generate_reference_powers(scenario, sap_gain_db, ref_dbm):

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigurationError
+from .model import ConfigurationError, uniform_quota
+from .seeding import substream
 
 DFS_SAP_LIMIT = 20
 
@@ -350,10 +351,11 @@ def benchmark_gap(sap_counts, subset_count, instances, master_seed,
 
     Returns one row per entry of ``sap_counts``:
     {sap_count, mean_gap_pct, std_gap_pct, mean_exact, mean_heuristic, instances}.
+    Empty sizes, a size < 2, or zero subsets or instances: ConfigurationError.
     """
-    from .model import uniform_quota
-    from .seeding import substream
-
+    if min(sap_counts, default=0) < 2 or subset_count < 1 or instances < 1:
+        raise ConfigurationError(
+            "gap benchmark needs sizes >= 2, subsets >= 1 and instances >= 1")
     rows = []
     for k_count in sap_counts:
         quota = uniform_quota(subset_count, k_count)

@@ -27,8 +27,8 @@ from specsense.metrics import (correct_decision_pct, misdetection_probability,
                                utilization_ratio)
 from specsense.model import build_grid_topology, uniform_quota
 from specsense.propagation import (compute_ground_truth, dbm_to_norm,
-                                   generate_measurements, noise_floor_dbm,
-                                   realize_links)
+                                   estimation_noise, generate_measurements,
+                                   noise_floor_dbm, realize_links)
 from specsense.scheduler import (benchmark_gap, build_cost_tensor,
                                  heuristic_assign, pick_min_cost_sap,
                                  solve_exact)
@@ -267,8 +267,10 @@ def test_criterion_6_centralized_verdict_and_genie(capsys):
                               scenario.rng("shadow", r),
                               scenario.rng("fading", r))
         truth = compute_ground_truth(scenario, links, ref)
-        frame = generate_measurements(scenario, truth, iterations,
-                                      scenario.rng("estimate", r))
+        noise = estimation_noise(
+            np.empty(truth.true_energy.shape + (iterations,)),
+            scenario.propagation.estimate_shape, scenario.rng("estimate", r))
+        frame = generate_measurements(truth, noise)
         busy = truth.busy_at(ref)
 
         [dm] = run_scheme("centralized", measurements=frame.y)

@@ -1,6 +1,9 @@
 """Tests for campaign orchestration, scenario templates, emission, and the CLI."""
 
 import json
+import logging
+import re
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specsense import propagation
+from specsense import harness, propagation
 from specsense.baselines import run_scheme
 from specsense.cli import main
 from specsense.diffusion import (DiffusionParams, calibrate_threshold, decide,
@@ -180,6 +183,47 @@ def test_realized_level_computed_once_per_realization(small_campaign,
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("template, overrides", [
+    ("small-grid", dict(side_count=3, incumbent_count=3)),
+    ("large-synthetic", dict(sap_count=10, incumbent_count=5,
+                             total_bandwidth_hz=20e6, sap_bandwidth_hz=5e6,
+                             incumbent_bandwidth_hz=20e6)),
+])
+def test_frame_is_the_serial_noise_draw_times_truth(template, overrides):
+    # the helper thread draws the same bits as one serial Gamma draw
+    scn = generate_scenario(template, seed=8, **overrides)
+    campaign = Campaign(scenario=scn, realizations=2,
+                        diffusion=DiffusionParams(iterations=9),
+                        device_count=4)
+    k = scn.propagation.estimate_shape
+    for r in range(2):
+        inputs = prepare_realization(campaign, r)
+        noise = substream(campaign.seed, "estimate", r).gamma(
+            k, 1.0 / k, size=inputs.truth.true_energy.shape + (9,))
+        want = noise * inputs.truth.true_energy[:, :, None]
+        assert np.array_equal(inputs.frame.y, want)
+
+
+class _Boom(RuntimeError):
+    pass
+
+
+def _boom(*_args, **_kwargs):
+    raise _Boom("injected")
+
+
+@pytest.mark.parametrize("name", ["estimation_noise", "realize_links"])
+def test_errors_on_either_thread_leave_prepare_realization(small_campaign,
+                                                           monkeypatch, name):
+    # a failing noise draw (helper thread) or link draw (calling thread)
+    # raises its own exception, and the helper thread is joined
+    threads = threading.active_count()
+    monkeypatch.setattr(harness, name, _boom)
+    with pytest.raises(_Boom, match="injected"):
+        prepare_realization(small_campaign, 0)
+    assert threading.active_count() == threads
+
+
 def test_calibration_covers_only_needed_structures(small_campaign):
     rep = representative_assignment(small_campaign)
     lams = calibrate_campaign(small_campaign, rep)
@@ -338,6 +382,26 @@ def test_rerun_is_byte_identical(small_campaign, campaign_output, tmp_path):
         assert fh.read() == gh.read()
 
 
+def test_progress_log_counts_elapsed_and_eta(small_campaign, campaign_output,
+                                            tmp_path, caplog):
+    with caplog.at_level(logging.INFO, logger="specsense"):
+        results_path, summary_path = run_campaign(small_campaign, tmp_path)
+    progress = [re.fullmatch(r"realization (\d+)/2 frame crc32 ([0-9a-f]{8}): "
+                             r"(\d+\.\d) s elapsed, ETA (\d+\.\d) s",
+                             rec.getMessage())
+                for rec in caplog.records if "crc32" in rec.getMessage()]
+    assert all(progress) and len(progress) == 2
+    assert [int(m[1]) for m in progress] == [1, 2]
+    with open(summary_path, encoding="utf-8") as fh:
+        assert [m[2] for m in progress] == json.load(fh)["frame_crc32"]
+    assert float(progress[0][3]) <= float(progress[1][3])
+    assert float(progress[-1][4]) == 0.0
+    # logging leaves the outputs' bytes alone
+    for path, ref in zip((results_path, summary_path), campaign_output):
+        with open(path, "rb") as fh, open(ref, "rb") as gh:
+            assert fh.read() == gh.read()
+
+
 def test_workers_match_serial(small_campaign, campaign_output, tmp_path):
     par = replace(small_campaign, workers=2)
     results_path, _ = run_campaign(par, tmp_path)
@@ -490,3 +554,11 @@ def test_cli_reports_errors(tmp_path, capsys):
     assert rc == 1
     assert "calibration_runs" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+    for flags in (["--sizes", "1"], ["--sizes", ""],
+                  ["--sizes", "8", "--instances", "0"],
+                  ["--sizes", "8", "--subsets", "0"]):
+        rc = main(["gap-benchmark", *flags, "--out", str(tmp_path / "g.csv")])
+        assert rc == 1
+        assert "gap benchmark needs" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()

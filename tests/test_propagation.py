@@ -22,6 +22,7 @@ from specsense.propagation import (
     channel_overlap_fraction,
     compute_ground_truth,
     dbm_to_norm,
+    estimation_noise,
     generate_measurements,
     generate_reference_powers,
     los_probability,
@@ -132,10 +133,17 @@ def _det_params(**kw):
     return PropagationParams(**base)
 
 
+def _noise(scn, truth, iterations, rng_estimate):
+    """Estimation noise for a (K, M, ``iterations``) frame of ``truth``."""
+    return estimation_noise(np.empty(truth.true_energy.shape + (iterations,)),
+                            scn.propagation.estimate_shape, rng_estimate)
+
+
 def _measure(scn, links, iterations, rng_estimate):
     """Frame of one realization, drawn from its ground truth at -62 dBm."""
     truth = compute_ground_truth(scn, links, -62.0)
-    return generate_measurements(scn, truth, iterations, rng_estimate)
+    return generate_measurements(truth, _noise(scn, truth, iterations,
+                                               rng_estimate))
 
 
 def test_measurements_match_independent_link_budget():
@@ -303,7 +311,8 @@ def test_ground_truth_is_the_realized_level():
     # shadowing and fading shift the realized level, hence the truth
     assert not np.array_equal(ta.true_energy, tb.true_energy)
     # with estimation noise off, every window reads exactly the true level
-    frame = generate_measurements(scn, ta, 4, scn.rng("estimate", 0))
+    frame = generate_measurements(ta, _noise(scn, ta, 4,
+                                             scn.rng("estimate", 0)))
     expected = np.broadcast_to(ta.true_energy[:, :, None], frame.y.shape)
     assert np.array_equal(frame.y, expected)
     assert frame.ref_dbm == ta.ref_dbm
@@ -477,19 +486,24 @@ def test_overlap_fraction_rows_equal_scalar_calls():
         assert np.array_equal(row, channel_overlap_fraction(plan, c, w))
 
 
-@pytest.mark.parametrize("shape", [0.7, None])
+@pytest.mark.parametrize("shape", [0.3, 0.7, 1.0, 25.0, None])
 def test_frame_is_level_times_noise_from_its_substream(shape):
     scn = _scenario(PropagationParams(estimate_shape=shape))
     links = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 0),
                           scn.rng("fading", 0))
     truth = compute_ground_truth(scn, links, -62.0)
-    frame = generate_measurements(scn, truth, 6, scn.rng("estimate", 2))
-    level = truth.true_energy[:, :, None]
+    size = truth.true_energy.shape + (6,)
+    # drawn into a caller's buffer, the noise keeps the bits of the one-call
+    # unit-mean Gamma draw; None is noiseless
+    noise = _noise(scn, truth, 6, scn.rng("estimate", 2))
     if shape is None:
-        want = np.repeat(level, 6, axis=2)
+        assert np.array_equal(noise, np.ones(size))
     else:
-        want = level * scn.rng("estimate", 2).gamma(
-            shape, 1.0 / shape, size=truth.true_energy.shape + (6,))
+        assert np.array_equal(noise, scn.rng("estimate", 2).gamma(
+            shape, 1.0 / shape, size=size))
+    want = truth.true_energy[:, :, None] * noise
+    frame = generate_measurements(truth, noise)
+    assert frame.y is noise                     # scaled in place
     assert np.array_equal(frame.y, want)
     # the realization checksum reads the frame's buffer directly
     assert frame.y.flags.c_contiguous

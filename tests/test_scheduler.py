@@ -352,6 +352,18 @@ def test_assignment_sensing_mask_shape():
 # Gap benchmark
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("sizes, subsets, instances", [
+    ([1], 1, 2), ([0], 1, 2),       # the exact objective is 0
+    ([3], 0, 2),                    # no subset to split the SAPs over
+    ([8], 4, 0),                    # no instance to average
+    ([8, 1], 4, 2),                 # one bad size fails the whole call
+    ([], 4, 2),                     # no size: an empty table
+])
+def test_benchmark_gap_rejects_degenerate_input(sizes, subsets, instances):
+    with pytest.raises(ConfigurationError, match="gap benchmark needs"):
+        benchmark_gap(sizes, subsets, instances, master_seed=1)
+
+
 def test_benchmark_gap_schema_and_sign():
     rows = benchmark_gap((6, 8), 2, 4, master_seed=47)
     assert [r["sap_count"] for r in rows] == [6, 8]
