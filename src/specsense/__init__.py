@@ -6,6 +6,8 @@ subset assignment), diffusion (cooperative detection), baselines (comparison
 schemes), metrics, harness (Monte-Carlo campaigns), cli.
 """
 
+__version__ = "0.1.0"  # before the submodules, which record it
+
 from .baselines import SCHEME_IDS, DecisionMap
 from .diffusion import DiffusionParams, run_diffusion
 from .harness import Campaign, generate_scenario, run_campaign
@@ -17,8 +19,6 @@ from .propagation import MeasurementFrame, PropagationParams
 from .scheduler import (Assignment, benchmark_gap, build_cost_tensor,
                         heuristic_assign, solve_exact)
 from .seeding import substream
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Assignment",

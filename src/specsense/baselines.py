@@ -113,7 +113,8 @@ def run_scheme(name, *, measurements, gains=(1.0,), ceiling=None,
     ``measurements * gains[t]``. Adaptive-filter schemes see the rescaled
     frame through the receiver ``ceiling``, raw energy detectors see it
     as-is, and ``truth_busy`` holds the genie's busy map per gain.
-    ``centralized`` rescales into one buffer reused for every gain.
+    ``centralized`` scales one frame mean per gain, rescaling the frame only
+    where rounding could flip a verdict; it rejects a negative frame.
 
     A diffusion scheme decides its structure's network (``sensing_mask``
     None: every SAP senses every channel) against ``thresholds``; under
@@ -123,13 +124,31 @@ def run_scheme(name, *, measurements, gains=(1.0,), ceiling=None,
     """
     if name == "genie":
         return [genie(busy) for _, busy in zip(gains, truth_busy, strict=True)]
+    k_count, m_count, n_iter = measurements.shape
     if name == "centralized":
-        scaled = np.empty_like(measurements)
-        return [centralized_egc(np.multiply(measurements, g, out=scaled))
-                for g in gains]
+        # For entries y >= 0 and n = K*N, computed mean(y*g) and mean(y)*g
+        # carry at most n + 1 roundings per nonnegative term (none subnormal
+        # while g < 2**1022), so both lie within γ = (n+1)u/(1 - (n+1)u),
+        # u = eps/2, of the real value. Verdicts differ only if 1.0 lies
+        # between them, within 2γ/(1 - γ)*stat of stat; (n + 4)*eps*stat
+        # bounds that while (n + 1)(n + 4)*eps <= 3 (n <= 1e8), and such
+        # gains rescale the frame. A NaN stat is False on both paths; an
+        # infinite one always rescales.
+        if measurements.min() < 0:
+            raise ConfigurationError("centralized needs a nonnegative frame")
+        mean = measurements.mean(axis=(0, 2))
+        margin = (k_count * n_iter + 4) * np.finfo(mean.dtype).eps
+        scaled, maps = None, []     # one rescaling buffer, allocated on demand
+        for g in gains:
+            stat = mean * g
+            if np.any(np.abs(stat - 1.0) <= margin * stat):
+                scaled = np.multiply(measurements, g, out=scaled)
+                maps.append(centralized_egc(scaled))
+            else:
+                maps.append(_full_map(np.tile(stat >= 1.0, (k_count, 1))))
+        return maps
     if name not in SCHEME_IDS:
         raise ConfigurationError(f"unknown scheme {name!r}")
-    k_count, m_count, _ = measurements.shape
     if name == "noncoop-singleband":
         picks = np.asarray(channel_picks, dtype=int)
         if (picks.shape != (k_count,) or picks.min() < 0

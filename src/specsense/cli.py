@@ -119,7 +119,9 @@ def _add_simulate(sub):
     p.add_argument("--calibration-runs", type=int, default=10)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--noncoop-raw-energy", action="store_true")
-    p.add_argument("--no-dynamic-range-limit", action="store_true")
+    p.add_argument("--no-dynamic-range-limit", action="store_true",
+                   help="no receiver clamp: the adaptation is stable only while"
+                        " mu*y^2 <= 1, so a sample above sqrt(1/mu) raises")
 
 
 def _cmd_simulate(args):
@@ -228,7 +230,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (ConfigurationError, OSError, ValueError) as exc:
+    except (ArithmeticError, ConfigurationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import __version__
 from .baselines import (SCHEME_IDS, run_scheme, structure_network,
                         structure_of)
 from .diffusion import (DiffusionParams, DivergenceError, calibrate_threshold,
@@ -385,12 +386,39 @@ def run_campaign(campaign, out_dir):
         "reference_dbm": campaign.reference_dbm,
         "frame_crc32": [f"{c:08x}" for c in checksums],
         "calibration_structures": sorted(lams),
+        "calibration_thresholds": {name: _spread(lam)
+                                   for name, lam in lams.items()},
+        "versions": {"specsense": __version__, "numpy": np.__version__,
+                     "scipy": _installed_version("scipy")},
     }
     summary_path = os.path.join(out_dir, "summary.json")
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return results_path, summary_path
+
+
+def _spread(values):
+    """Min, median and max; np.median would import numpy.ma, at the heap
+    cost ``_installed_version`` describes."""
+    s = np.sort(values, axis=None)
+    return {"min": float(s[0]), "max": float(s[-1]),
+            "median": float((s[(s.size - 1) // 2] + s[s.size // 2]) / 2)}
+
+
+def _installed_version(name):
+    """``importlib.metadata.version(name)`` without leaving modules or caches.
+
+    Made after the realizations, long-lived objects (the email modules
+    ``version`` parses with, the lookup's directory caches) split freed
+    frame memory and cost later campaigns up to a frame of peak RSS.
+    importlib.metadata is imported here, off the library's import time.
+    """
+    from importlib import invalidate_caches, metadata
+    text = metadata.distribution(name).read_text("METADATA")
+    invalidate_caches()
+    return next(line.partition(":")[2].strip() for line in text.splitlines()
+                if line.startswith("Version:"))
 
 
 def _fmt(value):

@@ -257,7 +257,7 @@ def realize_links(scenario, rng_bands, rng_shadow, rng_fading=None):
             for row in channel_overlap_fraction(plan, centers, bandwidths) > 0]
     sizes = [k_count * hit.size for hit in hits]
     if prop.fading == "rayleigh":
-        flat = rng_fading.exponential(1.0, size=sum(sizes))
+        flat = rng_fading.standard_exponential(sum(sizes))
     else:
         flat = np.ones(sum(sizes))
     blocks = np.split(flat, np.cumsum(sizes)[:-1])

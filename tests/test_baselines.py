@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from specsense import baselines
 from specsense.baselines import (
     CALIBRATION_STRUCTURE,
     SCHEME_IDS,
@@ -78,18 +81,99 @@ def test_centralized_threshold_examples():
     assert not centralized_egc(y / 2.5).busy.any()
 
 
-def test_centralized_sweep_matches_per_gain_copies():
-    # one rescaling buffer serves every gain without touching the frame
+def _centralized_oracle(y, gains):
+    """The sweep by definition: one rescaled copy of the frame per gain."""
+    return [centralized_egc(y * g) for g in gains]
+
+
+def _count_exact_calls(monkeypatch):
+    """Count run_scheme's rescaled-frame (exact path) decisions."""
+    calls = []
+
+    def counted(measurements):
+        calls.append(measurements.shape)
+        return centralized_egc(measurements)
+
+    monkeypatch.setattr(baselines, "centralized_egc", counted)
+    return calls
+
+
+def test_centralized_sweep_matches_per_gain_copies(monkeypatch):
+    # far from the threshold every gain is decided from the one frame mean,
+    # and the frame is never touched
     y = substream(4, "egc-sweep").gamma(0.7, 1.0 / 0.7, size=(6, 9, 5))
     frame = y.copy()
     gains = [threshold_gain(-62.0, t) for t in range(-82, -50, 4)]
+    calls = _count_exact_calls(monkeypatch)
     maps = run_scheme("centralized", measurements=y, gains=gains)
+    assert calls == []
     assert len(maps) == len(gains)
-    for dm, g in zip(maps, gains):
-        assert np.array_equal(dm.busy, centralized_egc(y * g).busy)
+    for dm, want in zip(maps, _centralized_oracle(frame, gains)):
+        assert np.array_equal(dm.busy, want.busy)
         assert dm.decided.all()
     assert len({dm.busy.sum() for dm in maps}) > 1
     assert np.array_equal(y, frame)
+
+
+def test_centralized_boundary_takes_exact_path(monkeypatch):
+    # the {1, 3} frame averages to 2, which gain 0.5 maps exactly onto the
+    # threshold: busy, decided from the rescaled frame, once
+    y = np.zeros((2, 1, 1))
+    y[0, 0, 0], y[1, 0, 0] = 1.0, 3.0
+    calls = _count_exact_calls(monkeypatch)
+    [dm] = run_scheme("centralized", measurements=y, gains=(0.5,))
+    assert dm.busy.all() and dm.decided.all()
+    assert calls == [(2, 1, 1)]
+
+
+def test_centralized_rejects_negative_frame():
+    y = np.ones((2, 3, 4))
+    y[1, 2, 3] = -1e-300
+    with pytest.raises(ConfigurationError, match="nonnegative"):
+        run_scheme("centralized", measurements=y, gains=(1.0, 2.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(k_count=st.integers(1, 12), m_count=st.integers(1, 5),
+       n_iter=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["gamma", "uniform", "sparse", "constant",
+                             "non-finite"]),
+       exponents=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+       ulps=st.lists(st.integers(-4, 4), min_size=1, max_size=5))
+def test_centralized_shortcut_matches_per_gain_oracle(k_count, m_count, n_iter,
+                                                      seed, kind, exponents,
+                                                      ulps):
+    rng = np.random.default_rng(seed)
+    shape = (k_count, m_count, n_iter)
+    if kind == "gamma":
+        y = rng.gamma(0.7, 1 / 0.7, size=shape) * 10.0 ** rng.uniform(-3, 3)
+    elif kind == "uniform":
+        y = rng.uniform(0.0, 4.0, size=shape)
+    elif kind == "sparse":
+        y = np.where(rng.uniform(size=shape) < 0.8, 0.0,
+                     rng.exponential(5.0, size=shape))
+    elif kind == "constant":
+        y = np.full(shape, rng.uniform(0.1, 10.0))
+    else:
+        y = rng.uniform(0.0, 4.0, size=shape)
+        y[rng.integers(k_count), rng.integers(m_count),
+          rng.integers(n_iter)] = rng.choice([np.inf, np.nan])
+    gains = [10.0 ** e for e in exponents]
+    # rescale one channel so that its exact statistic at gain g sits on the
+    # threshold, then sweep g a few ulps either way
+    g = gains[0]
+    m = rng.integers(m_count)
+    stat = (y[:, m, :] * g).mean()
+    if 0.0 < stat < np.inf:
+        y[:, m, :] /= stat
+    gains += [g * (1.0 + k * np.finfo(float).eps) for k in ulps]
+    frame = y.copy()
+    maps = run_scheme("centralized", measurements=y, gains=gains)
+    assert len(maps) == len(gains)
+    for dm, want in zip(maps, _centralized_oracle(frame, gains)):
+        assert np.array_equal(dm.busy, want.busy)
+        assert np.array_equal(dm.decided, want.decided)
+    assert np.array_equal(y, frame, equal_nan=True)
 
 
 def test_centralized_single_hot_sap_flips_channel():

@@ -4,13 +4,16 @@ import json
 import logging
 import re
 import threading
+import warnings
 from dataclasses import replace
+from importlib import metadata
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specsense
 from specsense import harness, propagation
 from specsense.baselines import run_scheme
 from specsense.cli import main
@@ -372,6 +375,13 @@ def test_summary_contents(small_campaign, campaign_output):
                                                  "standalone"]
     assert summary["schemes"] == list(small_campaign.schemes)
     assert summary["scenario"]["seed"] == 21
+    lams = harness._calibrate(small_campaign)
+    assert summary["calibration_thresholds"] == {
+        name: {"min": lam.min(), "median": np.median(lam), "max": lam.max()}
+        for name, lam in lams.items()}
+    assert summary["versions"] == {"specsense": specsense.__version__,
+                                   "numpy": np.__version__,
+                                   "scipy": metadata.version("scipy")}
 
 
 def test_rerun_is_byte_identical(small_campaign, campaign_output, tmp_path):
@@ -554,6 +564,22 @@ def test_cli_reports_errors(tmp_path, capsys):
     assert rc == 1
     assert "calibration_runs" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+    # without the receiver clamp the default grid's cooperative adaptation
+    # diverges at -82 dBm: one error line, no traceback
+    assert main(["generate-scenario", "--template", "small-grid", "--seed", "1",
+                 "--out", scenario_path]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["simulate", "--scenario", scenario_path,
+                   "--out", str(tmp_path / "unclamped"), "--realizations", "1",
+                   "--thresholds-dbm=-82,-62", "--calibration-runs", "1",
+                   "--no-dynamic-range-limit"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: proposed-multiband: diffusion weights went non-finite in "
+        "realization 0 at threshold -82.0 dBm\n")
 
     for flags in (["--sizes", "1"], ["--sizes", ""],
                   ["--sizes", "8", "--instances", "0"],
