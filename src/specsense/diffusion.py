@@ -41,16 +41,8 @@ class DiffusionParams:
 
 
 # ---------------------------------------------------------------------------
-# Scalar building blocks shared by the network run
+# Decisions
 # ---------------------------------------------------------------------------
-
-def smooth_energy(d_prev, y, smoothing):
-    return smoothing * d_prev + (1.0 - smoothing) * y
-
-
-def compute_gamma(d, y, w_prev):
-    return (d - y * w_prev) * y
-
 
 def decide(w, thresholds):
     """Busy verdicts: a block is busy when its weight reaches the threshold."""
@@ -116,13 +108,16 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
     after it are a run on ``measurements[:, :, :i + 1]`` with
     ``iterations=i + 1``. Row k of the (K, K) ``adjacency`` lists SAP k's
     neighbors, itself included; an iteration costs O(S * K * T * M) for
-    largest degree S.
+    largest degree S and allocates nothing: its temporaries live in two
+    (S, K, T*M) and five (K, T*M) buffers made once per call, and beta is
+    held once per channel, (S, K, M), not once per gain.
 
     ``audit``, if given, is called each iteration with
     (i, alpha, beta, has_informative): alpha[s, k, c] and beta[s, k, c]
     weigh SAP k's slot-s neighbor on column c. alpha lives in a buffer the
     next iteration overwrites, so ``audit`` must not keep a reference to
-    it. Raises ConfigurationError on a short frame or a malformed
+    it; beta and has_informative are tiled over the gains for ``audit``
+    only. Raises ConfigurationError on a short frame or a malformed
     adjacency and DivergenceError when any final weight is non-finite.
     """
     y_all = np.asarray(measurements, dtype=float)
@@ -137,60 +132,85 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
             f"adjacency must be ({k_count}, {k_count}) with every SAP its own "
             f"neighbor, got shape {adjacency.shape}")
     gains = np.asarray(gains, dtype=float)
-    columns = gains.size * m_count
+    t_count = gains.size
+    columns = t_count * m_count
     sensing_mask = np.asarray(sensing_mask, dtype=bool)
     mu = params.step_size
-
-    def conditioned(i):
-        y = clip_dynamic_range(y_all[:, None, :, i] * gains[None, :, None],
-                               ceiling)
-        return y.reshape(k_count, columns)
+    fresh = 1.0 - params.smoothing
 
     nbr, valid = neighbor_slots(adjacency)
+    s_count = nbr.shape[0]
     beta, has_informative = _beta_slots(nbr, valid, sensing_mask,
                                         reference_powers, params.beta_set)
     # Slot-major layout, (s, k, column): every neighbor sum runs as an
     # outer-axis reduction, which numpy accumulates in slot order whatever
-    # the column count, so no column's arithmetic depends on T or M.
-    beta = np.tile(beta, gains.size)
-    valid = valid[:, :, None]
-    sensing_mask = np.tile(sensing_mask, gains.size)
-    has_informative = np.tile(has_informative, gains.size)
-    freeze = ~sensing_mask & ~has_informative
-    any_unsensed = not sensing_mask.all()
+    # the column count, so no column's arithmetic depends on T or M. Every
+    # temporary lives in a buffer made here. beta broadcasts over the gain
+    # axis of an (S, K, T, M) view instead of being held T times; the bool
+    # masks are tiled, as a masked put runs faster on a contiguous mask.
+    valid = valid[:, :, None].astype(float)
+    unsensed = np.tile(~sensing_mask, t_count)
+    freeze = unsensed & np.tile(~has_informative, t_count)
+    any_unsensed = unsensed.any()
+    beta_g = beta[:, :, None, :]                                # (S, K, 1, M)
 
+    y_gain = np.empty((k_count, t_count, m_count))
+    y = y_gain.reshape(k_count, columns)
     w = np.full((k_count, columns), float(params.initial_weight))
-    d = conditioned(0)
-    w_nbr = np.empty((nbr.shape[0], k_count, columns))
+    d, psi, tmp = (np.empty_like(w) for _ in range(3))
+    w_nbr = np.empty((s_count, k_count, columns))
     buf = np.empty_like(w_nbr)
-    total = np.empty((k_count, columns))
+    w_nbr_g, buf_g = (a.reshape(s_count, k_count, t_count, m_count)
+                      for a in (w_nbr, buf))
+    if audit is not None:
+        beta_tiled = np.tile(beta, t_count)
+        has_informative_tiled = np.tile(has_informative, t_count)
 
+    def condition(i):
+        np.multiply(y_all[:, None, :, i], gains[None, :, None], out=y_gain)
+        if ceiling is not None:
+            np.minimum(y_gain, ceiling, out=y_gain)
+
+    condition(0)
+    np.copyto(d, y)
     for i in range(params.iterations):
-        y = conditioned(i)
-        d = smooth_energy(d, y, params.smoothing)
-        gamma = compute_gamma(d, y, w)
+        condition(i)
+        d *= params.smoothing                   # d = s * d + (1 - s) * y
+        np.multiply(y, fresh, out=tmp)
+        d += tmp
+        np.multiply(y, w, out=tmp)              # target = w + mu * gamma,
+        np.subtract(d, tmp, out=tmp)            # gamma = (d - y * w) * y
+        tmp *= y
+        tmp *= mu
+        tmp += w
 
         # alpha = valid / max((target_k - w_nbr)^2, eps), normalized over slots
-        target = w + mu * gamma                                    # (K, T*M)
         np.take(w, nbr, axis=0, out=w_nbr, mode="clip")
-        np.subtract(target, w_nbr, out=buf)
+        np.subtract(tmp, w_nbr, out=buf)
         np.square(buf, out=buf)
         np.maximum(buf, params.epsilon_guard, out=buf)
-        np.divide(1.0, buf, out=buf)
-        buf *= valid
-        np.add.reduce(buf, axis=0, out=total)
-        buf /= total
+        np.divide(valid, buf, out=buf)
+        np.add.reduce(buf, axis=0, out=tmp)
+        buf /= tmp
         if audit is not None:
-            audit(i, buf, beta, has_informative)
+            audit(i, buf, beta_tiled, has_informative_tiled)
 
         buf *= w_nbr
-        psi = np.add.reduce(buf, axis=0)
+        np.add.reduce(buf, axis=0, out=psi)
         if any_unsensed:
-            np.multiply(beta, w_nbr, out=buf)
-            psi = np.where(sensing_mask, psi, np.add.reduce(buf, axis=0))
-            psi[freeze] = w[freeze]
+            np.multiply(beta_g, w_nbr_g, out=buf_g)
+            np.add.reduce(buf, axis=0, out=tmp)
+            np.putmask(psi, unsensed, tmp)
+            np.putmask(psi, freeze, w)
 
-        w = psi + np.where(sensing_mask, mu * y * (d - y * psi), 0.0)
+        # w = psi + (mu * y * (d - y * psi) on sensed channels, else 0)
+        np.multiply(y, psi, out=tmp)
+        np.subtract(d, tmp, out=tmp)
+        np.multiply(y, mu, out=w)
+        w *= tmp
+        if any_unsensed:
+            np.putmask(w, unsensed, 0.0)
+        w += psi
 
     finite = np.isfinite(w)
     if not finite.all():

@@ -329,8 +329,11 @@ def _worker_run(r):
 # ---------------------------------------------------------------------------
 
 def run_campaign(campaign, out_dir):
-    """Run the full campaign and write results.csv plus summary.json."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Run the full campaign and write results.csv plus summary.json.
+
+    ``out_dir`` is created only once the results exist, so a campaign that
+    raises leaves no directory behind.
+    """
     scn = campaign.scenario
 
     lams = _calibrate(campaign)
@@ -374,6 +377,7 @@ def run_campaign(campaign, out_dir):
                     "realizations": count,
                 })
 
+    os.makedirs(out_dir, exist_ok=True)
     results_path = os.path.join(out_dir, "results.csv")
     write_results_csv(rows, results_path)
 

@@ -92,8 +92,23 @@ def pick_min_cost_sap(cost, cluster_ids, l):
     Ties break toward the smallest SAP id.
     """
     ids = np.sort(np.asarray(cluster_ids, dtype=int))
-    sub = cost[np.ix_(ids, ids)][:, :, l]
-    return int(ids[np.argmin(sub.sum(axis=0))])
+    return int(_pick_per_cluster(cost, ids, np.zeros(ids.size, dtype=int), l)[0])
+
+
+def _pick_per_cluster(cost, ids, labels, l):
+    """``pick_min_cost_sap`` for every cluster at once, (C,) SAP ids.
+
+    ``ids`` are ascending SAP ids and ``labels[i]`` the cluster of
+    ``ids[i]``, every label in 0..C-1 used. Non-members add exact zeros to
+    a member's column sum, which runs over the ids in ascending order as a
+    per-cluster sum does, so the sums are bit-equal. The stable lexsort
+    breaks cost ties toward the smallest id.
+    """
+    same = labels[:, None] == labels
+    inflicted = np.where(same, cost[ids[:, None], ids, l], 0.0).sum(axis=0)
+    order = np.lexsort((inflicted, labels))
+    first = np.searchsorted(labels[order], np.arange(labels[order[-1]] + 1))
+    return ids[order[first]]
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +119,9 @@ def cluster_saps(positions, n_clusters, rng, max_iter=100, tol=1e-6):
     """Lloyd k-means with k-means++ seeding; returns a label per position.
 
     Every cluster ends up non-empty (empty clusters steal the point farthest
-    from its current centroid), which the assignment loop depends on.
+    from its current centroid), which the assignment loop depends on. A
+    Lloyd step takes a fixed number of array calls whatever the cluster
+    count; the empty-cluster repair runs only when a cluster is empty.
     """
     pts = np.asarray(positions, dtype=float)
     n = pts.shape[0]
@@ -127,27 +144,47 @@ def cluster_saps(positions, n_clusters, rng, max_iter=100, tol=1e-6):
             centers[c] = pts[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, ((pts - centers[c]) ** 2).sum(axis=1))
 
+    coords = pts.T.copy()                       # (2, n): x row, y row
     labels = np.zeros(n, dtype=int)
     for _ in range(max_iter):
         dist = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = dist.argmin(axis=1)
-        for c in range(n_clusters):
-            if not (labels == c).any():
-                spread = dist[np.arange(n), labels]
-                labels[spread.argmax()] = c
-                dist[spread.argmax(), :] = 0.0
-        # a steal can empty a singleton cluster (co-located points); refill
-        # any such cluster from the largest one so no centroid goes NaN
-        for c in np.flatnonzero(np.bincount(labels, minlength=n_clusters) == 0):
-            largest = np.bincount(labels, minlength=n_clusters).argmax()
-            labels[np.flatnonzero(labels == largest)[-1]] = c
-        new_centers = np.array([pts[labels == c].mean(axis=0)
-                                for c in range(n_clusters)])
+        counts = np.bincount(labels, minlength=n_clusters)
+        if not counts.all():
+            _fill_empty_clusters(dist, labels, counts)
+        # a weighted bincount adds each cluster's points in index order, as
+        # the masked mean(axis=0) does, so the centroids are bit-equal to it
+        new_centers = np.array([np.bincount(labels, weights=c,
+                                            minlength=n_clusters)
+                                for c in coords]).T / counts[:, None]
         shift = np.abs(new_centers - centers).max()
         centers = new_centers
         if shift < tol:
             break
     return labels
+
+
+def _fill_empty_clusters(dist, labels, counts):
+    """Give every empty cluster a point, in place; ``counts`` follows labels.
+
+    In cluster order, an empty cluster steals the point farthest from its
+    current centroid. A steal can empty a singleton cluster (co-located
+    points), which then takes the last point of the largest cluster, so no
+    centroid goes NaN.
+    """
+    rows = np.arange(labels.size)
+    for c in range(counts.size):
+        if counts[c] == 0:
+            far = dist[rows, labels].argmax()
+            counts[labels[far]] -= 1
+            counts[c] += 1
+            labels[far] = c
+            dist[far, :] = 0.0
+    for c in np.flatnonzero(counts == 0):
+        largest = counts.argmax()
+        counts[largest] -= 1
+        counts[c] += 1
+        labels[np.flatnonzero(labels == largest)[-1]] = c
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +200,7 @@ def _assign_once(cost, positions, quota, order, rng):
         if q == 0:
             continue
         labels = cluster_saps(positions[remaining], q, rng)
-        chosen = []
-        for c in range(q):
-            cluster = remaining[labels == c]
-            chosen.append(pick_min_cost_sap(cost, cluster, l))
-        a[chosen] = l
+        a[_pick_per_cluster(cost, remaining, labels, l)] = l
         remaining = remaining[a[remaining] < 0]
     return a
 
@@ -177,8 +210,10 @@ def heuristic_assign(cost, positions, quota, rng, restarts=8):
 
     Each pass visits the subsets in a random order; for each subset it splits
     the still-unassigned SAPs into quota-many spatial clusters and takes the
-    cheapest SAP of each cluster. Restart r always consumes the r-th spawned
-    stream, so growing ``restarts`` can only improve the returned objective.
+    cheapest SAP of each cluster (``pick_min_cost_sap``), all clusters in one
+    pass over the unassigned SAPs' cost block. Restart r always consumes the
+    r-th spawned stream, so growing ``restarts`` can only improve the
+    returned objective. Returns ``(assignment, objective)``.
     """
     quota = tuple(int(q) for q in quota)
     k_count = cost.shape[0]

@@ -13,12 +13,10 @@ from specsense.diffusion import (
     DivergenceError,
     calibrate_threshold,
     clip_dynamic_range,
-    compute_gamma,
     decide,
     default_ceiling,
     neighbor_slots,
     run_diffusion,
-    smooth_energy,
 )
 from specsense.model import ConfigurationError
 from specsense.seeding import substream
@@ -27,6 +25,14 @@ from specsense.seeding import substream
 # ---------------------------------------------------------------------------
 # Scalar building blocks, and the per-SAP reference oracle built from them
 # ---------------------------------------------------------------------------
+
+def smooth_energy(d_prev, y, smoothing):
+    return smoothing * d_prev + (1.0 - smoothing) * y
+
+
+def compute_gamma(d, y, w_prev):
+    return (d - y * w_prev) * y
+
 
 def alpha_weights(w_self_prev, step_size, gamma, neighbor_w_prev,
                   epsilon_guard=1e-12):
@@ -492,7 +498,10 @@ def test_slot_kernel_matches_dense_oracle(k_count, m_count, n_iter, seed, kind,
 
 
 def test_run_allocates_no_dense_neighbor_array():
-    # a K=400 ring: one (K, K, M) float array alone would be 10.24 MB
+    # a K=400 ring: one (K, K, M) float array alone would be 10.24 MB. At
+    # 16 gains the two (S, K, T*M) slot buffers take 2.46 MB and the
+    # (K, T*M) buffers 0.41 MB each; beta tiled over the gains would add
+    # another 1.23 MB and break the 5.5 MB bound
     k_count, m_count, n_iter = 400, 8, 5
     ring = np.arange(k_count)
     adjacency = np.zeros((k_count, k_count), dtype=bool)
@@ -503,13 +512,14 @@ def test_run_allocates_no_dense_neighbor_array():
     mask = rng.uniform(size=(k_count, m_count)) < 0.5
     y = rng.uniform(0.05, 3.0, size=(k_count, m_count, n_iter))
     params = DiffusionParams(iterations=n_iter)
-    tracemalloc.start()
-    try:
-        run_diffusion(y, mask, p_hat, adjacency, params)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2e6
+    for gains, bound in (((1.0,), 2e6), (np.linspace(0.5, 1.0, 16), 5.5e6)):
+        tracemalloc.start()
+        try:
+            run_diffusion(y, mask, p_hat, adjacency, params, gains=gains)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 def test_unsensed_channel_follows_informative_neighbor_delayed():

@@ -333,7 +333,8 @@ def test_non_finite_weights_fail_loud(tmp_path):
     with pytest.raises(ArithmeticError,
                        match=r"^proposed-multiband: .* realization 0 at "
                              r"threshold -82\.0 dBm$"):
-        run_campaign(campaign, tmp_path)
+        run_campaign(campaign, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -348,7 +349,8 @@ def test_calibration_divergence_names_structure(tmp_path):
                         calibration_runs=1, limit_dynamic_range=False)
     with pytest.raises(ArithmeticError,
                        match=r"^calibration of structure coop-full: "):
-        run_campaign(campaign, tmp_path)
+        run_campaign(campaign, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_results_row_cardinality(small_campaign, campaign_output):
@@ -580,6 +582,7 @@ def test_cli_reports_errors(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: proposed-multiband: diffusion weights went non-finite in "
         "realization 0 at threshold -82.0 dBm\n")
+    assert not (tmp_path / "unclamped").exists()
 
     for flags in (["--sizes", "1"], ["--sizes", ""],
                   ["--sizes", "8", "--instances", "0"],

@@ -61,6 +61,74 @@ def _best_by_enumeration(cost, quota):
                for a in _enumerate_assignments(cost.shape[0], quota))
 
 
+def _pick_oracle(cost, cluster_ids, l):
+    """The cheapest member of one cluster, from its own cost submatrix."""
+    ids = np.sort(np.asarray(cluster_ids, dtype=int))
+    sub = cost[np.ix_(ids, ids)][:, :, l]
+    return int(ids[np.argmin(sub.sum(axis=0))])
+
+
+def _cluster_oracle(positions, n_clusters, rng, max_iter=100, tol=1e-6):
+    """k-means++ then Lloyd, one cluster at a time: per-cluster emptiness
+    checks and steals, then masked per-cluster means."""
+    pts = np.asarray(positions, dtype=float)
+    n = pts.shape[0]
+    if n_clusters == 1:
+        return np.zeros(n, dtype=int)
+    if n_clusters == n:
+        return np.arange(n, dtype=int)
+    centers = np.empty((n_clusters, 2))
+    centers[0] = pts[rng.integers(n)]
+    d2 = ((pts - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, n_clusters):
+        total = d2.sum()
+        if total <= 0:
+            centers[c] = pts[rng.integers(n)]
+        else:
+            centers[c] = pts[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, ((pts - centers[c]) ** 2).sum(axis=1))
+
+    labels = np.zeros(n, dtype=int)
+    for _ in range(max_iter):
+        dist = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = dist.argmin(axis=1)
+        for c in range(n_clusters):
+            if not (labels == c).any():
+                spread = dist[np.arange(n), labels]
+                labels[spread.argmax()] = c
+                dist[spread.argmax(), :] = 0.0
+        for c in np.flatnonzero(np.bincount(labels, minlength=n_clusters) == 0):
+            largest = np.bincount(labels, minlength=n_clusters).argmax()
+            labels[np.flatnonzero(labels == largest)[-1]] = c
+        new_centers = np.array([pts[labels == c].mean(axis=0)
+                                for c in range(n_clusters)])
+        shift = np.abs(new_centers - centers).max()
+        centers = new_centers
+        if shift < tol:
+            break
+    return labels
+
+
+def _heuristic_oracle(cost, positions, quota, rng, restarts):
+    """Best of ``restarts`` clustered passes, one cluster pick at a time."""
+    best_a, best_obj = None, np.inf
+    for child in rng.spawn(restarts):
+        order = child.permutation(cost.shape[2])
+        a = np.full(cost.shape[0], -1, dtype=int)
+        remaining = np.arange(cost.shape[0])
+        for l in order:
+            if quota[l] == 0:
+                continue
+            labels = _cluster_oracle(positions[remaining], quota[l], child)
+            for c in range(quota[l]):
+                a[_pick_oracle(cost, remaining[labels == c], l)] = l
+            remaining = remaining[a[remaining] < 0]
+        obj = objective_value(cost, a)
+        if obj < best_obj:
+            best_a, best_obj = a, obj
+    return best_a, best_obj
+
+
 # ---------------------------------------------------------------------------
 # Cost construction
 # ---------------------------------------------------------------------------
@@ -311,6 +379,51 @@ def test_heuristic_always_quota_feasible(quota, spread_m, restarts, seed):
     assert tuple(np.bincount(assignment.subset_of_sap,
                              minlength=len(quota))) == tuple(quota)
     assert obj == pytest.approx(_objective_slow(cost, assignment.subset_of_sap))
+
+
+@settings(max_examples=80, deadline=None)
+@given(quota=st.lists(st.integers(0, 6), min_size=1, max_size=5),
+       layout=st.sampled_from(["spread", "grid", "colocated"]),
+       costs=st.sampled_from(["uniform", "reference-powers"]),
+       restarts=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_heuristic_matches_per_cluster_oracle(quota, layout, costs, restarts,
+                                              seed):
+    # labels, assignment, objective and the generator state after the call
+    # all equal those of the per-cluster loops, bit for bit
+    k_count = sum(quota)
+    assume(k_count >= 1)
+    rng = np.random.default_rng(seed)
+    if layout == "spread":
+        positions = rng.uniform(0.0, 500.0, size=(k_count, 2))
+    elif layout == "grid":                   # few distinct points, shared
+        positions = rng.integers(0, 3, size=(k_count, 2)).astype(float)
+    else:
+        positions = np.zeros((k_count, 2))
+    if costs == "uniform":
+        cost = build_cost_tensor(k_count, len(quota), rng)
+    else:                                    # zero powers: penalty entries
+        p = rng.uniform(0.1, 2.0, size=(k_count, k_count))
+        p[rng.uniform(size=p.shape) < 0.5] = 0.0
+        cost = cost_from_reference_powers(p, len(quota))
+
+    for n_clusters in range(1, k_count + 1):
+        got_rng, want_rng = (np.random.default_rng([seed, n_clusters])
+                             for _ in range(2))
+        np.testing.assert_array_equal(
+            cluster_saps(positions, n_clusters, got_rng),
+            _cluster_oracle(positions, n_clusters, want_rng))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    got_rng, want_rng = (np.random.default_rng([seed, 0]) for _ in range(2))
+    assignment, obj = heuristic_assign(cost, positions, quota, got_rng,
+                                       restarts)
+    want_a, want_obj = _heuristic_oracle(cost, positions, quota, want_rng,
+                                         restarts)
+    np.testing.assert_array_equal(assignment.subset_of_sap, want_a)
+    assert obj == want_obj
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert (got_rng.bit_generator.seed_seq.n_children_spawned
+            == want_rng.bit_generator.seed_seq.n_children_spawned)
 
 
 def test_heuristic_restart_monotone():
