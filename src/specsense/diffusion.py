@@ -109,15 +109,13 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
     ``iterations=i + 1``. Row k of the (K, K) ``adjacency`` lists SAP k's
     neighbors, itself included; an iteration costs O(S * K * T * M) for
     largest degree S and allocates nothing: its temporaries live in two
-    (S, K, T*M) and five (K, T*M) buffers made once per call, and beta is
-    held once per channel, (S, K, M), not once per gain.
+    (S, K, T*M) and five (K, T*M) buffers made once per call.
 
     ``audit``, if given, is called each iteration with
     (i, alpha, beta, has_informative): alpha[s, k, c] and beta[s, k, c]
     weigh SAP k's slot-s neighbor on column c. alpha lives in a buffer the
     next iteration overwrites, so ``audit`` must not keep a reference to
-    it; beta and has_informative are tiled over the gains for ``audit``
-    only. Raises ConfigurationError on a short frame or a malformed
+    it. Raises ConfigurationError on a short frame or a malformed
     adjacency and DivergenceError when any final weight is non-finite.
     """
     y_all = np.asarray(measurements, dtype=float)
@@ -145,14 +143,13 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
     # Slot-major layout, (s, k, column): every neighbor sum runs as an
     # outer-axis reduction, which numpy accumulates in slot order whatever
     # the column count, so no column's arithmetic depends on T or M. Every
-    # temporary lives in a buffer made here. beta broadcasts over the gain
-    # axis of an (S, K, T, M) view instead of being held T times; the bool
-    # masks are tiled, as a masked put runs faster on a contiguous mask.
+    # temporary lives in a buffer made here.
+    beta = np.tile(beta, t_count)
     valid = valid[:, :, None].astype(float)
     unsensed = np.tile(~sensing_mask, t_count)
-    freeze = unsensed & np.tile(~has_informative, t_count)
+    has_informative = np.tile(has_informative, t_count)
+    freeze = unsensed & ~has_informative
     any_unsensed = unsensed.any()
-    beta_g = beta[:, :, None, :]                                # (S, K, 1, M)
 
     y_gain = np.empty((k_count, t_count, m_count))
     y = y_gain.reshape(k_count, columns)
@@ -160,11 +157,6 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
     d, psi, tmp = (np.empty_like(w) for _ in range(3))
     w_nbr = np.empty((s_count, k_count, columns))
     buf = np.empty_like(w_nbr)
-    w_nbr_g, buf_g = (a.reshape(s_count, k_count, t_count, m_count)
-                      for a in (w_nbr, buf))
-    if audit is not None:
-        beta_tiled = np.tile(beta, t_count)
-        has_informative_tiled = np.tile(has_informative, t_count)
 
     def condition(i):
         np.multiply(y_all[:, None, :, i], gains[None, :, None], out=y_gain)
@@ -193,12 +185,12 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
         np.add.reduce(buf, axis=0, out=tmp)
         buf /= tmp
         if audit is not None:
-            audit(i, buf, beta_tiled, has_informative_tiled)
+            audit(i, buf, beta, has_informative)
 
         buf *= w_nbr
         np.add.reduce(buf, axis=0, out=psi)
         if any_unsensed:
-            np.multiply(beta_g, w_nbr_g, out=buf_g)
+            np.multiply(beta, w_nbr, out=buf)
             np.add.reduce(buf, axis=0, out=tmp)
             np.putmask(psi, unsensed, tmp)
             np.putmask(psi, freeze, w)

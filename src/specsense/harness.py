@@ -331,9 +331,21 @@ def _worker_run(r):
 def run_campaign(campaign, out_dir):
     """Run the full campaign and write results.csv plus summary.json.
 
-    ``out_dir`` is created only once the results exist, so a campaign that
-    raises leaves no directory behind.
+    ``out_dir`` is made before any work, so an unusable path fails at once.
+    If the campaign then raises, ``out_dir`` is removed again when this call
+    made it and nothing was written into it.
     """
+    made = not os.path.exists(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    try:
+        return _run_and_write(campaign, out_dir)
+    except BaseException:
+        if made and not os.listdir(out_dir):
+            os.rmdir(out_dir)
+        raise
+
+
+def _run_and_write(campaign, out_dir):
     scn = campaign.scenario
 
     lams = _calibrate(campaign)
@@ -377,7 +389,6 @@ def run_campaign(campaign, out_dir):
                     "realizations": count,
                 })
 
-    os.makedirs(out_dir, exist_ok=True)
     results_path = os.path.join(out_dir, "results.csv")
     write_results_csv(rows, results_path)
 

@@ -151,7 +151,19 @@ def cluster_saps(positions, n_clusters, rng, max_iter=100, tol=1e-6):
         labels = dist.argmin(axis=1)
         counts = np.bincount(labels, minlength=n_clusters)
         if not counts.all():
-            _fill_empty_clusters(dist, labels, counts)
+            for c in range(n_clusters):
+                if not (labels == c).any():
+                    spread = dist[np.arange(n), labels]
+                    labels[spread.argmax()] = c
+                    dist[spread.argmax(), :] = 0.0
+            # a steal can empty a singleton cluster (co-located points);
+            # refill any such cluster from the largest one so no centroid
+            # goes NaN
+            for c in np.flatnonzero(
+                    np.bincount(labels, minlength=n_clusters) == 0):
+                largest = np.bincount(labels, minlength=n_clusters).argmax()
+                labels[np.flatnonzero(labels == largest)[-1]] = c
+            counts = np.bincount(labels, minlength=n_clusters)
         # a weighted bincount adds each cluster's points in index order, as
         # the masked mean(axis=0) does, so the centroids are bit-equal to it
         new_centers = np.array([np.bincount(labels, weights=c,
@@ -162,29 +174,6 @@ def cluster_saps(positions, n_clusters, rng, max_iter=100, tol=1e-6):
         if shift < tol:
             break
     return labels
-
-
-def _fill_empty_clusters(dist, labels, counts):
-    """Give every empty cluster a point, in place; ``counts`` follows labels.
-
-    In cluster order, an empty cluster steals the point farthest from its
-    current centroid. A steal can empty a singleton cluster (co-located
-    points), which then takes the last point of the largest cluster, so no
-    centroid goes NaN.
-    """
-    rows = np.arange(labels.size)
-    for c in range(counts.size):
-        if counts[c] == 0:
-            far = dist[rows, labels].argmax()
-            counts[labels[far]] -= 1
-            counts[c] += 1
-            labels[far] = c
-            dist[far, :] = 0.0
-    for c in np.flatnonzero(counts == 0):
-        largest = counts.argmax()
-        counts[largest] -= 1
-        counts[c] += 1
-        labels[np.flatnonzero(labels == largest)[-1]] = c
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,28 @@ def test_calibration_divergence_names_structure(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_out_dir_checked_before_calibration(tmp_path, monkeypatch):
+    # an unusable output path fails before any work; a failed campaign
+    # keeps a directory it did not make
+    def refused(_campaign):
+        raise RuntimeError("calibration ran")
+    monkeypatch.setattr(harness, "_calibrate", refused)
+    scenario = generate_scenario("small-grid", seed=5, side_count=3,
+                                 incumbent_count=4)
+    campaign = Campaign(scenario=scenario, realizations=1)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    with pytest.raises(FileExistsError):
+        run_campaign(campaign, taken)
+    assert taken.read_text() == ""
+
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    with pytest.raises(RuntimeError, match="^calibration ran$"):
+        run_campaign(campaign, kept)
+    assert kept.is_dir()
+
+
 def test_results_row_cardinality(small_campaign, campaign_output):
     rows = read_results_csv(campaign_output[0])
     keys = {(r["scheme"], r["threshold_dbm"], r["metric"]) for r in rows}
