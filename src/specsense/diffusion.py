@@ -163,46 +163,50 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
         if ceiling is not None:
             np.minimum(y_gain, ceiling, out=y_gain)
 
-    condition(0)
-    np.copyto(d, y)
-    for i in range(params.iterations):
-        condition(i)
-        d *= params.smoothing                   # d = s * d + (1 - s) * y
-        np.multiply(y, fresh, out=tmp)
-        d += tmp
-        np.multiply(y, w, out=tmp)              # target = w + mu * gamma,
-        np.subtract(d, tmp, out=tmp)            # gamma = (d - y * w) * y
-        tmp *= y
-        tmp *= mu
-        tmp += w
+    # a diverging run overflows to inf and then NaN; the finiteness check
+    # below reports it as one DivergenceError instead of numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        condition(0)
+        np.copyto(d, y)
+        for i in range(params.iterations):
+            condition(i)
+            d *= params.smoothing                   # d = s * d + (1 - s) * y
+            np.multiply(y, fresh, out=tmp)
+            d += tmp
+            np.multiply(y, w, out=tmp)              # target = w + mu * gamma,
+            np.subtract(d, tmp, out=tmp)            # gamma = (d - y * w) * y
+            tmp *= y
+            tmp *= mu
+            tmp += w
 
-        # alpha = valid / max((target_k - w_nbr)^2, eps), normalized over slots
-        np.take(w, nbr, axis=0, out=w_nbr, mode="clip")
-        np.subtract(tmp, w_nbr, out=buf)
-        np.square(buf, out=buf)
-        np.maximum(buf, params.epsilon_guard, out=buf)
-        np.divide(valid, buf, out=buf)
-        np.add.reduce(buf, axis=0, out=tmp)
-        buf /= tmp
-        if audit is not None:
-            audit(i, buf, beta, has_informative)
-
-        buf *= w_nbr
-        np.add.reduce(buf, axis=0, out=psi)
-        if any_unsensed:
-            np.multiply(beta, w_nbr, out=buf)
+            # alpha = valid / max((target_k - w_nbr)^2, eps), normalized over
+            # slots
+            np.take(w, nbr, axis=0, out=w_nbr, mode="clip")
+            np.subtract(tmp, w_nbr, out=buf)
+            np.square(buf, out=buf)
+            np.maximum(buf, params.epsilon_guard, out=buf)
+            np.divide(valid, buf, out=buf)
             np.add.reduce(buf, axis=0, out=tmp)
-            np.putmask(psi, unsensed, tmp)
-            np.putmask(psi, freeze, w)
+            buf /= tmp
+            if audit is not None:
+                audit(i, buf, beta, has_informative)
 
-        # w = psi + (mu * y * (d - y * psi) on sensed channels, else 0)
-        np.multiply(y, psi, out=tmp)
-        np.subtract(d, tmp, out=tmp)
-        np.multiply(y, mu, out=w)
-        w *= tmp
-        if any_unsensed:
-            np.putmask(w, unsensed, 0.0)
-        w += psi
+            buf *= w_nbr
+            np.add.reduce(buf, axis=0, out=psi)
+            if any_unsensed:
+                np.multiply(beta, w_nbr, out=buf)
+                np.add.reduce(buf, axis=0, out=tmp)
+                np.putmask(psi, unsensed, tmp)
+                np.putmask(psi, freeze, w)
+
+            # w = psi + (mu * y * (d - y * psi) on sensed channels, else 0)
+            np.multiply(y, psi, out=tmp)
+            np.subtract(d, tmp, out=tmp)
+            np.multiply(y, mu, out=w)
+            w *= tmp
+            if any_unsensed:
+                np.putmask(w, unsensed, 0.0)
+            w += psi
 
     finite = np.isfinite(w)
     if not finite.all():

@@ -8,7 +8,6 @@ assigned to l. The exact solvers minimize that objective; the clustered
 heuristic approximates it in polynomial time.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +45,8 @@ class Assignment:
 def build_cost_tensor(sap_count, subset_count, rng, cost_range=(0.0, 1000.0)):
     """Random cost tensor with i.i.d. uniform off-diagonal entries."""
     lo, hi = cost_range
+    if lo < 0:
+        raise ConfigurationError("cost_range must be nonnegative")
     if hi < lo:
         raise ConfigurationError("cost_range upper bound below lower bound")
     cost = rng.uniform(lo, hi, size=(sap_count, sap_count, subset_count))
@@ -237,58 +238,72 @@ def _solve_dfs(colsum, quota):
     k_count, l_count = colsum.shape
     # visit subsets in decreasing order of their cheapest possible load so
     # the running max is pinned early and pruning bites
-    lbs = []
-    all_ids = np.arange(k_count)
-    for l in range(l_count):
-        if quota[l] == 0:
-            lbs.append(0.0)
-        else:
-            lbs.append(np.sort(colsum[:, l])[:quota[l]].sum())
-    subset_order = sorted(range(l_count), key=lambda l: -lbs[l])
+    lbs = [np.sort(colsum[:, l])[:q].sum() if q else 0.0
+           for l, q in enumerate(quota)]
+    subset_order = [l for l in sorted(range(l_count), key=lambda l: -lbs[l])
+                    if quota[l]]
+    cols = [colsum[:, l].tolist() for l in range(l_count)]
+    a = [-1] * k_count      # subsets on the current path; a leaf has set all
+    best_obj = np.inf
+    best_a = list(a)
 
-    best = {"obj": np.inf, "a": None}
-
+    # Loads add left to right from 0.0 (the builtin sum() compensates float
+    # sums from Python 3.12 on), so a subset's bound is exactly the load of
+    # its cheapest combination.
     def lower_bound(pool, depth):
         lb = 0.0
         for l in subset_order[depth:]:
-            q = quota[l]
-            if q == 0:
-                continue
-            vals = np.sort(colsum[pool, l])[:q]
-            lb = max(lb, vals.sum())
+            col = cols[l]
+            load = 0.0
+            for v in sorted([col[k] for k in pool])[:quota[l]]:
+                load += v
+            lb = max(lb, load)
         return lb
 
-    def recurse(pool, depth, cur_max, partial):
+    def recurse(pool, depth, cur_max):
+        nonlocal best_obj, best_a
         if depth == len(subset_order):
-            if cur_max < best["obj"]:
-                best["obj"] = cur_max
-                best["a"] = dict(partial)
+            if cur_max < best_obj:
+                best_obj = cur_max
+                best_a = list(a)
             return
         l = subset_order[depth]
         q = quota[l]
-        if q == 0:
-            recurse(pool, depth + 1, cur_max, partial)
-            return
-        order = sorted(pool, key=lambda k: colsum[k, l])
-        for combo in itertools.combinations(order, q):
-            load = sum(colsum[k, l] for k in combo)
-            node_max = max(cur_max, load)
-            if node_max >= best["obj"]:
-                continue
-            rest = [k for k in pool if k not in combo]
-            if rest and max(node_max, lower_bound(rest, depth + 1)) >= best["obj"]:
-                continue
-            for k in combo:
-                partial[k] = l
-            recurse(rest, depth + 1, node_max, partial)
-            for k in combo:
-                del partial[k]
+        col = cols[l]
+        order = sorted(pool, key=col.__getitem__)
+        vals = [col[k] for k in order]
+        n = len(order)
+        chosen = []
 
-    recurse(list(all_ids), 0, 0.0, {})
-    a = np.empty(k_count, dtype=int)
-    for k, l in best["a"].items():
-        a[k] = l
-    return a
+        # Size-q combinations of ``order`` in lexicographic order, with
+        # prefix load s. Break once max(cur_max, s + vals[i] + ... +
+        # vals[i+q-j-1]), the cheapest completion, reaches the incumbent:
+        # rounded addition is monotone in each operand and ``vals``
+        # ascends, so every later candidate and every combination through
+        # this one loads at least as much, and the incumbent only falls.
+        def pick(start, j, s):
+            for i in range(start, n - q + j + 1):
+                load = s
+                for t in range(i, i + q - j):
+                    load += vals[t]
+                node_max = max(cur_max, load)
+                if node_max >= best_obj:
+                    break
+                chosen.append(order[i])
+                if j + 1 < q:
+                    pick(i + 1, j + 1, s + vals[i])
+                else:
+                    rest = [k for k in pool if k not in chosen]
+                    if max(node_max, lower_bound(rest, depth + 1)) < best_obj:
+                        for k in chosen:
+                            a[k] = l
+                        recurse(rest, depth + 1, node_max)
+                chosen.pop()
+
+        pick(0, 0, 0.0)
+
+    recurse(list(range(k_count)), 0, 0.0)
+    return np.array(best_a, dtype=int)
 
 
 def _solve_milp(colsum, quota):
@@ -335,7 +350,9 @@ def solve_exact(cost, quota, engine="auto"):
 
     ``dfs`` is a pure-python branch and bound, practical to K=20;
     ``milp`` hands the standard mixed-integer formulation to scipy/HiGHS.
-    ``auto`` picks dfs for small instances and milp beyond.
+    ``auto`` picks dfs for small instances and milp beyond. Costs are
+    inflicted interference: a negative (or NaN) entry is a
+    ConfigurationError.
     """
     quota = tuple(int(q) for q in quota)
     k_count, _, l_count = cost.shape
@@ -343,6 +360,8 @@ def solve_exact(cost, quota, engine="auto"):
         raise ConfigurationError("quota length must match cost subset axis")
     if sum(quota) != k_count:
         raise ConfigurationError("quota must sum to the SAP count")
+    if not (cost >= 0.0).all():
+        raise ConfigurationError("costs must be nonnegative")
     colsum = column_sums(cost)
 
     if engine == "auto":

@@ -91,7 +91,7 @@ def test_criterion_2_heuristic_gap_trend(capsys):
     detail = ("mean gap % " +
               " -> ".join(f"{g:.2f}" for g in gaps) +
               " over K=8,12,16,20 (300 instances each, single pass)")
-    _report(capsys, 2, "gap trend nonincreasing", ok, detail, t0, 300.0)
+    _report(capsys, 2, "gap trend nonincreasing", ok, detail, t0, 60.0)
 
 
 def test_criterion_3_diffusion_invariants(capsys):

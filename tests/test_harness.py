@@ -321,7 +321,6 @@ def _check_literal_networks(campaign):
             assert np.array_equal(dm.busy, busy & decided), scheme
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_weights_fail_loud(tmp_path):
     # without the receiver clamp, -82 dBm pushes the cooperative adaptation
     # past its stability bound; -52 dBm, earlier in the sweep, stays finite
@@ -337,7 +336,6 @@ def test_non_finite_weights_fail_loud(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_calibration_divergence_names_structure(tmp_path):
     # a step size far past the stability bound diverges on the training
     # samples, before any realization runs
@@ -590,12 +588,12 @@ def test_cli_reports_errors(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
     # without the receiver clamp the default grid's cooperative adaptation
-    # diverges at -82 dBm: one error line, no traceback
+    # diverges at -82 dBm: one error line, no traceback and no numpy warning
     assert main(["generate-scenario", "--template", "small-grid", "--seed", "1",
                  "--out", scenario_path]) == 0
     capsys.readouterr()
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         rc = main(["simulate", "--scenario", scenario_path,
                    "--out", str(tmp_path / "unclamped"), "--realizations", "1",
                    "--thresholds-dbm=-82,-62", "--calibration-runs", "1",

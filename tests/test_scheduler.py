@@ -13,6 +13,7 @@ from specsense.scheduler import (
     benchmark_gap,
     build_cost_tensor,
     cluster_saps,
+    column_sums,
     cost_from_reference_powers,
     heuristic_assign,
     objective_value,
@@ -59,6 +60,68 @@ def _enumerate_assignments(k_count, quota):
 def _best_by_enumeration(cost, quota):
     return min(_objective_slow(cost, a)
                for a in _enumerate_assignments(cost.shape[0], quota))
+
+
+def _solve_dfs_reference(colsum, quota):
+    """The branch and bound that tests every combination of each subset.
+
+    Same visiting order and pruning as ``solve_exact(engine="dfs")``, but
+    each size-q combination comes from ``itertools.combinations`` and is
+    skipped one by one when its load reaches the incumbent.
+    """
+    k_count, l_count = colsum.shape
+    lbs = []
+    all_ids = np.arange(k_count)
+    for l in range(l_count):
+        if quota[l] == 0:
+            lbs.append(0.0)
+        else:
+            lbs.append(np.sort(colsum[:, l])[:quota[l]].sum())
+    subset_order = sorted(range(l_count), key=lambda l: -lbs[l])
+
+    best = {"obj": np.inf, "a": None}
+
+    def lower_bound(pool, depth):
+        lb = 0.0
+        for l in subset_order[depth:]:
+            q = quota[l]
+            if q == 0:
+                continue
+            vals = np.sort(colsum[pool, l])[:q]
+            lb = max(lb, vals.sum())
+        return lb
+
+    def recurse(pool, depth, cur_max, partial):
+        if depth == len(subset_order):
+            if cur_max < best["obj"]:
+                best["obj"] = cur_max
+                best["a"] = dict(partial)
+            return
+        l = subset_order[depth]
+        q = quota[l]
+        if q == 0:
+            recurse(pool, depth + 1, cur_max, partial)
+            return
+        order = sorted(pool, key=lambda k: colsum[k, l])
+        for combo in itertools.combinations(order, q):
+            load = sum(colsum[k, l] for k in combo)
+            node_max = max(cur_max, load)
+            if node_max >= best["obj"]:
+                continue
+            rest = [k for k in pool if k not in combo]
+            if rest and max(node_max, lower_bound(rest, depth + 1)) >= best["obj"]:
+                continue
+            for k in combo:
+                partial[k] = l
+            recurse(rest, depth + 1, node_max, partial)
+            for k in combo:
+                del partial[k]
+
+    recurse(list(all_ids), 0, 0.0, {})
+    a = np.empty(k_count, dtype=int)
+    for k, l in best["a"].items():
+        a[k] = l
+    return a
 
 
 def _pick_oracle(cost, cluster_ids, l):
@@ -144,6 +207,12 @@ def test_uniform_cost_tensor_range_and_diagonal():
 def test_uniform_cost_tensor_rejects_bad_range():
     with pytest.raises(ConfigurationError):
         build_cost_tensor(4, 2, substream(1, "cost"), cost_range=(5.0, 1.0))
+
+
+def test_uniform_cost_tensor_rejects_negative_range():
+    # costs are inflicted interference; the exact solvers assume them >= 0
+    with pytest.raises(ConfigurationError, match="nonnegative"):
+        build_cost_tensor(6, 2, substream(1, "cost"), cost_range=(-100.0, 0.0))
 
 
 def test_reference_power_costs_order_and_penalty():
@@ -238,6 +307,46 @@ def test_exact_single_subset_is_forced():
     assignment, obj = solve_exact(cost, (5,))
     np.testing.assert_array_equal(assignment.subset_of_sap, np.zeros(5, dtype=int))
     assert obj == pytest.approx(_objective_slow(cost, assignment.subset_of_sap))
+
+
+@pytest.mark.parametrize("engine", ["dfs", "milp"])
+@pytest.mark.parametrize("bad", [-1e-12, -100.0, np.nan])
+def test_exact_rejects_negative_costs(engine, bad):
+    cost = build_cost_tensor(6, 2, substream(5, "negative"))
+    cost[2, 4, 1] = bad
+    with pytest.raises(ConfigurationError, match="nonnegative"):
+        solve_exact(cost, (3, 3), engine=engine)
+
+
+@settings(max_examples=150, deadline=None)
+@given(quota=st.one_of(st.lists(st.integers(0, 4), min_size=1, max_size=4),
+                       st.lists(st.integers(0, 10), min_size=1, max_size=2),
+                       st.sampled_from([(9, 3), (8, 0, 2), (3, 9, 0, 1)])),
+       costs=st.sampled_from(["uniform", "integer", "reference-powers"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_dfs_matches_combination_reference(quota, costs, seed):
+    # the same assignment, not only the same objective, as the search that
+    # tests every combination: integer costs make ties common, reference
+    # powers give subset-constant costs, and a quota of 8 or more sums its
+    # bound where numpy's sum switches to pairwise accumulation
+    quota = tuple(quota)
+    k_count, l_count = sum(quota), len(quota)
+    assume(k_count >= 1)
+    rng = np.random.default_rng(seed)
+    if costs == "uniform":
+        cost = build_cost_tensor(k_count, l_count, rng)
+    elif costs == "integer":
+        cost = rng.integers(0, 4, size=(k_count, k_count, l_count)).astype(float)
+        idx = np.arange(k_count)
+        cost[idx, idx, :] = 0.0
+    else:
+        p = rng.uniform(0.1, 2.0, size=(k_count, k_count))
+        p[rng.uniform(size=p.shape) < 0.5] = 0.0
+        cost = cost_from_reference_powers(p, l_count)
+    assignment, obj = solve_exact(cost, quota, engine="dfs")
+    want = _solve_dfs_reference(column_sums(cost), quota)
+    np.testing.assert_array_equal(assignment.subset_of_sap, want)
+    assert obj == objective_value(cost, want)
 
 
 def test_exact_rejects_bad_quota_and_oversize():
