@@ -63,18 +63,18 @@ def genie(truth_busy):
     return _full_map(truth_busy)
 
 
-def centralized_egc(measurements):
+def centralized_egc(measurements, gains=(1.0,)):
     """Equal-gain combining at a fusion center: one verdict per channel.
 
     The statistic is the plain mean energy over all SAPs and iterations,
-    busy at 1.0, so one strong local measurement can drag a whole channel
-    busy everywhere.
+    taken once; gain g decides a channel busy where ``mean * g >= 1.0``, so
+    one strong local measurement can drag a whole channel busy everywhere.
+    Returns one DecisionMap per gain.
     """
     y = np.asarray(measurements)
-    k_count = y.shape[0]
-    t_m = y.mean(axis=(0, 2))
-    busy_row = t_m >= 1.0
-    return _full_map(np.tile(busy_row, (k_count, 1)))
+    mean = y.mean(axis=(0, 2))
+    return [_full_map(np.tile(mean * g >= 1.0, (y.shape[0], 1)))
+            for g in gains]
 
 
 def structure_of(name, raw_energy):
@@ -113,8 +113,8 @@ def run_scheme(name, *, measurements, gains=(1.0,), ceiling=None,
     ``measurements * gains[t]``. Adaptive-filter schemes see the rescaled
     frame through the receiver ``ceiling``, raw energy detectors see it
     as-is, and ``truth_busy`` holds the genie's busy map per gain.
-    ``centralized`` scales one frame mean per gain, rescaling the frame only
-    where rounding could flip a verdict; it rejects a negative frame.
+    ``centralized`` compares the frame mean over SAPs and iterations, times
+    each gain, with 1.0 (``centralized_egc``); it rejects a negative frame.
 
     A diffusion scheme decides its structure's network (``sensing_mask``
     None: every SAP senses every channel) against ``thresholds``; under
@@ -124,29 +124,11 @@ def run_scheme(name, *, measurements, gains=(1.0,), ceiling=None,
     """
     if name == "genie":
         return [genie(busy) for _, busy in zip(gains, truth_busy, strict=True)]
-    k_count, m_count, n_iter = measurements.shape
+    k_count, m_count, _ = measurements.shape
     if name == "centralized":
-        # For entries y >= 0 and n = K*N, computed mean(y*g) and mean(y)*g
-        # carry at most n + 1 roundings per nonnegative term (none subnormal
-        # while g < 2**1022), so both lie within γ = (n+1)u/(1 - (n+1)u),
-        # u = eps/2, of the real value. Verdicts differ only if 1.0 lies
-        # between them, within 2γ/(1 - γ)*stat of stat; (n + 4)*eps*stat
-        # bounds that while (n + 1)(n + 4)*eps <= 3 (n <= 1e8), and such
-        # gains rescale the frame. A NaN stat is False on both paths; an
-        # infinite one always rescales.
         if measurements.min() < 0:
             raise ConfigurationError("centralized needs a nonnegative frame")
-        mean = measurements.mean(axis=(0, 2))
-        margin = (k_count * n_iter + 4) * np.finfo(mean.dtype).eps
-        scaled, maps = None, []     # one rescaling buffer, allocated on demand
-        for g in gains:
-            stat = mean * g
-            if np.any(np.abs(stat - 1.0) <= margin * stat):
-                scaled = np.multiply(measurements, g, out=scaled)
-                maps.append(centralized_egc(scaled))
-            else:
-                maps.append(_full_map(np.tile(stat >= 1.0, (k_count, 1))))
-        return maps
+        return centralized_egc(measurements, gains)
     if name not in SCHEME_IDS:
         raise ConfigurationError(f"unknown scheme {name!r}")
     if name == "noncoop-singleband":

@@ -1,15 +1,15 @@
 """Distributed combine-then-adapt sensing over the SAP neighbor graph.
 
-Per iteration every SAP smooths its energy measurement, combines the
-previous-iteration weights of its neighbors, then adapts the combined value
-on channels it senses. Channels it senses combine under adaptive distance
-weights; channels it does not sense combine under reference-power weights
-restricted (by default) to neighbors that do sense them, freezing when no
-such neighbor exists. All SAPs advance synchronously: an iteration reads
-only iteration i-1 weights. Each SAP combines over its own padded row of
-neighbor slots (``neighbor_slots``), summing in ascending neighbor order:
-the order of a dense K x K sum, whose extra terms are exact zeros, so the
-weights are those of the dense combine bit for bit.
+Weights start at zero. Per iteration every SAP smooths its energy
+measurement, combines the previous-iteration weights of its neighbors, then
+adapts the combined value on channels it senses. Channels it senses combine
+under adaptive distance weights; channels it does not sense combine under
+reference-power weights restricted to neighbors that do sense them,
+freezing when no such neighbor exists. All SAPs advance synchronously: an
+iteration reads only iteration i-1 weights. Each SAP combines over its own
+padded row of neighbor slots (``neighbor_slots``), summing in ascending
+neighbor order: the order of a dense K x K sum, whose extra terms are exact
+zeros, so the weights are those of the dense combine bit for bit.
 """
 
 from dataclasses import dataclass
@@ -19,25 +19,22 @@ import numpy as np
 from .model import ConfigurationError
 from .propagation import estimation_noise
 
+EPSILON_GUARD = 1e-12                 # floor on squared weight distances
+
 
 @dataclass(frozen=True)
 class DiffusionParams:
     step_size: float = 0.1            # adaptation gain on sensed channels
     smoothing: float = 0.95           # first-order energy filter coefficient
     iterations: int = 200
-    epsilon_guard: float = 1e-12      # floor on squared weight distances
-    initial_weight: float = 0.0
-    beta_set: str = "informative"     # "informative" | "all-neighbors"
 
     def __post_init__(self):
         if not 0.0 < self.smoothing < 1.0:
             raise ConfigurationError("smoothing must lie in (0, 1)")
-        if self.step_size <= 0:
-            raise ConfigurationError("step_size must be positive")
+        if not 0.0 < self.step_size < np.inf:
+            raise ConfigurationError("step_size must be finite and positive")
         if self.iterations < 0:
             raise ConfigurationError("iterations must be >= 0")
-        if self.beta_set not in ("informative", "all-neighbors"):
-            raise ConfigurationError(f"unknown beta_set {self.beta_set!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -69,14 +66,11 @@ def neighbor_slots(adjacency):
     return nbr, valid
 
 
-def _beta_slots(nbr, valid, sensing_mask, reference_powers, beta_set):
-    """Fixed combination weights for unsensed channels in slot form, (S, K, M)."""
+def _beta_slots(nbr, valid, sensing_mask, reference_powers):
+    """Unsensed channels' weights, (S, K, M): informative neighbors' powers."""
     k_count = nbr.shape[1]
     others = (valid & (nbr != np.arange(k_count)))[:, :, None]
-    if beta_set == "informative":
-        informative = others & sensing_mask[nbr]
-    else:
-        informative = np.repeat(others, sensing_mask.shape[1], axis=2)
+    informative = others & sensing_mask[nbr]
     p_slot = np.asarray(reference_powers, dtype=float)[np.arange(k_count), nbr]
     p = np.where(informative, p_slot[:, :, None], 0.0)
     denom = np.add.reduce(p, axis=0)                 # (K, M)
@@ -99,12 +93,12 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
     """Run the full synchronous algorithm over a gain sweep; return the weights.
 
     ``measurements`` is the unscaled (K, M, N) energy frame. Gain t sees it
-    as ``clip_dynamic_range(measurements * gains[t], ceiling)`` (``ceiling``
-    None: no receiver clamp), formed one iteration slice at a time. Channels
-    evolve independently, so the T gains run as T*M channels of one network,
-    laid out gain-major: column ``t * M + m`` of the returned (K, T*M)
-    weights is channel m under gain t, bit for bit what a single-gain run on
-    that frame returns. Iteration i reads frame slice i alone: the weights
+    as ``np.minimum(measurements * gains[t], ceiling)``, the receiver clamp
+    (``ceiling`` None: no clamp), formed one iteration slice at a time.
+    Channels evolve independently, so the T gains run as T*M channels of
+    one network, laid out gain-major: column ``t * M + m`` of the returned
+    (K, T*M) weights is channel m under gain t, bit for bit what a
+    single-gain run on that frame returns. Iteration i reads frame slice i alone: the weights
     after it are a run on ``measurements[:, :, :i + 1]`` with
     ``iterations=i + 1``. Row k of the (K, K) ``adjacency`` lists SAP k's
     neighbors, itself included; an iteration costs O(S * K * T * M) for
@@ -139,7 +133,7 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
     nbr, valid = neighbor_slots(adjacency)
     s_count = nbr.shape[0]
     beta, has_informative = _beta_slots(nbr, valid, sensing_mask,
-                                        reference_powers, params.beta_set)
+                                        reference_powers)
     # Slot-major layout, (s, k, column): every neighbor sum runs as an
     # outer-axis reduction, which numpy accumulates in slot order whatever
     # the column count, so no column's arithmetic depends on T or M. Every
@@ -153,7 +147,7 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
 
     y_gain = np.empty((k_count, t_count, m_count))
     y = y_gain.reshape(k_count, columns)
-    w = np.full((k_count, columns), float(params.initial_weight))
+    w = np.zeros((k_count, columns))
     d, psi, tmp = (np.empty_like(w) for _ in range(3))
     w_nbr = np.empty((s_count, k_count, columns))
     buf = np.empty_like(w_nbr)
@@ -184,7 +178,7 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
             np.take(w, nbr, axis=0, out=w_nbr, mode="clip")
             np.subtract(tmp, w_nbr, out=buf)
             np.square(buf, out=buf)
-            np.maximum(buf, params.epsilon_guard, out=buf)
+            np.maximum(buf, EPSILON_GUARD, out=buf)
             np.divide(valid, buf, out=buf)
             np.add.reduce(buf, axis=0, out=tmp)
             buf /= tmp
@@ -214,13 +208,6 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
         first = int(np.argmin(per_gain))
         raise DivergenceError(first, float(gains[first]))
     return w
-
-
-def clip_dynamic_range(measurements, ceiling):
-    """Receiver front-end clamp; ``ceiling=None`` disables it."""
-    if ceiling is None:
-        return measurements
-    return np.minimum(measurements, ceiling)
 
 
 def default_ceiling(params):

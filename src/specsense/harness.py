@@ -91,9 +91,17 @@ class Campaign:
             raise ConfigurationError("realizations must be >= 1")
         if not self.thresholds_dbm:
             raise ConfigurationError("threshold sweep must be nonempty")
+        if not np.isfinite((self.reference_dbm, *self.thresholds_dbm)).all():
+            raise ConfigurationError("thresholds and reference must be finite")
+        if not self.schemes:
+            raise ConfigurationError("need at least one scheme")
         unknown = set(self.schemes) - set(SCHEME_IDS)
         if unknown:
             raise ConfigurationError(f"unknown schemes {sorted(unknown)}")
+        for name, values in (("schemes", self.schemes),
+                             ("thresholds_dbm", self.thresholds_dbm)):
+            if len(set(values)) != len(values):
+                raise ConfigurationError(f"{name} has duplicates")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
         if self.calibration_runs < 1:
@@ -102,6 +110,8 @@ class Campaign:
             raise ConfigurationError("device_count must be >= 0")
         if self.device_capacity < 1:
             raise ConfigurationError("device_capacity must be >= 1")
+        if self.scheduler_restarts < 1:
+            raise ConfigurationError("scheduler_restarts must be >= 1")
 
     @property
     def seed(self):
@@ -581,6 +591,8 @@ def emit_footprint_snapshot(campaign, out_path, realization=0,
     Rows: scheme, k, x, y, m, energy_dbm (iteration-mean), truth_busy,
     decision (busy/available/none).
     """
+    if realization < 0:
+        raise ConfigurationError("realization must be >= 0")
     campaign = replace(campaign, thresholds_dbm=(float(threshold_dbm),))
     topo = campaign.scenario.topology
     lams = _calibrate(campaign)

@@ -50,8 +50,10 @@ def _finalize_topology(positions, radius_m, height_m):
     positions = np.asarray(positions, dtype=float)
     k = positions.shape[0]
     heights = np.full(k, float(height_m))
-    if height_m <= 0:
-        raise ConfigurationError("SAP height must be positive")
+    if not 0 < height_m < math.inf:
+        raise ConfigurationError("SAP height must be finite and positive")
+    if not radius_m >= 0:
+        raise ConfigurationError("neighbor radius must be >= 0")
     diff = positions[:, None, :] - positions[None, :, :]
     dist = np.sqrt((diff ** 2).sum(axis=2))
     adjacency = dist <= radius_m + 1e-9  # tolerate fp rounding at exactly R
@@ -145,8 +147,10 @@ def build_spectrum_plan(total_bandwidth_hz, channel_bandwidth_hz, channels_per_s
     applies the uniform policy instead. Raises ConfigurationError when both
     are given or the explicit quota length mismatches.
     """
-    if channel_bandwidth_hz <= 0 or channel_bandwidth_hz > total_bandwidth_hz:
-        raise ConfigurationError("need 0 < b <= B")
+    if not 0 < channel_bandwidth_hz <= total_bandwidth_hz < math.inf:
+        raise ConfigurationError("need 0 < b <= B < inf")
+    if not 0 < center_frequency_hz < math.inf:
+        raise ConfigurationError("center frequency must be finite and positive")
     if channels_per_sap < 1:
         raise ConfigurationError("channels_per_sap must be >= 1")
     m_count = int(total_bandwidth_hz // channel_bandwidth_hz)
@@ -224,9 +228,6 @@ class Scenario:
     incumbents: tuple
     propagation: "PropagationParams"
     seed: int
-
-    def rng(self, *tags):
-        return substream(self.seed, *tags)
 
 
 # ---------------------------------------------------------------------------

@@ -124,12 +124,22 @@ class PropagationParams:
     estimate_shape: float | None = 0.7
 
     def __post_init__(self):
-        if self.shadowing_sigma_los_db < 0 or self.shadowing_sigma_nlos_db < 0:
-            raise ConfigurationError("shadowing sigmas must be >= 0")
+        if self.model not in ("umi", "free-space"):
+            raise ConfigurationError(f"unknown propagation model {self.model!r}")
+        if self.carrier_hz is not None and not 0 < self.carrier_hz < np.inf:
+            raise ConfigurationError("carrier_hz must be finite and positive")
+        if not np.isfinite([self.noise_figure_db,
+                            self.sap_ref_tx_power_dbm]).all():
+            raise ConfigurationError("noise figure and SAP power must be finite")
+        if not (0 <= self.shadowing_sigma_los_db < np.inf
+                and 0 <= self.shadowing_sigma_nlos_db < np.inf):
+            raise ConfigurationError("shadowing sigmas must be finite and >= 0")
         if self.fading not in ("rayleigh", "none"):
             raise ConfigurationError(f"unknown fading kind {self.fading!r}")
-        if self.estimate_shape is not None and self.estimate_shape <= 0:
-            raise ConfigurationError("estimate_shape must be positive or None")
+        if (self.estimate_shape is not None
+                and not 0 < self.estimate_shape < np.inf):
+            raise ConfigurationError(
+                "estimate_shape must be finite and positive, or None")
 
 
 @dataclass(frozen=True)
@@ -214,21 +224,18 @@ def _realize_bands(scenario, plan, rng):
     return centers, bandwidths
 
 
-def realize_links(scenario, rng_bands, rng_shadow, rng_fading=None):
+def realize_links(scenario, rng_bands, rng_shadow, rng_fading):
     """Draw all per-realization randomness of the propagation state.
 
     ``rng_bands`` drives the realization geometry (incumbent band draws and
     LOS states), ``rng_shadow`` the shadowing, ``rng_fading`` the
-    block-fading gains (defaults to ``rng_shadow`` when omitted). All three
-    shape ground truth, which is the realized (shadowed, faded) level; only
-    the estimation noise drawn by ``estimation_noise`` is confined to the
-    measurements.
+    block-fading gains. All three shape ground truth, which is the realized
+    (shadowed, faded) level; only the estimation noise drawn by
+    ``estimation_noise`` is confined to the measurements.
     """
     topo = scenario.topology
     plan = scenario.spectrum
     prop = scenario.propagation
-    if rng_fading is None:
-        rng_fading = rng_shadow
     carrier = prop.carrier_hz if prop.carrier_hz is not None else plan.center_frequency_hz
     k_count = topo.count
     n_inc = len(scenario.incumbents)

@@ -17,9 +17,8 @@ import numpy as np
 import pytest
 
 from specsense.baselines import genie, run_scheme
-from specsense.diffusion import (DiffusionParams, clip_dynamic_range,
-                                 default_ceiling, neighbor_slots,
-                                 run_diffusion)
+from specsense.diffusion import (DiffusionParams, default_ceiling,
+                                 neighbor_slots, run_diffusion)
 from specsense.harness import (Campaign, calibrate_campaign, generate_scenario,
                                read_results_csv, representative_assignment,
                                run_campaign, run_realization)
@@ -144,7 +143,7 @@ def test_criterion_3_diffusion_invariants(capsys):
     y3 = rng.uniform(0.2, 2.5, size=(1, 1, 120))
     got = run_diffusion(y3, np.ones((1, 1), dtype=bool), np.zeros((1, 1)),
                         np.eye(1, dtype=bool), params)[0, 0]
-    w = params.initial_weight
+    w = 0.0
     d = y3[0, 0, 0]
     for i in range(params.iterations):
         d = params.smoothing * d + (1.0 - params.smoothing) * y3[0, 0, i]
@@ -155,7 +154,7 @@ def test_criterion_3_diffusion_invariants(capsys):
     y_max = float(np.sqrt(1.0 / params.step_size))
     y4 = rng.uniform(0.0, y_max, size=(k_count, m_count, 120))
     # the weights after iteration i are a run on the first i + 1 slices
-    bound = max(1.0, params.initial_weight) + 1.0
+    bound = 2.0
     for i in range(params.iterations):
         w = run_diffusion(y4[:, :, :i + 1],
                           np.ones((k_count, m_count), dtype=bool), p_hat,
@@ -181,7 +180,7 @@ def test_criterion_4_filter_discriminability(capsys):
     for run in range(200):
         u = substream(13, "disc", run).gamma(0.7, 1.0 / 0.7,
                                              size=(k_count, m_count, n_iter))
-        y = clip_dynamic_range(level[None, :, None] * u, ceiling)
+        y = np.minimum(level[None, :, None] * u, ceiling)
         w = run_diffusion(y, mask, p_hat, topo.adjacency, params)
         hi.append(w[:, 0].mean())
         lo.append(w[:, 1].mean())
@@ -260,16 +259,17 @@ def test_criterion_6_centralized_verdict_and_genie(capsys):
     scenario = generate_scenario("small-grid", seed=5, side_count=5,
                                  incumbent_count=10)
     iterations = DiffusionParams().iterations
+    seed = scenario.seed
     ref = -62.0
     seen_util = seen_misd = 0
     for r in range(20):
-        links = realize_links(scenario, scenario.rng("bands", r),
-                              scenario.rng("shadow", r),
-                              scenario.rng("fading", r))
+        links = realize_links(scenario, substream(seed, "bands", r),
+                              substream(seed, "shadow", r),
+                              substream(seed, "fading", r))
         truth = compute_ground_truth(scenario, links, ref)
         noise = estimation_noise(
             np.empty(truth.true_energy.shape + (iterations,)),
-            scenario.propagation.estimate_shape, scenario.rng("estimate", r))
+            scenario.propagation.estimate_shape, substream(seed, "estimate", r))
         frame = generate_measurements(truth, noise)
         busy = truth.busy_at(ref)
 

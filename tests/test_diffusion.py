@@ -1,7 +1,7 @@
 """Tests for the combine-then-adapt engine: scalar ops, network runs, calibration."""
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from specsense.diffusion import (
     DiffusionParams,
     DivergenceError,
     calibrate_threshold,
-    clip_dynamic_range,
     decide,
     default_ceiling,
     neighbor_slots,
@@ -34,12 +33,11 @@ def compute_gamma(d, y, w_prev):
     return (d - y * w_prev) * y
 
 
-def alpha_weights(w_self_prev, step_size, gamma, neighbor_w_prev,
-                  epsilon_guard=1e-12):
+def alpha_weights(w_self_prev, step_size, gamma, neighbor_w_prev):
     """Distance-based combination weights over a neighborhood (self included)."""
     target = w_self_prev + step_size * gamma
     dist2 = (target - np.asarray(neighbor_w_prev, dtype=float)) ** 2
-    inv = 1.0 / np.maximum(dist2, epsilon_guard)
+    inv = 1.0 / np.maximum(dist2, 1e-12)
     return inv / inv.sum()
 
 
@@ -56,10 +54,15 @@ def adapt(psi, y, d, step_size, senses_channel):
     return psi + (step_size * y * (d - y * psi) if senses_channel else 0.0)
 
 
+def clip(y, ceiling):
+    """The receiver clamp ``run_diffusion`` applies; None is no clamp."""
+    return y if ceiling is None else np.minimum(y, ceiling)
+
+
 def per_sap_oracle(y, mask, p_hat, adjacency, params):
     """Final weights of the synchronous algorithm, one SAP and channel at a time."""
     k_count, m_count, _ = y.shape
-    w = np.full((k_count, m_count), params.initial_weight)
+    w = np.zeros((k_count, m_count))
     d = y[:, :, 0].copy()
     for i in range(params.iterations):
         d = smooth_energy(d, y[:, :, i], params.smoothing)
@@ -71,7 +74,7 @@ def per_sap_oracle(y, mask, p_hat, adjacency, params):
                 if mask[k, m]:
                     gamma = compute_gamma(d[k, m], y[k, m, i], w[k, m])
                     a = alpha_weights(w[k, m], params.step_size, gamma,
-                                      w[nbrs, m], params.epsilon_guard)
+                                      w[nbrs, m])
                     psi = a @ w[nbrs, m]
                 else:
                     informative = others[mask[others, m]]
@@ -101,15 +104,11 @@ def dense_oracle(measurements, mask, p_hat, adjacency, params, gains=(1.0,),
     mu = params.step_size
 
     def conditioned(i):
-        y = clip_dynamic_range(y_all[:, None, :, i] * gains[None, :, None],
-                               ceiling)
+        y = clip(y_all[:, None, :, i] * gains[None, :, None], ceiling)
         return y.reshape(k_count, columns)
 
     non_self = adjacency & ~np.eye(k_count, dtype=bool)
-    if params.beta_set == "informative":
-        informative = non_self[:, :, None] & mask[None, :, :]
-    else:
-        informative = np.repeat(non_self[:, :, None], m_count, axis=2)
+    informative = non_self[:, :, None] & mask[None, :, :]
     p = np.where(informative, p_hat[:, :, None], 0.0)
     denom = p.sum(axis=1)
     beta = np.divide(p, denom[:, None, :], out=np.zeros_like(p),
@@ -119,7 +118,7 @@ def dense_oracle(measurements, mask, p_hat, adjacency, params, gains=(1.0,),
     mask = np.tile(mask, gains.size)
     freeze = ~mask & ~np.tile(denom > 0, gains.size)
 
-    w = np.full((k_count, columns), float(params.initial_weight))
+    w = np.zeros((k_count, columns))
     d = conditioned(0)
     buf = np.empty((k_count, k_count, columns))
     for i in range(params.iterations):
@@ -128,7 +127,7 @@ def dense_oracle(measurements, mask, p_hat, adjacency, params, gains=(1.0,),
         target = w + mu * compute_gamma(d, y, w)
         np.subtract(target[None, :, :], w[:, None, :], out=buf)
         np.square(buf, out=buf)
-        np.maximum(buf, params.epsilon_guard, out=buf)
+        np.maximum(buf, 1e-12, out=buf)
         np.divide(1.0, buf, out=buf)
         buf *= adj_jk
         buf /= np.add.reduce(buf, axis=0)
@@ -207,21 +206,30 @@ def test_decide_boundary_and_monotone():
 
 
 def test_clip_and_default_ceiling():
-    y = np.array([0.5, 2.0, 9.0])
-    np.testing.assert_allclose(clip_dynamic_range(y, 3.0), [0.5, 2.0, 3.0])
-    assert clip_dynamic_range(y, None) is y
+    # the ceiling clamps the rescaled frame; None leaves it as it is
+    params = DiffusionParams(iterations=6)
+    y = substream(3, "clip").uniform(0.5, 9.0, size=(1, 2, 6))
+    network = (np.ones((1, 2), dtype=bool), np.zeros((1, 1)),
+               np.eye(1, dtype=bool))
+    for ceiling in (3.0, None):
+        assert np.array_equal(
+            run_diffusion(y, *network, params, gains=(1.5,), ceiling=ceiling),
+            run_diffusion(clip(y * 1.5, ceiling), *network, params))
+    assert not np.array_equal(run_diffusion(y, *network, params, ceiling=3.0),
+                              run_diffusion(y, *network, params))
     assert default_ceiling(DiffusionParams()) == pytest.approx(np.sqrt(10.0))
 
 
 def test_params_validation():
-    with pytest.raises(ConfigurationError):
-        DiffusionParams(smoothing=1.0)
-    with pytest.raises(ConfigurationError):
-        DiffusionParams(step_size=0.0)
-    with pytest.raises(ConfigurationError):
-        DiffusionParams(iterations=-1)
-    with pytest.raises(ConfigurationError):
-        DiffusionParams(beta_set="nearest")
+    # the filter's three parameters, nothing more
+    assert [f.name for f in fields(DiffusionParams)] == [
+        "step_size", "smoothing", "iterations"]
+    # an infinite step size would make the receiver ceiling 0
+    for bad in (dict(smoothing=1.0), dict(smoothing=float("nan")),
+                dict(step_size=0.0), dict(step_size=float("inf")),
+                dict(step_size=float("nan")), dict(iterations=-1)):
+        with pytest.raises(ConfigurationError):
+            DiffusionParams(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +238,7 @@ def test_params_validation():
 
 def _standalone_trajectory(y, params):
     """Independent scalar reimplementation of the self-only filter."""
-    w = params.initial_weight
+    w = 0.0
     d = y[0]
     out = []
     for i in range(params.iterations):
@@ -344,28 +352,27 @@ def test_network_run_matches_per_sap_oracle():
     got = run_diffusion(y, mask, p_hat, adjacency, params)
     want = per_sap_oracle(y, mask, p_hat, adjacency, params)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    np.testing.assert_array_equal(got[:, 3], params.initial_weight)
+    np.testing.assert_array_equal(got[:, 3], 0.0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(k_count=st.integers(1, 16), m_count=st.integers(1, 6),
        n_iter=st.integers(1, 25), seed=st.integers(0, 2**32 - 1),
        exponents=st.lists(st.floats(-1.0, 0.6), min_size=1, max_size=4),
-       ceiling=st.sampled_from([None, 3.16]),
-       beta_set=st.sampled_from(["informative", "all-neighbors"]))
+       ceiling=st.sampled_from([None, 3.16]))
 def test_batched_gains_match_single_gain_runs(k_count, m_count, n_iter, seed,
-                                              exponents, ceiling, beta_set):
+                                              exponents, ceiling):
     rng = np.random.default_rng(seed)
     adjacency, mask, p_hat = _random_network(rng, k_count, m_count,
                                              density=rng.uniform(0.05, 0.9),
                                              sensed=rng.uniform(0.2, 1.0))
     y = rng.gamma(0.7, 1 / 0.7, size=(k_count, m_count, n_iter))
-    params = DiffusionParams(iterations=n_iter, beta_set=beta_set)
+    params = DiffusionParams(iterations=n_iter)
     gains = [10.0 ** e for e in exponents]
 
     def single(g):
-        return run_diffusion(clip_dynamic_range(y * g, ceiling), mask, p_hat,
-                             adjacency, params)
+        return run_diffusion(clip(y * g, ceiling), mask, p_hat, adjacency,
+                             params)
 
     try:
         w = run_diffusion(y, mask, p_hat, adjacency, params, gains=gains,
@@ -444,16 +451,15 @@ def test_weight_simplex_at_every_iteration():
        n_iter=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["symmetric", "one-sided", "eye"]),
        density=st.floats(0.0, 1.0), sensed=st.floats(0.0, 1.0),
-       gain_count=st.integers(1, 3),
-       beta_set=st.sampled_from(["informative", "all-neighbors"]))
+       gain_count=st.integers(1, 3))
 def test_weights_stay_on_simplex_for_random_graphs(k_count, m_count, n_iter,
                                                    seed, kind, density, sensed,
-                                                   gain_count, beta_set):
+                                                   gain_count):
     rng = np.random.default_rng(seed)
     adjacency, mask, p_hat = _random_network(rng, k_count, m_count, density,
                                              sensed, kind)
     y = rng.uniform(0.05, 3.0, size=(k_count, m_count, n_iter))
-    params = DiffusionParams(iterations=n_iter, beta_set=beta_set)
+    params = DiffusionParams(iterations=n_iter)
     gains = np.linspace(0.5, 1.0, gain_count)
     audited = []
     run_diffusion(y, mask, p_hat, adjacency, params, gains=gains,
@@ -470,17 +476,15 @@ def test_weights_stay_on_simplex_for_random_graphs(k_count, m_count, n_iter,
        density=st.floats(0.0, 1.0), sensed=st.floats(0.0, 1.0),
        exponents=st.lists(st.floats(-1.0, 0.6), min_size=1, max_size=4),
        step_size=st.sampled_from([0.1, 1e6]),
-       ceiling=st.sampled_from([None, 3.16]),
-       beta_set=st.sampled_from(["informative", "all-neighbors"]))
+       ceiling=st.sampled_from([None, 3.16]))
 def test_slot_kernel_matches_dense_oracle(k_count, m_count, n_iter, seed, kind,
                                           density, sensed, exponents,
-                                          step_size, ceiling, beta_set):
+                                          step_size, ceiling):
     rng = np.random.default_rng(seed)
     adjacency, mask, p_hat = _random_network(rng, k_count, m_count, density,
                                              sensed, kind)
     y = rng.gamma(0.7, 1 / 0.7, size=(k_count, m_count, n_iter))
-    params = DiffusionParams(step_size=step_size, iterations=n_iter,
-                             beta_set=beta_set)
+    params = DiffusionParams(step_size=step_size, iterations=n_iter)
     gains = [10.0 ** e for e in exponents]
     args = (y, mask, p_hat, adjacency, params, gains, ceiling)
     try:
@@ -531,45 +535,23 @@ def test_unsensed_channel_follows_informative_neighbor_delayed():
     for i in range(1, len(weights)):
         assert weights[i][0, 1] == weights[i - 1][1, 1]
         assert weights[i][1, 0] == weights[i - 1][0, 0]
-    # iteration 0 combines the shared initial weight
-    assert weights[0][0, 1] == params.initial_weight
+    # iteration 0 combines the shared initial weight, zero
+    assert weights[0][0, 1] == 0.0
 
 
 def test_freeze_without_informative_neighbor():
-    # nobody senses ch1, so it stays at the initial weight forever
-    params = DiffusionParams(iterations=25, initial_weight=0.2)
+    # nobody senses ch1, so it stays at the initial weight, zero, forever
+    params = DiffusionParams(iterations=25)
     y = substream(17, "freeze").uniform(0.5, 1.5, size=(2, 2, 25))
     mask = np.array([[True, False], [True, False]])
     p_hat = np.array([[0.0, 1.0], [1.0, 0.0]])
     w = run_diffusion(y, mask, p_hat, np.ones((2, 2), dtype=bool), params)
-    np.testing.assert_array_equal(w[:, 1], [0.2, 0.2])
-    assert (w[:, 0] != 0.2).all()
-
-
-def test_beta_set_all_neighbors_variant():
-    # SAP 2 does not sense ch0; the informative rule excludes it while the
-    # all-neighbors rule mixes its (frozen) weight in
-    mask = np.array([[False, True], [True, True], [False, True]])
-    p_hat = np.array([[0.0, 3.0, 1.0],
-                      [3.0, 0.0, 1.0],
-                      [1.0, 1.0, 0.0]])
-    adjacency = np.ones((3, 3), dtype=bool)
-    y = substream(19, "bset").uniform(0.5, 1.5, size=(3, 2, 10))
-
-    lone = DiffusionParams(iterations=10)
-    both = DiffusionParams(iterations=10, beta_set="all-neighbors")
-    w_lone = weights_per_iteration(y, mask, p_hat, adjacency, lone)
-    w_both = weights_per_iteration(y, mask, p_hat, adjacency, both)
-    # informative: SAP 0 ch0 copies SAP 1's previous weight outright
-    assert w_lone[3][0, 0] == w_lone[2][1, 0]
-    # all-neighbors: 3/4 on SAP 1 plus 1/4 on SAP 2's frozen ch0 weight
-    want = 0.75 * w_both[2][1, 0] + 0.25 * w_both[2][2, 0]
-    assert w_both[3][0, 0] == pytest.approx(want, rel=1e-12)
-    assert w_both[3][0, 0] != w_lone[3][0, 0]
+    np.testing.assert_array_equal(w[:, 1], [0.0, 0.0])
+    assert (w[:, 0] != 0.0).all()
 
 
 def test_stability_bound_under_step_size_rule():
-    # with mu <= 1/y_max^2 the weights never leave [0 - eps, max(1, w0) + 1]
+    # with mu <= 1/y_max^2 the weights, starting at 0, stay within [-1, 2]
     params = DiffusionParams(step_size=0.1, iterations=150)
     y_max = float(np.sqrt(1.0 / params.step_size))
     rng = substream(23, "stable")

@@ -142,7 +142,7 @@ def test_scenario_dict_round_trips_exactly(template, seed):
 # Campaign plumbing
 # ---------------------------------------------------------------------------
 
-def test_campaign_validation():
+def test_campaign_validation(tmp_path):
     scn = generate_scenario("small-grid", seed=4, side_count=3,
                             incumbent_count=2)
     with pytest.raises(ConfigurationError):
@@ -153,12 +153,22 @@ def test_campaign_validation():
         Campaign(scenario=scn, schemes=("genie", "majority-vote"))
     with pytest.raises(ConfigurationError):
         Campaign(scenario=scn, workers=0)
-    # caught up front: each would otherwise write NaN-derived or wrong
-    # numbers, or fail only after the realizations ran
+    # caught up front: each would otherwise write NaN-derived, empty,
+    # duplicated or wrong rows, or fail only after the realizations ran
+    nan = float("nan")
     for bad in (dict(calibration_runs=0), dict(calibration_runs=-1),
-                dict(device_count=-5), dict(device_capacity=0)):
+                dict(device_count=-5), dict(device_capacity=0),
+                dict(schemes=()), dict(thresholds_dbm=(nan,)),
+                dict(thresholds_dbm=(-70.0, float("inf"))),
+                dict(reference_dbm=nan), dict(thresholds_dbm=(-62.0, -62)),
+                dict(schemes=("genie", "centralized", "genie")),
+                dict(scheduler_restarts=0)):
         with pytest.raises(ConfigurationError):
             Campaign(scenario=scn, **bad)
+    out = tmp_path / "footprint.csv"
+    with pytest.raises(ConfigurationError, match="realization"):
+        emit_footprint_snapshot(Campaign(scenario=scn), out, realization=-1)
+    assert not out.exists()
     assert Campaign(scenario=scn).seed == 4
     assert Campaign(scenario=scn, master_seed=9).seed == 9
 
@@ -585,6 +595,11 @@ def test_cli_reports_errors(tmp_path, capsys):
                "--out", str(tmp_path / "out"), "--calibration-runs", "0"])
     assert rc == 1
     assert "calibration_runs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    rc = main(["simulate", "--scenario", scenario_path,
+               "--out", str(tmp_path / "out"), "--thresholds-dbm=nan"])
+    assert rc == 1
+    assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
     # without the receiver clamp the default grid's cooperative adaptation

@@ -33,6 +33,7 @@ from specsense.propagation import (
     received_level,
     threshold_gain,
 )
+from specsense.seeding import substream
 
 
 def test_los_pathloss_reference_point():
@@ -133,6 +134,13 @@ def _det_params(**kw):
     return PropagationParams(**base)
 
 
+def _links(scn, bands=0, shadow=0, fading=0):
+    """Links drawn from the given realizations' substreams, one per layer."""
+    return realize_links(scn, substream(scn.seed, "bands", bands),
+                         substream(scn.seed, "shadow", shadow),
+                         substream(scn.seed, "fading", fading))
+
+
 def _noise(scn, truth, iterations, rng_estimate):
     """Estimation noise for a (K, M, ``iterations``) frame of ``truth``."""
     return estimation_noise(np.empty(truth.true_energy.shape + (iterations,)),
@@ -149,8 +157,8 @@ def _measure(scn, links, iterations, rng_estimate):
 def test_measurements_match_independent_link_budget():
     # fully deterministic frame recomputed from first principles
     scn = _scenario(_det_params())
-    links = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 0))
-    frame = _measure(scn, links, 5, scn.rng("estimate", 0))
+    links = _links(scn)
+    frame = _measure(scn, links, 5, substream(scn.seed, "estimate", 0))
     assert frame.y.shape == (9, 4, 5)
 
     inc = scn.incumbents[0]
@@ -168,12 +176,11 @@ def test_measurements_match_independent_link_budget():
 
 def test_measurements_deterministic_per_substream():
     scn = _scenario(PropagationParams())
-    links = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 0),
-                          scn.rng("fading", 0))
-    f1 = _measure(scn, links, 20, scn.rng("estimate", 0))
-    f2 = _measure(scn, links, 20, scn.rng("estimate", 0))
+    links = _links(scn)
+    f1 = _measure(scn, links, 20, substream(scn.seed, "estimate", 0))
+    f2 = _measure(scn, links, 20, substream(scn.seed, "estimate", 0))
     assert np.array_equal(f1.y, f2.y)
-    f3 = _measure(scn, links, 20, scn.rng("estimate", 1))
+    f3 = _measure(scn, links, 20, substream(scn.seed, "estimate", 1))
     assert not np.array_equal(f1.y, f3.y)
     assert (f1.y > 0).all()
 
@@ -183,13 +190,11 @@ def test_block_fading_static_within_realization():
     # the frame is constant over iterations but varies across realizations
     inc = (Incumbent((25.0, 25.0), 1.5, 30.0, 20e6, 5.40e9),)
     scn = _scenario(_det_params(fading="rayleigh"), incumbents=inc)
-    links0 = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 0),
-                           scn.rng("fading", 0))
-    f0 = _measure(scn, links0, 10, scn.rng("estimate", 0))
+    links0 = _links(scn)
+    f0 = _measure(scn, links0, 10, substream(scn.seed, "estimate", 0))
     assert np.ptp(f0.y, axis=2).max() == 0.0
-    links1 = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 0),
-                           scn.rng("fading", 1))
-    f1 = _measure(scn, links1, 10, scn.rng("estimate", 0))
+    links1 = _links(scn, fading=1)
+    f1 = _measure(scn, links1, 10, substream(scn.seed, "estimate", 0))
     assert not np.array_equal(f0.y, f1.y)
 
 
@@ -199,13 +204,12 @@ def test_fading_unit_mean_across_realizations():
     inc = (Incumbent((25.0, 25.0), 1.5, 30.0, 20e6, 5.40e9),)
     scn_det = _scenario(_det_params(), incumbents=inc)
     scn_fad = _scenario(_det_params(fading="rayleigh"), incumbents=inc)
-    links = realize_links(scn_det, scn_det.rng("bands", 0), scn_det.rng("shadow", 0))
+    links = _links(scn_det)
     want = received_level(scn_det, links, -62.0)[:, 0]
     total = np.zeros(9)
     runs = 2500
     for r in range(runs):
-        lr = realize_links(scn_fad, scn_fad.rng("bands", 0),
-                           scn_fad.rng("shadow", 0), scn_fad.rng("fading", r))
+        lr = _links(scn_fad, fading=r)
         total += received_level(scn_fad, lr, -62.0)[:, 0]
     np.testing.assert_allclose(total / runs, want, rtol=0.08)
 
@@ -214,8 +218,8 @@ def test_estimation_noise_statistics():
     # per-iteration factors are unit-mean Gamma(shape): check mean and the
     # relative variance 1/shape on a noise-only channel
     scn = _scenario(_det_params(estimate_shape=25.0))
-    links = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 0))
-    frame = _measure(scn, links, 4000, scn.rng("estimate", 0))
+    links = _links(scn)
+    frame = _measure(scn, links, 4000, substream(scn.seed, "estimate", 0))
     level = received_level(scn, links, -62.0)
     v = dbm_to_norm(noise_floor_dbm(20e6, 7.0), -62.0)
     ratio = frame.y[:, 3, :] / (level[:, 3] + v)[:, None]
@@ -225,7 +229,7 @@ def test_estimation_noise_statistics():
 
 def test_realized_links_shapes_and_symmetry():
     scn = _scenario(PropagationParams(), seed=31)
-    links = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 0))
+    links = _links(scn)
     k = scn.topology.count
     assert links.sap_los.shape == (k, k)
     assert np.array_equal(links.sap_los, links.sap_los.T)
@@ -234,7 +238,7 @@ def test_realized_links_shapes_and_symmetry():
     assert links.inc_gain_db.shape == (1, k)
     assert (links.inc_gain_db < 0).all()
     # same substreams, same draw
-    again = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 0))
+    again = _links(scn)
     assert np.array_equal(links.inc_gain_db, again.inc_gain_db)
     assert np.array_equal(links.sap_gain_db, again.sap_gain_db)
 
@@ -243,7 +247,7 @@ def test_band_draw_uses_channel_grid_for_channel_width_signals():
     incs = tuple(Incumbent((10.0 * i, 5.0), 1.5, 30.0, 20e6, None)
                  for i in range(40))
     scn = _scenario(PropagationParams(), seed=13, incumbents=incs)
-    links = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 0))
+    links = _links(scn)
     centers = set(np.round(links.inc_center_hz, 3))
     assert centers <= set(np.round(scn.spectrum.channel_centers_hz, 3))
     assert len(centers) > 1  # not all incumbents picked the same channel
@@ -251,7 +255,7 @@ def test_band_draw_uses_channel_grid_for_channel_width_signals():
 
 def test_reference_powers_respect_neighborhood():
     scn = _scenario(PropagationParams(), seed=17)
-    links = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 0))
+    links = _links(scn)
     p_hat = generate_reference_powers(scn, links.sap_gain_db, -62.0)
     adj = scn.topology.adjacency
     assert (p_hat.diagonal() == 0).all()
@@ -262,7 +266,7 @@ def test_reference_powers_respect_neighborhood():
 
 def test_reference_powers_decay_with_distance_when_deterministic():
     scn = _scenario(_det_params(), seed=17)
-    links = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 0))
+    links = _links(scn)
     p_hat = generate_reference_powers(scn, links.sap_gain_db, -62.0)
     # 50 m orthogonal neighbor beats 70.7 m diagonal neighbor from the corner
     assert p_hat[0, 1] > p_hat[0, 4] > 0
@@ -271,7 +275,7 @@ def test_reference_powers_decay_with_distance_when_deterministic():
 def test_ground_truth_thresholding():
     inc = (Incumbent((0.0, 0.0), 1.5, 30.0, 20e6, 5.40e9),)
     scn = _scenario(_det_params(), incumbents=inc)
-    links = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 0))
+    links = _links(scn)
     truth = compute_ground_truth(scn, links, -62.0)
     # co-located SAP sees roughly -17 dBm, far channels only noise
     busy = truth.busy_at(-62.0)
@@ -288,7 +292,7 @@ def test_ground_truth_thresholding():
 
 def test_received_level_matches_truth_minus_noise():
     scn = _scenario(_det_params())
-    links = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 0))
+    links = _links(scn)
     truth = compute_ground_truth(scn, links, -62.0)
     v = dbm_to_norm(noise_floor_dbm(20e6, 7.0), -62.0)
     np.testing.assert_allclose(received_level(scn, links, -62.0),
@@ -302,17 +306,15 @@ def test_ground_truth_is_the_realized_level():
                    _plan4().with_quota((3, 2, 2, 2)),
                    (Incumbent((25.0, 25.0), 1.5, 30.0, 20e6, 5.40e9),),
                    PropagationParams(estimate_shape=None), 9)
-    la = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 0),
-                       scn.rng("fading", 0))
-    lb = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 1),
-                       scn.rng("fading", 1))
+    la = _links(scn)
+    lb = _links(scn, shadow=1, fading=1)
     ta = compute_ground_truth(scn, la, -62.0)
     tb = compute_ground_truth(scn, lb, -62.0)
     # shadowing and fading shift the realized level, hence the truth
     assert not np.array_equal(ta.true_energy, tb.true_energy)
     # with estimation noise off, every window reads exactly the true level
-    frame = generate_measurements(ta, _noise(scn, ta, 4,
-                                             scn.rng("estimate", 0)))
+    noise = _noise(scn, ta, 4, substream(scn.seed, "estimate", 0))
+    frame = generate_measurements(ta, noise)
     expected = np.broadcast_to(ta.true_energy[:, :, None], frame.y.shape)
     assert np.array_equal(frame.y, expected)
     assert frame.ref_dbm == ta.ref_dbm
@@ -344,13 +346,11 @@ def _scalar_overlap(plan, signal_center_hz, signal_bandwidth_hz):
     return overlap / signal_bandwidth_hz
 
 
-def _oracle_realize_links(scenario, rng_bands, rng_shadow, rng_fading=None):
+def _oracle_realize_links(scenario, rng_bands, rng_shadow, rng_fading):
     """Link realization with one fading draw per incumbent."""
     topo = scenario.topology
     plan = scenario.spectrum
     prop = scenario.propagation
-    if rng_fading is None:
-        rng_fading = rng_shadow
     carrier = prop.carrier_hz if prop.carrier_hz is not None else plan.center_frequency_hz
     k_count = topo.count
     n_inc = len(scenario.incumbents)
@@ -435,19 +435,15 @@ def _oracle_scenario(template, fading):
     return replace(scn, propagation=replace(scn.propagation, fading=fading))
 
 
-@pytest.mark.parametrize("own_fading_stream", [True, False])
 @pytest.mark.parametrize("fading", ["rayleigh", "none"])
 @pytest.mark.parametrize("template", ["small-grid", "large-synthetic"])
-def test_links_and_truth_match_per_incumbent_oracle(template, fading,
-                                                    own_fading_stream):
-    # the one flat fading draw splits into the per-incumbent draws, in the
-    # same place on the stream: with no fading stream of its own it falls
-    # back to the shadowing stream, between the incumbent and SAP draws
+def test_links_and_truth_match_per_incumbent_oracle(template, fading):
+    # the one flat fading draw splits into the per-incumbent draws
     scn = _oracle_scenario(template, fading)
 
     def streams(r):
-        rngs = [scn.rng("bands", r), scn.rng("shadow", r)]
-        return rngs + [scn.rng("fading", r)] if own_fading_stream else rngs
+        return [substream(scn.seed, tag, r)
+                for tag in ("bands", "shadow", "fading")]
 
     for r in range(3):
         links = realize_links(scn, *streams(r))
@@ -489,17 +485,16 @@ def test_overlap_fraction_rows_equal_scalar_calls():
 @pytest.mark.parametrize("shape", [0.3, 0.7, 1.0, 25.0, None])
 def test_frame_is_level_times_noise_from_its_substream(shape):
     scn = _scenario(PropagationParams(estimate_shape=shape))
-    links = realize_links(scn, scn.rng("bands", 0), scn.rng("shadow", 0),
-                          scn.rng("fading", 0))
+    links = _links(scn)
     truth = compute_ground_truth(scn, links, -62.0)
     size = truth.true_energy.shape + (6,)
     # drawn into a caller's buffer, the noise keeps the bits of the one-call
     # unit-mean Gamma draw; None is noiseless
-    noise = _noise(scn, truth, 6, scn.rng("estimate", 2))
+    noise = _noise(scn, truth, 6, substream(scn.seed, "estimate", 2))
     if shape is None:
         assert np.array_equal(noise, np.ones(size))
     else:
-        assert np.array_equal(noise, scn.rng("estimate", 2).gamma(
+        assert np.array_equal(noise, substream(scn.seed, "estimate", 2).gamma(
             shape, 1.0 / shape, size=size))
     want = truth.true_energy[:, :, None] * noise
     frame = generate_measurements(truth, noise)
