@@ -124,8 +124,11 @@ def test_centralized_rejects_negative_frame():
                              "non-finite"]),
        exponents=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
        ulps=st.lists(st.integers(-4, 4), min_size=1, max_size=5))
-def test_centralized_matches_rescaled_frame_outside_rounding_band(
-        k_count, m_count, n_iter, seed, kind, exponents, ulps):
+def test_centralized_shortcut_matches_per_gain_oracle(k_count, m_count, n_iter,
+                                                      seed, kind, exponents,
+                                                      ulps):
+    # the one frame mean decides each gain as the rescaled frame would,
+    # wherever 1.0 lies outside the rounding band around the statistic
     rng = np.random.default_rng(seed)
     shape = (k_count, m_count, n_iter)
     if kind == "gamma":

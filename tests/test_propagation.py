@@ -435,19 +435,28 @@ def _oracle_scenario(template, fading):
     return replace(scn, propagation=replace(scn.propagation, fading=fading))
 
 
+@pytest.mark.parametrize("own_fading_stream", [True, False])
 @pytest.mark.parametrize("fading", ["rayleigh", "none"])
 @pytest.mark.parametrize("template", ["small-grid", "large-synthetic"])
-def test_links_and_truth_match_per_incumbent_oracle(template, fading):
-    # the one flat fading draw splits into the per-incumbent draws
+def test_links_and_truth_match_per_incumbent_oracle(template, fading,
+                                                    own_fading_stream):
+    # the one flat fading draw splits into the per-incumbent draws; the
+    # fading generator is its own substream or a separate one seeded like
+    # the shadowing substream, and in either case touches only the fades
     scn = _oracle_scenario(template, fading)
+    fading_tag = "fading" if own_fading_stream else "shadow"
 
-    def streams(r):
-        return [substream(scn.seed, tag, r)
-                for tag in ("bands", "shadow", "fading")]
+    def streams(r, tag=fading_tag):
+        return [substream(scn.seed, "bands", r), substream(scn.seed, "shadow", r),
+                substream(scn.seed, tag, r)]
 
     for r in range(3):
         links = realize_links(scn, *streams(r))
         want = _oracle_realize_links(scn, *streams(r))
+        other = realize_links(scn, *streams(r, "estimate"))
+        assert np.array_equal(links.inc_gain_db, other.inc_gain_db)
+        assert np.array_equal(links.sap_gain_db, other.sap_gain_db)
+        assert np.array_equal(links.sap_los, other.sap_los)
         assert len(links.inc_fade) == len(want.inc_fade)
         for (hit, gains), (want_hit, want_gains) in zip(links.inc_fade,
                                                         want.inc_fade):
