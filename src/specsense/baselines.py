@@ -3,9 +3,9 @@
 Every scheme consumes the same unscaled measurement frame within a
 realization, rescaled by one gain per swept threshold, so differences come
 only from the decision architecture. ``run_scheme`` returns one DecisionMap
-per gain. A DecisionMap marks a block no-decision (decided=False) when the
-scheme has no verdict for it, which only the non-cooperative single-band
-scheme does.
+whose (T, K, M) ``busy`` stack holds one slice per gain. It marks a block
+no-decision (decided=False, under every gain) when the scheme has no verdict
+for it, which only the non-cooperative single-band scheme does.
 
 The four diffusion-based schemes are one combine-then-adapt diffusion, run
 once over the whole sweep, on one of three networks, the calibration
@@ -45,7 +45,9 @@ CALIBRATION_STRUCTURE = {
 
 @dataclass
 class DecisionMap:
-    busy: np.ndarray      # (K, M) bool
+    """Verdicts: ``busy`` slice t under gain t, ``decided`` shared by all."""
+
+    busy: np.ndarray      # (T, K, M) stack, or one (K, M) map, bool
     decided: np.ndarray   # (K, M) bool; False marks no-decision blocks
 
     @property
@@ -54,13 +56,12 @@ class DecisionMap:
 
 
 def _full_map(busy):
-    busy = np.asarray(busy, dtype=bool)
-    return DecisionMap(busy.copy(), np.ones_like(busy, dtype=bool))
+    return DecisionMap(busy, np.ones(busy.shape[-2:], dtype=bool))
 
 
 def genie(truth_busy):
-    """Perfect knowledge of the ground-truth occupancy."""
-    return _full_map(truth_busy)
+    """Perfect knowledge of the ground-truth occupancy (a map or a stack)."""
+    return _full_map(np.array(truth_busy, dtype=bool))
 
 
 def centralized_egc(measurements, gains=(1.0,)):
@@ -69,12 +70,13 @@ def centralized_egc(measurements, gains=(1.0,)):
     The statistic is the plain mean energy over all SAPs and iterations,
     taken once; gain g decides a channel busy where ``mean * g >= 1.0``, so
     one strong local measurement can drag a whole channel busy everywhere.
-    Returns one DecisionMap per gain.
+    Returns one DecisionMap whose (T, K, M) stack repeats each gain's
+    channel verdicts over the K SAPs.
     """
     y = np.asarray(measurements)
     mean = y.mean(axis=(0, 2))
-    return [_full_map(np.tile(mean * g >= 1.0, (y.shape[0], 1)))
-            for g in gains]
+    busy = mean * np.asarray(gains, dtype=float)[:, None] >= 1.0
+    return _full_map(np.repeat(busy[:, None, :], y.shape[0], axis=1))
 
 
 def structure_of(name, raw_energy):
@@ -107,12 +109,14 @@ def run_scheme(name, *, measurements, gains=(1.0,), ceiling=None,
                truth_busy=None, sensing_mask=None, reference_powers=None,
                adjacency=None, params=None, thresholds=None,
                channel_picks=None, raw_energy=False):
-    """Dispatch one scheme by id over a gain sweep; one DecisionMap per gain.
+    """Dispatch one scheme by id over a gain sweep; one DecisionMap for all.
 
-    ``measurements`` is the unscaled frame; gain t rescales it as
-    ``measurements * gains[t]``. Adaptive-filter schemes see the rescaled
-    frame through the receiver ``ceiling``, raw energy detectors see it
-    as-is, and ``truth_busy`` holds the genie's busy map per gain.
+    ``measurements`` is the unscaled (K, M, N) frame; gain t rescales it as
+    ``measurements * gains[t]``, and slice t of the returned (T, K, M)
+    ``busy`` stack holds the verdicts under it. Adaptive-filter schemes see
+    the rescaled frame through the receiver ``ceiling``, raw energy
+    detectors see it as-is, and ``truth_busy`` is the genie's (T, K, M)
+    truth stack.
     ``centralized`` compares the frame mean over SAPs and iterations, times
     each gain, with 1.0 (``centralized_egc``); it rejects a negative frame.
 
@@ -123,8 +127,9 @@ def run_scheme(name, *, measurements, gains=(1.0,), ceiling=None,
     each SAP's ``channel_picks`` channel.
     """
     if name == "genie":
-        return [genie(busy) for _, busy in zip(gains, truth_busy, strict=True)]
+        return genie(truth_busy)
     k_count, m_count, _ = measurements.shape
+    gains = np.asarray(gains, dtype=float)
     if name == "centralized":
         if measurements.min() < 0:
             raise ConfigurationError("centralized needs a nonnegative frame")
@@ -139,7 +144,7 @@ def run_scheme(name, *, measurements, gains=(1.0,), ceiling=None,
 
     structure = structure_of(name, raw_energy)
     if structure is None:
-        blocks = [measurements[:, :, -1] * g >= 1.0 for g in gains]
+        busy = measurements[:, :, -1] * gains[:, None, None] >= 1.0
     else:
         if sensing_mask is None:
             sensing_mask = np.ones((k_count, m_count), dtype=bool)
@@ -148,12 +153,13 @@ def run_scheme(name, *, measurements, gains=(1.0,), ceiling=None,
         w = run_diffusion(measurements, *network,
                           DiffusionParams() if params is None else params,
                           gains=gains, ceiling=ceiling)
-        blocks = [decide(block, thresholds)
-                  for block in np.split(w, len(gains), axis=1)]
+        # column t * M + m of w is channel m under gain t
+        stack = w.reshape(k_count, gains.size, m_count).transpose(1, 0, 2)
+        busy = decide(stack, thresholds)
     if name == "noncoop-singleband":
         # the self-only filter evolves each channel independently, so
         # running every channel and masking afterwards matches sensing
         # only the pick
         decided = np.arange(m_count) == picks[:, None]
-        return [DecisionMap(busy & decided, decided) for busy in blocks]
-    return [_full_map(busy) for busy in blocks]
+        return DecisionMap(busy & decided, decided)
+    return _full_map(busy)

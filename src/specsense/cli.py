@@ -80,7 +80,7 @@ def _cmd_assign(args):
     k_count = scenario.topology.count
     l_count = scenario.spectrum.subset_count
     if args.costs == "reference":
-        p_hat = representative_reference_powers(scenario, -62.0)
+        p_hat = representative_reference_powers(scenario)
         cost = cost_from_reference_powers(p_hat, l_count)
     else:
         cost = build_cost_tensor(k_count, l_count, substream(seed, "cost"))

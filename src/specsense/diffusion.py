@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigurationError
+from .model import ConfigurationError, check_integer
 from .propagation import estimation_noise
 
 EPSILON_GUARD = 1e-12                 # floor on squared weight distances
@@ -33,8 +33,7 @@ class DiffusionParams:
             raise ConfigurationError("smoothing must lie in (0, 1)")
         if not 0.0 < self.step_size < np.inf:
             raise ConfigurationError("step_size must be finite and positive")
-        if self.iterations < 0:
-            raise ConfigurationError("iterations must be >= 0")
+        check_integer("iterations", self.iterations, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,20 @@
 
 A campaign sweeps decision thresholds over many realizations of one
 scenario. Per realization, ``prepare_realization`` draws the estimation
-noise on a helper thread while it computes the ground truth at a fixed
-reference level and draws every other scheme input; the frame is the truth
-times that noise. Then one decide step runs each scheme once
+noise on a helper thread while it computes the ground truth, normalized to
+``propagation.REFERENCE_DBM``, and draws every other scheme input; the frame
+is the truth times that noise. Then one decide step runs each scheme once
 over the whole sweep: threshold t is the frame times the gain that maps t
 to 1.0 in normalized units. Raw energy detectors (centralized, and the
 raw-energy non-cooperative variant) see the rescaled frame as-is;
 adaptive-filter schemes see it through the receiver's dynamic-range clamp,
-and run all T gains as one diffusion run over T*M channels. Decision
-thresholds for the diffusion schemes are calibrated once per campaign per
-network structure, on the network ``baselines.structure_network`` builds
-from representative inputs (line-of-sight reference powers and a
-representative assignment); in normalized units one calibration covers the
-whole sweep.
+and run all T gains as one diffusion run over T*M channels. Each scheme
+returns one (T, K, M) decision stack, scored once against the truth stack.
+Decision thresholds for the diffusion schemes are calibrated once per
+campaign per network structure, on the network
+``baselines.structure_network`` builds from representative inputs
+(line-of-sight reference powers and a representative assignment); in
+normalized units one calibration covers the whole sweep.
 
 All randomness flows through named substreams of the master seed, so reruns
 are byte-identical and realizations are order-independent.
@@ -41,13 +42,13 @@ from .metrics import (aggregate, correct_decision_pct, misdetection_probability,
                       schedule_devices, utilization_ratio)
 from .model import (ConfigurationError, Incumbent, Scenario,
                     build_grid_topology, build_random_topology,
-                    build_spectrum_plan, check_quota_feasible,
+                    build_spectrum_plan, check_integer, check_quota_feasible,
                     scenario_to_dict)
-from .propagation import (GroundTruth, MeasurementFrame, PropagationParams,
-                          estimation_noise, generate_measurements,
-                          generate_reference_powers, compute_ground_truth,
-                          norm_to_dbm, pathloss_db, realize_links,
-                          threshold_gain)
+from .propagation import (REFERENCE_DBM, GroundTruth, MeasurementFrame,
+                          PropagationParams, estimation_noise,
+                          generate_measurements, generate_reference_powers,
+                          compute_ground_truth, norm_to_dbm, pathloss_db,
+                          realize_links, threshold_gain)
 from .scheduler import cost_from_reference_powers, heuristic_assign
 from .seeding import substream
 
@@ -76,7 +77,6 @@ class Campaign:
     thresholds_dbm: tuple = tuple(float(t) for t in range(-82, -50, 2))
     realizations: int = 100
     master_seed: int | None = None       # None: reuse the scenario seed
-    reference_dbm: float = -62.0
     diffusion: DiffusionParams = field(default_factory=DiffusionParams)
     calibration_runs: int = 10
     limit_dynamic_range: bool = True
@@ -87,12 +87,17 @@ class Campaign:
     workers: int = 1
 
     def __post_init__(self):
-        if self.realizations < 1:
-            raise ConfigurationError("realizations must be >= 1")
+        for name, minimum in (("realizations", 1), ("workers", 1),
+                              ("calibration_runs", 1), ("device_count", 0),
+                              ("device_capacity", 1),
+                              ("scheduler_restarts", 1)):
+            check_integer(name, getattr(self, name), minimum)
+        if self.master_seed is not None:
+            check_integer("master_seed", self.master_seed)
         if not self.thresholds_dbm:
             raise ConfigurationError("threshold sweep must be nonempty")
-        if not np.isfinite((self.reference_dbm, *self.thresholds_dbm)).all():
-            raise ConfigurationError("thresholds and reference must be finite")
+        if not np.isfinite(self.thresholds_dbm).all():
+            raise ConfigurationError("thresholds must be finite")
         if not self.schemes:
             raise ConfigurationError("need at least one scheme")
         unknown = set(self.schemes) - set(SCHEME_IDS)
@@ -102,16 +107,6 @@ class Campaign:
                              ("thresholds_dbm", self.thresholds_dbm)):
             if len(set(values)) != len(values):
                 raise ConfigurationError(f"{name} has duplicates")
-        if self.workers < 1:
-            raise ConfigurationError("workers must be >= 1")
-        if self.calibration_runs < 1:
-            raise ConfigurationError("calibration_runs must be >= 1")
-        if self.device_count < 0:
-            raise ConfigurationError("device_count must be >= 0")
-        if self.device_capacity < 1:
-            raise ConfigurationError("device_capacity must be >= 1")
-        if self.scheduler_restarts < 1:
-            raise ConfigurationError("scheduler_restarts must be >= 1")
 
     @property
     def seed(self):
@@ -122,7 +117,7 @@ class Campaign:
 # Representative assignment and threshold calibration
 # ---------------------------------------------------------------------------
 
-def representative_reference_powers(scenario, ref_dbm):
+def representative_reference_powers(scenario):
     """Shadow-free line-of-sight reference powers for calibration use."""
     topo = scenario.topology
     prop = scenario.propagation
@@ -133,15 +128,15 @@ def representative_reference_powers(scenario, ref_dbm):
     d = np.maximum(d, 1.0)
     pl = pathloss_db(d, carrier, True, ut_height_m=float(topo.heights_m[0]),
                      model=prop.model)
-    return generate_reference_powers(scenario, -pl, ref_dbm)
+    return generate_reference_powers(scenario, -pl)
 
 
-def representative_assignment(campaign):
-    """Deterministic campaign-level assignment used for threshold calibration."""
+def representative_assignment(campaign, reference_powers):
+    """Calibration's assignment over the representative reference powers."""
     scn = campaign.scenario
     check_quota_feasible(scn.spectrum, scn.topology.count)
-    p_hat = representative_reference_powers(scn, campaign.reference_dbm)
-    cost = cost_from_reference_powers(p_hat, scn.spectrum.subset_count)
+    cost = cost_from_reference_powers(reference_powers,
+                                      scn.spectrum.subset_count)
     assignment, _ = heuristic_assign(
         cost, scn.topology.positions, scn.spectrum.quota,
         substream(campaign.seed, "rep-assign"), campaign.scheduler_restarts)
@@ -154,48 +149,37 @@ def _ceiling(campaign):
             if campaign.limit_dynamic_range else None)
 
 
-def _structure_specs(campaign, rep_assignment):
-    """Networks, built from the representative inputs, whose λ schemes read."""
-    scn = campaign.scenario
-    p_rep = representative_reference_powers(scn, campaign.reference_dbm)
-    mask = (rep_assignment.sensing_mask(scn.spectrum)
-            if rep_assignment is not None else
-            np.ones((scn.topology.count, scn.spectrum.channel_count), dtype=bool))
-    needed = {structure_of(s, campaign.noncoop_raw_energy)
-              for s in campaign.schemes} - {None}
-    return {name: structure_network(name, mask, p_rep, scn.topology.adjacency)
-            for name in needed}
-
-
-def calibrate_campaign(campaign, rep_assignment):
+def calibrate_campaign(campaign):
     """λ per structure: the once-per-campaign known-energy training pass.
 
-    Raises ArithmeticError naming the structure whose weights diverge.
+    Networks are built from line-of-sight reference powers, plus the
+    representative assignment when ``proposed-singleband`` runs. Raises
+    ArithmeticError naming the structure whose weights diverge.
     """
-    prop = campaign.scenario.propagation
+    scn = campaign.scenario
+    p_rep = representative_reference_powers(scn)
+    mask = np.ones((scn.topology.count, scn.spectrum.channel_count), bool)
+    if "proposed-singleband" in campaign.schemes:
+        mask = representative_assignment(campaign, p_rep).sensing_mask(
+            scn.spectrum)
+    needed = {structure_of(s, campaign.noncoop_raw_energy)
+              for s in campaign.schemes} - {None}
     ceiling = _ceiling(campaign)
     lams = {}
-    for name, (mask, p_hat, adjacency) in _structure_specs(campaign,
-                                                           rep_assignment).items():
+    for name in needed:
+        network = structure_network(name, mask, p_rep, scn.topology.adjacency)
         try:
             lams[name] = calibrate_threshold(
-                mask, p_hat, adjacency, campaign.diffusion,
+                *network, campaign.diffusion,
                 substream(campaign.seed, "calibrate", name),
                 calibration_runs=campaign.calibration_runs,
-                estimate_shape=prop.estimate_shape, ceiling=ceiling)
+                estimate_shape=scn.propagation.estimate_shape,
+                ceiling=ceiling)
         except DivergenceError as exc:
             raise ArithmeticError(
                 f"calibration of structure {name}: {exc}") from exc
         log.debug("calibrated structure %s", name)
     return lams
-
-
-def _calibrate(campaign):
-    """Representative assignment (when a scheme needs one), then λ."""
-    rep_assignment = None
-    if "proposed-singleband" in campaign.schemes:
-        rep_assignment = representative_assignment(campaign)
-    return calibrate_campaign(campaign, rep_assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +207,6 @@ def prepare_realization(campaign, r):
     """
     scn = campaign.scenario
     seed = campaign.seed
-    ref = campaign.reference_dbm
     topo = scn.topology
     buffer = np.empty((topo.count, scn.spectrum.channel_count,
                        campaign.diffusion.iterations))
@@ -234,8 +217,8 @@ def prepare_realization(campaign, r):
         links = realize_links(scn, substream(seed, "bands", r),
                               substream(seed, "shadow", r),
                               substream(seed, "fading", r))
-        truth = compute_ground_truth(scn, links, ref)
-        p_hat = generate_reference_powers(scn, links.sap_gain_db, ref)
+        truth = compute_ground_truth(scn, links)
+        p_hat = generate_reference_powers(scn, links.sap_gain_db)
         sensing_mask = None
         if "proposed-singleband" in campaign.schemes:
             cost = cost_from_reference_powers(p_hat, scn.spectrum.subset_count)
@@ -259,26 +242,25 @@ def prepare_realization(campaign, r):
 
 
 def decide_schemes(campaign, lams, inputs, r):
-    """Yield (scheme, threshold_dbm, DecisionMap, truth busy map) per block.
+    """Yield (scheme, DecisionMap, truth stack) once per scheme.
 
-    Each scheme runs once over the whole threshold sweep. Diffusion weights
-    that go non-finite raise ArithmeticError naming the scheme, the
+    Slice t of both (T, K, M) stacks is threshold t of the sweep. Diffusion
+    weights that go non-finite raise ArithmeticError naming the scheme, the
     realization ``r`` and the first threshold affected.
     """
     thresholds = campaign.thresholds_dbm
-    ref = campaign.reference_dbm
-    gains = [threshold_gain(ref, t) for t in thresholds]
-    truths = [inputs.truth.busy_at(t) for t in thresholds]
+    gains = [threshold_gain(t) for t in thresholds]
+    truth = np.array([inputs.truth.busy_at(t) for t in thresholds])
     ceiling = _ceiling(campaign)
     for scheme in campaign.schemes:
         structure = structure_of(scheme, campaign.noncoop_raw_energy)
         try:
-            maps = run_scheme(
+            dm = run_scheme(
                 scheme,
                 measurements=inputs.frame.y,
                 gains=gains,
                 ceiling=ceiling,
-                truth_busy=truths,
+                truth_busy=truth,
                 sensing_mask=inputs.sensing_mask,
                 reference_powers=inputs.reference_powers,
                 adjacency=campaign.scenario.topology.adjacency,
@@ -291,34 +273,33 @@ def decide_schemes(campaign, lams, inputs, r):
             raise ArithmeticError(
                 f"{scheme}: diffusion weights went non-finite in realization "
                 f"{r} at threshold {thresholds[exc.gain_index]!r} dBm") from exc
-        for t, dm, truth_t in zip(thresholds, maps, truths):
-            yield scheme, t, dm, truth_t
+        yield scheme, dm, truth
 
 
 def run_realization(campaign, lams, r):
     """All schemes, all thresholds, one realization. Returns (crc32, metrics).
 
     The metrics dict maps (scheme, threshold_dbm, metric) -> value or None.
+    Each scheme is scored once over its whole decision stack.
     """
     inputs = prepare_realization(campaign, r)
     checksum = zlib.crc32(inputs.frame.y)
     positions = campaign.scenario.topology.positions
     results = {}
-    for scheme, t, dm, truth_t in decide_schemes(campaign, lams, inputs, r):
+    for scheme, dm, truth in decide_schemes(campaign, lams, inputs, r):
         # the decided mask itself is noncoop-singleband's own set
         own_scope = {"proposed-singleband": inputs.sensing_mask,
                      "noncoop-singleband": dm.decided}.get(scheme)
-        results[(scheme, t, "utilization_ratio")] = utilization_ratio(dm, truth_t)
-        results[(scheme, t, "misdetection_probability")] = (
-            misdetection_probability(dm, truth_t))
-        results[(scheme, t, "correct_decision_pct_all")] = (
-            correct_decision_pct(dm, truth_t))
-        results[(scheme, t, "correct_decision_pct_own")] = (
-            correct_decision_pct(dm, truth_t, own_scope))
+        values = [utilization_ratio(dm, truth),
+                  misdetection_probability(dm, truth),
+                  correct_decision_pct(dm, truth),
+                  correct_decision_pct(dm, truth, own_scope)]
         if inputs.devices is not None:
-            results[(scheme, t, "scheduled_devices")] = schedule_devices(
-                dm, truth_t, inputs.devices, positions,
-                campaign.device_capacity)
+            values.append(schedule_devices(
+                dm, truth, inputs.devices, positions, campaign.device_capacity))
+        for i, t in enumerate(campaign.thresholds_dbm):
+            for metric, per_threshold in zip(METRIC_ORDER, values):
+                results[(scheme, t, metric)] = per_threshold[i]
     return checksum, results
 
 
@@ -358,7 +339,7 @@ def run_campaign(campaign, out_dir):
 def _run_and_write(campaign, out_dir):
     scn = campaign.scenario
 
-    lams = _calibrate(campaign)
+    lams = calibrate_campaign(campaign)
     log.info("calibrated %d structure/threshold pairs", len(lams))
 
     total = campaign.realizations
@@ -408,7 +389,7 @@ def _run_and_write(campaign, out_dir):
         "thresholds_dbm": [float(t) for t in campaign.thresholds_dbm],
         "realizations": campaign.realizations,
         "master_seed": campaign.seed,
-        "reference_dbm": campaign.reference_dbm,
+        "reference_dbm": REFERENCE_DBM,
         "frame_crc32": [f"{c:08x}" for c in checksums],
         "calibration_structures": sorted(lams),
         "calibration_thresholds": {name: _spread(lam)
@@ -595,27 +576,26 @@ def emit_footprint_snapshot(campaign, out_path, realization=0,
         raise ConfigurationError("realization must be >= 0")
     campaign = replace(campaign, thresholds_dbm=(float(threshold_dbm),))
     topo = campaign.scenario.topology
-    lams = _calibrate(campaign)
+    lams = calibrate_campaign(campaign)
     inputs = prepare_realization(campaign, realization)
-    mean_energy_dbm = norm_to_dbm(inputs.frame.y.mean(axis=2),
-                                  campaign.reference_dbm)
+    mean_energy_dbm = norm_to_dbm(inputs.frame.y.mean(axis=2))
 
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scheme", "k", "x", "y", "m", "energy_dbm",
                          "truth_busy", "decision"])
-        for scheme, _, dm, truth_t in decide_schemes(campaign, lams, inputs,
-                                                     realization):
+        for scheme, dm, truth in decide_schemes(campaign, lams, inputs,
+                                                realization):
             for k in range(topo.count):
                 x, y = topo.positions[k]
                 for m in range(campaign.scenario.spectrum.channel_count):
                     if not dm.decided[k, m]:
                         verdict = "none"
-                    elif dm.busy[k, m]:
+                    elif dm.busy[0, k, m]:
                         verdict = "busy"
                     else:
                         verdict = "available"
                     writer.writerow([scheme, k, _fmt(float(x)), _fmt(float(y)),
                                      m, _fmt(float(mean_energy_dbm[k, m])),
-                                     int(truth_t[k, m]), verdict])
+                                     int(truth[0, k, m]), verdict])
     return out_path

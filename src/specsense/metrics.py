@@ -1,31 +1,34 @@
 """Evaluation metrics over decision maps and ground truth.
 
-Metrics with an empty denominator return None ("absent"); aggregation skips
+Every metric reduces over the last two (K, M) axes: a (K, M) map gives one
+value, a (T, K, M) threshold-sweep stack gives a list of T, one per slice.
+A value with an empty denominator is None ("absent"); aggregation skips
 those realizations and reports how many contributed.
 """
 
 import numpy as np
 
 
+def _per_slice(hits, evaluated, scale=1.0):
+    """``scale * hits / evaluated`` per (K, M) slice; None where empty."""
+    num = scale * np.sum(hits, axis=(-2, -1))
+    den = np.sum(np.broadcast_to(evaluated, np.shape(hits)), axis=(-2, -1))
+    values = [None if d == 0 else float(n / d)
+              for n, d in zip(np.ravel(num), np.ravel(den))]
+    return values if np.ndim(den) else values[0]
+
+
 def utilization_ratio(decision_map, truth_busy):
     """Correctly identified available blocks relative to all truly available."""
-    truth_busy = np.asarray(truth_busy, dtype=bool)
-    truly_available = ~truth_busy
-    denom = truly_available.sum()
-    if denom == 0:
-        return None
-    hits = (decision_map.available & truly_available).sum()
-    return float(hits / denom)
+    truly_available = ~np.asarray(truth_busy, dtype=bool)
+    return _per_slice(decision_map.available & truly_available,
+                      truly_available)
 
 
 def misdetection_probability(decision_map, truth_busy):
     """Probability of declaring a truly busy block available."""
     truth_busy = np.asarray(truth_busy, dtype=bool)
-    denom = truth_busy.sum()
-    if denom == 0:
-        return None
-    misses = (decision_map.available & truth_busy).sum()
-    return float(misses / denom)
+    return _per_slice(decision_map.available & truth_busy, truth_busy)
 
 
 def correct_decision_pct(decision_map, truth_busy, scope_mask=None):
@@ -34,15 +37,12 @@ def correct_decision_pct(decision_map, truth_busy, scope_mask=None):
     No-decision blocks are never evaluated; ``scope_mask`` further restricts
     the evaluated set (e.g. to each SAP's own sensed channels).
     """
-    truth_busy = np.asarray(truth_busy, dtype=bool)
     evaluated = decision_map.decided
     if scope_mask is not None:
         evaluated = evaluated & np.asarray(scope_mask, dtype=bool)
-    denom = evaluated.sum()
-    if denom == 0:
-        return None
-    matches = ((decision_map.busy == truth_busy) & evaluated).sum()
-    return float(100.0 * matches / denom)
+    truth_busy = np.asarray(truth_busy, dtype=bool)
+    matches = (decision_map.busy == truth_busy) & evaluated
+    return _per_slice(matches, evaluated, 100.0)
 
 
 def attach_devices(device_positions, sap_positions):
@@ -62,16 +62,17 @@ def schedule_devices(decision_map, truth_busy, device_positions, sap_positions,
     """Devices served over correctly identified available blocks.
 
     Each device asks its nearest SAP; a SAP serves up to capacity_per_block
-    devices per correct-available block, first-come by device index.
+    devices per correct-available block, first-come by device index. The
+    devices are attached once per call, whatever the number of slices.
     """
     if capacity_per_block < 1:
         raise ValueError("capacity_per_block must be >= 1")
     truth_busy = np.asarray(truth_busy, dtype=bool)
     correct_available = decision_map.available & ~truth_busy
-    slots = correct_available.sum(axis=1) * capacity_per_block
+    slots = correct_available.sum(axis=-1) * capacity_per_block
     home = attach_devices(device_positions, sap_positions)
-    demand = np.bincount(home, minlength=slots.shape[0])
-    return int(np.minimum(demand, slots).sum())
+    demand = np.bincount(home, minlength=slots.shape[-1])
+    return np.minimum(demand, slots).sum(axis=-1).tolist()
 
 
 def aggregate(values):

@@ -1,9 +1,9 @@
 """Received-power modeling: pathloss, shadowing, fading, energy frames.
 
-All linear powers inside the simulator are normalized so that the detection
-reference level maps to 1.0 (raw watts around 1e-13 would make the adaptive
-update numerically dead). Frames and ground truth carry that reference in
-dBm; ``threshold_gain`` maps a swept threshold onto it.
+All linear powers inside the simulator are normalized so that one reference
+level, ``REFERENCE_DBM`` (-62 dBm, the 802.11 energy-detect level), maps to
+1.0 (raw watts around 1e-13 would make the adaptive update numerically
+dead); ``threshold_gain`` maps a swept threshold onto it.
 
 Randomness is layered by time scale. Per realization: incumbent band draws,
 LOS states, shadowing, and small-scale fading, all static across the sensing
@@ -24,20 +24,21 @@ import numpy as np
 from .model import ConfigurationError
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
+REFERENCE_DBM = -62.0
 
 
-def dbm_to_norm(dbm, ref_dbm):
-    """Linear power in normalized units where ref_dbm maps to 1.0."""
-    return 10.0 ** ((np.asarray(dbm, dtype=float) - ref_dbm) / 10.0)
+def dbm_to_norm(dbm):
+    """Linear power in normalized units where REFERENCE_DBM maps to 1.0."""
+    return 10.0 ** ((np.asarray(dbm, dtype=float) - REFERENCE_DBM) / 10.0)
 
 
-def norm_to_dbm(value, ref_dbm):
-    return ref_dbm + 10.0 * np.log10(value)
+def norm_to_dbm(value):
+    return REFERENCE_DBM + 10.0 * np.log10(value)
 
 
-def threshold_gain(ref_dbm, threshold_dbm):
-    """Factor that renormalizes ref_dbm-referenced power so threshold_dbm maps to 1.0."""
-    return 10.0 ** ((ref_dbm - threshold_dbm) / 10.0)
+def threshold_gain(threshold_dbm):
+    """Factor that renormalizes power so threshold_dbm maps to 1.0."""
+    return 10.0 ** ((REFERENCE_DBM - threshold_dbm) / 10.0)
 
 
 def noise_floor_dbm(channel_bandwidth_hz, noise_figure_db):
@@ -167,19 +168,16 @@ class MeasurementFrame:
     """Energy measurements Y[k, m, i] in normalized linear units."""
 
     y: np.ndarray                  # (K, M, N) > 0
-    ref_dbm: float
 
 
 @dataclass
 class GroundTruth:
     """Realized per-block energy levels; ``busy_at`` thresholds them."""
 
-    true_energy: np.ndarray        # (K, M) normalized to ref_dbm
-    ref_dbm: float
+    true_energy: np.ndarray        # (K, M) normalized
 
     def busy_at(self, threshold_dbm):
-        return (self.true_energy * threshold_gain(self.ref_dbm, threshold_dbm)
-                >= 1.0)
+        return self.true_energy * threshold_gain(threshold_dbm) >= 1.0
 
 
 def _realize_bands(scenario, plan, rng):
@@ -293,7 +291,7 @@ def realize_links(scenario, rng_bands, rng_shadow, rng_fading):
                            tuple(fades), sap_los, sap_gain_db)
 
 
-def received_level(scenario, links, ref_dbm):
+def received_level(scenario, links):
     """Static per-block incumbent energy, shape (K, M).
 
     The level a receiver actually sees this realization: transmit power
@@ -310,13 +308,13 @@ def received_level(scenario, links, ref_dbm):
         if hit.size == 0:
             continue
         lo, hi = hit[0], hit[-1] + 1  # a signal's channels are contiguous
-        rx = dbm_to_norm(inc.tx_power_dbm + links.inc_gain_db[i], ref_dbm)
+        rx = dbm_to_norm(inc.tx_power_dbm + links.inc_gain_db[i])
         total[:, lo:hi] += rx[:, None] * frac[i, lo:hi][None, :] * gains
     return total
 
 
-def compute_ground_truth(scenario, links, ref_dbm):
-    """Energy actually present at each SAP this window, normalized to ref_dbm.
+def compute_ground_truth(scenario, links):
+    """Energy actually present at each SAP this window, normalized.
 
     Noise floor plus shadowed, faded incumbent power. A block is busy at
     threshold t when ``busy_at(t)`` says this level reaches it; the
@@ -325,9 +323,8 @@ def compute_ground_truth(scenario, links, ref_dbm):
     """
     plan = scenario.spectrum
     prop = scenario.propagation
-    v = dbm_to_norm(noise_floor_dbm(plan.channel_bandwidth_hz, prop.noise_figure_db),
-                    ref_dbm)
-    return GroundTruth(v + received_level(scenario, links, ref_dbm), ref_dbm)
+    v = dbm_to_norm(noise_floor_dbm(plan.channel_bandwidth_hz, prop.noise_figure_db))
+    return GroundTruth(v + received_level(scenario, links))
 
 
 def estimation_noise(out, estimate_shape, rng):
@@ -351,16 +348,16 @@ def generate_measurements(truth, noise):
     calling thread in a campaign), is scaled in place and becomes the frame.
     """
     noise *= truth.true_energy[:, :, None]
-    return MeasurementFrame(noise, truth.ref_dbm)
+    return MeasurementFrame(noise)
 
 
-def generate_reference_powers(scenario, sap_gain_db, ref_dbm):
+def generate_reference_powers(scenario, sap_gain_db):
     """Neighbor reference-signal powers P[k, j] over SAP link gains in dB.
 
     Zero off-neighborhood and on the diagonal.
     """
     adjacency = scenario.topology.adjacency
     rx_dbm = scenario.propagation.sap_ref_tx_power_dbm + sap_gain_db
-    p_hat = dbm_to_norm(rx_dbm, ref_dbm)
+    p_hat = dbm_to_norm(rx_dbm)
     mask = adjacency & ~np.eye(adjacency.shape[0], dtype=bool)
     return np.where(mask, p_hat, 0.0)

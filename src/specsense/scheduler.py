@@ -24,10 +24,6 @@ class Assignment:
 
     subset_of_sap: np.ndarray  # (K,) int
 
-    @property
-    def sap_count(self):
-        return self.subset_of_sap.shape[0]
-
     def counts(self, subset_count):
         return np.bincount(self.subset_of_sap, minlength=subset_count)
 

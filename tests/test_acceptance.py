@@ -20,8 +20,7 @@ from specsense.baselines import genie, run_scheme
 from specsense.diffusion import (DiffusionParams, default_ceiling,
                                  neighbor_slots, run_diffusion)
 from specsense.harness import (Campaign, calibrate_campaign, generate_scenario,
-                               read_results_csv, representative_assignment,
-                               run_campaign, run_realization)
+                               read_results_csv, run_campaign, run_realization)
 from specsense.metrics import (correct_decision_pct, misdetection_probability,
                                utilization_ratio)
 from specsense.model import build_grid_topology, uniform_quota
@@ -174,7 +173,7 @@ def test_criterion_4_filter_discriminability(capsys):
     k_count, m_count, n_iter = topo.count, 2, params.iterations
     mask = np.ones((k_count, m_count), dtype=bool)
     p_hat = np.where(topo.adjacency & ~np.eye(k_count, dtype=bool), 0.5, 0.0)
-    noise = dbm_to_norm(noise_floor_dbm(20e6, 7.0), -62.0)
+    noise = dbm_to_norm(noise_floor_dbm(20e6, 7.0))
     level = np.array([10.0, noise])     # 10x the reference vs noise only
     hi, lo = [], []
     for run in range(200):
@@ -260,22 +259,22 @@ def test_criterion_6_centralized_verdict_and_genie(capsys):
                                  incumbent_count=10)
     iterations = DiffusionParams().iterations
     seed = scenario.seed
-    ref = -62.0
     seen_util = seen_misd = 0
     for r in range(20):
         links = realize_links(scenario, substream(seed, "bands", r),
                               substream(seed, "shadow", r),
                               substream(seed, "fading", r))
-        truth = compute_ground_truth(scenario, links, ref)
+        truth = compute_ground_truth(scenario, links)
         noise = estimation_noise(
             np.empty(truth.true_energy.shape + (iterations,)),
             scenario.propagation.estimate_shape, substream(seed, "estimate", r))
         frame = generate_measurements(truth, noise)
-        busy = truth.busy_at(ref)
+        busy = truth.busy_at(-62.0)
 
-        [dm] = run_scheme("centralized", measurements=frame.y)
-        assert dm.decided.all()
-        assert (dm.busy == dm.busy[0]).all()      # one verdict per channel
+        dm = run_scheme("centralized", measurements=frame.y)
+        assert dm.decided.all() and dm.busy.shape == (1,) + busy.shape
+        [verdicts] = dm.busy
+        assert (verdicts == verdicts[0]).all()    # one verdict per channel
 
         g = genie(busy)
         u = utilization_ratio(g, busy)
@@ -303,8 +302,7 @@ def test_criterion_7_device_scheduling_ordering(capsys):
                                  "proposed-singleband", "noncoop-singleband"),
                         device_count=10000, calibration_runs=6,
                         noncoop_raw_energy=True)
-    rep = representative_assignment(campaign)
-    lams = calibrate_campaign(campaign, rep)
+    lams = calibrate_campaign(campaign)
     sums = defaultdict(float)
     for r in range(campaign.realizations):
         _, res = run_realization(campaign, lams, r)

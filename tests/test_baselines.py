@@ -14,7 +14,7 @@ from specsense.baselines import (
     run_scheme,
     structure_of,
 )
-from specsense.diffusion import DiffusionParams
+from specsense.diffusion import DiffusionParams, default_ceiling
 from specsense.metrics import (
     correct_decision_pct,
     misdetection_probability,
@@ -60,7 +60,7 @@ def test_genie_is_perfect():
 
 def test_centralized_one_verdict_per_channel():
     y = substream(2, "egc").uniform(0.5, 3.0, size=(5, 4, 6))
-    [d] = centralized_egc(y)
+    [d] = _slices(centralized_egc(y))
     assert d.decided.all()
     # every SAP shares the channel verdict
     assert (d.busy == d.busy[0]).all()
@@ -71,14 +71,19 @@ def test_centralized_one_verdict_per_channel():
 def test_centralized_threshold_examples():
     # constant level below the threshold stays available everywhere
     low = np.full((3, 2, 4), 0.6)
-    assert not centralized_egc(low)[0].busy.any()
+    assert not centralized_egc(low).busy[0].any()
     # two SAPs at {1, 3} average to 2: busy at threshold 2, free at 2.5,
     # each threshold applied as the gain that maps it to 1.0
     y = np.zeros((2, 1, 1))
     y[0, 0, 0], y[1, 0, 0] = 1.0, 3.0
-    at_2, at_2_5 = centralized_egc(y, gains=(1 / 2.0, 1 / 2.5))
+    at_2, at_2_5 = _slices(centralized_egc(y, gains=(1 / 2.0, 1 / 2.5)))
     assert at_2.busy.all() and at_2.decided.all()
     assert not at_2_5.busy.any()
+
+
+def _slices(dm):
+    """One (K, M) DecisionMap per slice of a decision stack."""
+    return [DecisionMap(busy, dm.decided) for busy in dm.busy]
 
 
 def _rescaled_oracle(y, gains):
@@ -91,8 +96,8 @@ def test_centralized_sweep_matches_per_gain_copies():
     # rescaled frames would, and the frame is never touched
     y = substream(4, "egc-sweep").gamma(0.7, 1.0 / 0.7, size=(6, 9, 5))
     frame = y.copy()
-    gains = [threshold_gain(-62.0, t) for t in range(-82, -50, 4)]
-    maps = run_scheme("centralized", measurements=y, gains=gains)
+    gains = [threshold_gain(t) for t in range(-82, -50, 4)]
+    maps = _slices(run_scheme("centralized", measurements=y, gains=gains))
     assert len(maps) == len(gains)
     for dm, stat in zip(maps, _rescaled_oracle(frame, gains)):
         assert np.array_equal(dm.busy, np.tile(stat >= 1.0, (6, 1)))
@@ -106,7 +111,7 @@ def test_centralized_boundary_takes_exact_path():
     # threshold: busy
     y = np.zeros((2, 1, 1))
     y[0, 0, 0], y[1, 0, 0] = 1.0, 3.0
-    [dm] = run_scheme("centralized", measurements=y, gains=(0.5,))
+    [dm] = _slices(run_scheme("centralized", measurements=y, gains=(0.5,)))
     assert dm.busy.all() and dm.decided.all()
 
 
@@ -154,7 +159,7 @@ def test_centralized_shortcut_matches_per_gain_oracle(k_count, m_count, n_iter,
         y[:, m, :] /= stat
     gains += [g * (1.0 + k * np.finfo(float).eps) for k in ulps]
     frame = y.copy()
-    maps = run_scheme("centralized", measurements=y, gains=gains)
+    maps = _slices(run_scheme("centralized", measurements=y, gains=gains))
     assert len(maps) == len(gains)
     # For entries y >= 0 and n = K*N, computed mean(y*g) and mean(y)*g
     # carry at most n + 1 roundings per nonnegative term (none subnormal
@@ -176,7 +181,7 @@ def test_centralized_single_hot_sap_flips_channel():
     # for everyone, which is exactly what costs it utilization
     y = np.full((10, 2, 3), 0.2)
     y[4, 1, :] = 500.0
-    [d] = centralized_egc(y)
+    [d] = _slices(centralized_egc(y))
     assert d.busy[:, 1].all()
     assert not d.busy[:, 0].any()
 
@@ -197,12 +202,12 @@ def test_noncoop_multiband_matches_proposed_on_self_graph():
     y, _, _, lam = _toy_inputs()
     params = DiffusionParams(iterations=30)
     k_count = y.shape[0]
-    [nc] = run_scheme("noncoop-multiband", measurements=y, params=params,
-                      thresholds=lam)
-    [pm] = run_scheme("proposed-multiband", measurements=y,
-                      reference_powers=np.zeros((k_count, k_count)),
-                      adjacency=np.eye(k_count, dtype=bool), params=params,
-                      thresholds=lam)
+    [nc] = _slices(run_scheme("noncoop-multiband", measurements=y,
+                              params=params, thresholds=lam))
+    [pm] = _slices(run_scheme("proposed-multiband", measurements=y,
+                              reference_powers=np.zeros((k_count, k_count)),
+                              adjacency=np.eye(k_count, dtype=bool),
+                              params=params, thresholds=lam))
     assert nc.decided.all() and pm.decided.all()
     np.testing.assert_array_equal(nc.busy, pm.busy)
 
@@ -211,16 +216,17 @@ def test_noncoop_raw_energy_uses_last_window():
     y = np.full((2, 2, 5), 0.1)
     y[0, 0, -1] = 2.0       # only the final reading counts
     y[1, 1, :-1] = 9.0      # earlier readings do not
-    [d, half] = run_scheme("noncoop-multiband", measurements=y,
-                           gains=(1.0, 0.5), ceiling=0.5,
-                           params=DiffusionParams(iterations=5),
-                           raw_energy=True)
+    [d, half] = _slices(run_scheme("noncoop-multiband", measurements=y,
+                                   gains=(1.0, 0.5), ceiling=0.5,
+                                   params=DiffusionParams(iterations=5),
+                                   raw_energy=True))
     assert d.decided.all() and half.decided.all()
     # the gain scales the reading and no ceiling clamps it
     np.testing.assert_array_equal(d.busy, [[True, False], [False, False]])
     np.testing.assert_array_equal(half.busy, d.busy)
-    [single] = run_scheme("noncoop-singleband", measurements=y,
-                          channel_picks=np.array([0, 0]), raw_energy=True)
+    [single] = _slices(run_scheme("noncoop-singleband", measurements=y,
+                                  channel_picks=np.array([0, 0]),
+                                  raw_energy=True))
     np.testing.assert_array_equal(single.busy, [[True, False], [False, False]])
     np.testing.assert_array_equal(single.decided,
                                   [[True, False], [True, False]])
@@ -230,15 +236,16 @@ def test_noncoop_singleband_covers_one_channel_per_sap():
     y, _, _, lam = _toy_inputs(k_count=4, m_count=3)
     picks = np.array([0, 2, 1, 2])
     params = DiffusionParams(iterations=30)
-    [d] = run_scheme("noncoop-singleband", measurements=y,
-                     channel_picks=picks, params=params, thresholds=lam)
+    [d] = _slices(run_scheme("noncoop-singleband", measurements=y,
+                             channel_picks=picks, params=params,
+                             thresholds=lam))
     want = np.zeros((4, 3), dtype=bool)
     want[np.arange(4), picks] = True
     np.testing.assert_array_equal(d.decided, want)
     assert not d.busy[~want].any()
     # the decided entries agree with the multiband run of the same filter
-    [full] = run_scheme("noncoop-multiband", measurements=y, params=params,
-                        thresholds=lam)
+    [full] = _slices(run_scheme("noncoop-multiband", measurements=y,
+                                params=params, thresholds=lam))
     np.testing.assert_array_equal(d.busy[want], full.busy[want])
 
 
@@ -260,15 +267,16 @@ def test_proposed_schemes_decide_everywhere():
     params = DiffusionParams(iterations=30)
     network = dict(measurements=y, reference_powers=p_hat,
                    adjacency=adjacency, params=params, thresholds=lam)
-    [pm] = run_scheme("proposed-multiband", **network)
+    [pm] = _slices(run_scheme("proposed-multiband", **network))
     assert pm.decided.all()
     mask = np.array([[True, False], [False, True], [True, True]])
-    [ps] = run_scheme("proposed-singleband", sensing_mask=mask, **network)
+    [ps] = _slices(run_scheme("proposed-singleband", sensing_mask=mask,
+                              **network))
     assert ps.decided.all()
     # where every SAP senses, the assigned variant sees the same data
     np.testing.assert_array_equal(ps.busy[2], pm.busy[2])
     # without an assignment every SAP senses every channel
-    [unassigned] = run_scheme("proposed-singleband", **network)
+    [unassigned] = _slices(run_scheme("proposed-singleband", **network))
     np.testing.assert_array_equal(unassigned.busy, pm.busy)
 
 
@@ -277,15 +285,15 @@ def test_run_scheme_dispatch_matches_direct_calls():
     truth = substream(9, "t").uniform(size=y.shape[:2]) < 0.4
     picks = np.array([0, 1, 0])
 
-    [via] = run_scheme("genie", measurements=y, truth_busy=[truth])
+    [via] = _slices(run_scheme("genie", measurements=y, truth_busy=[truth]))
     np.testing.assert_array_equal(via.busy, genie(truth).busy)
 
-    [via] = run_scheme("centralized", measurements=y)
-    np.testing.assert_array_equal(via.busy, centralized_egc(y)[0].busy)
+    [via] = _slices(run_scheme("centralized", measurements=y))
+    np.testing.assert_array_equal(via.busy, centralized_egc(y).busy[0])
 
     for name in ("noncoop-multiband", "noncoop-singleband"):
-        [via] = run_scheme(name, measurements=y, thresholds=lam,
-                           channel_picks=picks, raw_energy=True)
+        [via] = _slices(run_scheme(name, measurements=y, thresholds=lam,
+                                   channel_picks=picks, raw_energy=True))
         decided = (np.ones(y.shape[:2], dtype=bool)
                    if name == "noncoop-multiband" else
                    np.arange(y.shape[1]) == picks[:, None])
@@ -296,6 +304,42 @@ def test_run_scheme_dispatch_matches_direct_calls():
     short = y[:, :, :DiffusionParams().iterations // 10]
     with pytest.raises(ConfigurationError, match="iterations"):
         run_scheme("noncoop-multiband", measurements=short, thresholds=lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(SCHEME_IDS), raw_energy=st.booleans(),
+       exponents=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+def test_run_scheme_stack_equals_single_gain_calls(name, raw_energy,
+                                                   exponents, seed):
+    # one call over T gains returns, slice for slice, the T single-gain
+    # calls stacked, bit for bit
+    rng = np.random.default_rng(seed)
+    k_count, m_count, n_iter = 5, 3, 12
+    params = DiffusionParams(iterations=n_iter)
+    gains = [10.0 ** e for e in exponents]
+    links = rng.uniform(size=(k_count, k_count)) < 0.5
+    adjacency = links | links.T | np.eye(k_count, dtype=bool)
+    network = dict(
+        measurements=rng.gamma(0.7, 1 / 0.7, size=(k_count, m_count, n_iter)),
+        ceiling=default_ceiling(params),
+        sensing_mask=rng.uniform(size=(k_count, m_count)) < 0.6,
+        reference_powers=np.where(adjacency & ~np.eye(k_count, dtype=bool),
+                                  rng.uniform(0.5, 1.5, (k_count, k_count)),
+                                  0.0),
+        adjacency=adjacency, params=params,
+        thresholds=rng.uniform(0.5, 1.5, size=(k_count, m_count)),
+        channel_picks=rng.integers(m_count, size=k_count),
+        raw_energy=raw_energy)
+    truth = rng.uniform(size=(len(gains), k_count, m_count)) < 0.5
+    dm = run_scheme(name, gains=gains, truth_busy=truth, **network)
+    singles = [run_scheme(name, gains=(g,), truth_busy=truth[t:t + 1],
+                          **network) for t, g in enumerate(gains)]
+    assert dm.busy.shape == (len(gains), k_count, m_count)
+    assert dm.decided.shape == (k_count, m_count)
+    assert np.array_equal(dm.busy, np.concatenate([s.busy for s in singles]))
+    for single in singles:
+        assert np.array_equal(single.decided, dm.decided)
 
 
 def test_run_scheme_unknown_name():

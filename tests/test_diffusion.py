@@ -227,9 +227,13 @@ def test_params_validation():
     # an infinite step size would make the receiver ceiling 0
     for bad in (dict(smoothing=1.0), dict(smoothing=float("nan")),
                 dict(step_size=0.0), dict(step_size=float("inf")),
-                dict(step_size=float("nan")), dict(iterations=-1)):
+                dict(step_size=float("nan")), dict(iterations=-1),
+                # an integer count: a float would fail only at run time
+                dict(iterations=float("nan")), dict(iterations=30.0),
+                dict(iterations=True)):
         with pytest.raises(ConfigurationError):
             DiffusionParams(**bad)
+    assert DiffusionParams(iterations=np.int64(30)).iterations == 30
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specsense
-from specsense import harness, propagation
+from specsense import harness, metrics, propagation
 from specsense.baselines import run_scheme
 from specsense.cli import main
 from specsense.diffusion import (DiffusionParams, calibrate_threshold, decide,
@@ -160,11 +160,23 @@ def test_campaign_validation(tmp_path):
                 dict(device_count=-5), dict(device_capacity=0),
                 dict(schemes=()), dict(thresholds_dbm=(nan,)),
                 dict(thresholds_dbm=(-70.0, float("inf"))),
-                dict(reference_dbm=nan), dict(thresholds_dbm=(-62.0, -62)),
+                dict(thresholds_dbm=(-62.0, -62)),
                 dict(schemes=("genie", "centralized", "genie")),
-                dict(scheduler_restarts=0)):
+                dict(scheduler_restarts=0),
+                # counts are integers: a float would fail only at run time
+                dict(realizations=2.5), dict(calibration_runs=1.5),
+                dict(device_count=2.0), dict(device_capacity=nan),
+                dict(scheduler_restarts=2.0), dict(workers=1.5),
+                dict(realizations=True), dict(master_seed=1.5),
+                dict(master_seed="9")):
         with pytest.raises(ConfigurationError):
             Campaign(scenario=scn, **bad)
+    counts = Campaign(scenario=scn, realizations=np.int64(2),
+                      master_seed=np.uint32(9), workers=np.int8(1))
+    assert counts.realizations == 2 and counts.seed == 9
+    # the reference level is a constant, not a campaign option
+    with pytest.raises(TypeError):
+        Campaign(scenario=scn, reference_dbm=-62.0)
     out = tmp_path / "footprint.csv"
     with pytest.raises(ConfigurationError, match="realization"):
         emit_footprint_snapshot(Campaign(scenario=scn), out, realization=-1)
@@ -173,9 +185,28 @@ def test_campaign_validation(tmp_path):
     assert Campaign(scenario=scn, master_seed=9).seed == 9
 
 
+def test_devices_attached_once_per_scheme_and_realization(small_campaign,
+                                                          monkeypatch,
+                                                          tmp_path):
+    # each scheme's whole threshold sweep is scheduled in one call
+    calls = []
+    original = metrics.attach_devices
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "attach_devices", counted)
+    run_campaign(small_campaign, tmp_path)
+    assert len(small_campaign.thresholds_dbm) == 2
+    assert len(calls) == (len(small_campaign.schemes)
+                          * small_campaign.realizations)
+
+
 def test_representative_assignment_deterministic(small_campaign):
-    a = representative_assignment(small_campaign)
-    b = representative_assignment(small_campaign)
+    p_rep = representative_reference_powers(small_campaign.scenario)
+    a = representative_assignment(small_campaign, p_rep)
+    b = representative_assignment(small_campaign, p_rep)
     np.testing.assert_array_equal(a.subset_of_sap, b.subset_of_sap)
     a.validate(small_campaign.scenario.spectrum.quota)
 
@@ -237,9 +268,23 @@ def test_errors_on_either_thread_leave_prepare_realization(small_campaign,
     assert threading.active_count() == threads
 
 
-def test_calibration_covers_only_needed_structures(small_campaign):
-    rep = representative_assignment(small_campaign)
-    lams = calibrate_campaign(small_campaign, rep)
+def test_calibration_covers_only_needed_structures(small_campaign,
+                                                   monkeypatch):
+    scn = small_campaign.scenario
+    rep = representative_assignment(small_campaign,
+                                    representative_reference_powers(scn))
+    # the representative reference powers are built once per calibration
+    calls = []
+    original = harness.generate_reference_powers
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(harness, "generate_reference_powers", counted)
+    lams = calibrate_campaign(small_campaign)
+    assert len(calls) == 1
+    monkeypatch.undo()
     assert set(lams) == {"coop-full", "coop-assigned", "standalone"}
     k = small_campaign.scenario.topology.count
     m = small_campaign.scenario.spectrum.channel_count
@@ -254,13 +299,13 @@ def test_calibration_covers_only_needed_structures(small_campaign):
     assert (lams["coop-assigned"][assigned] > 0).all()
 
     bare = replace(small_campaign, schemes=("genie", "centralized"))
-    assert calibrate_campaign(bare, None) == {}
+    assert calibrate_campaign(bare) == {}
     solo = replace(small_campaign, schemes=("noncoop-multiband",))
-    assert set(calibrate_campaign(solo, None)) == {"standalone"}
+    assert set(calibrate_campaign(solo)) == {"standalone"}
     # raw-energy non-cooperative schemes read no calibrated threshold
     raw = replace(small_campaign, noncoop_raw_energy=True)
-    assert set(calibrate_campaign(raw, rep)) == {"coop-full", "coop-assigned"}
-    assert calibrate_campaign(replace(solo, noncoop_raw_energy=True), None) == {}
+    assert set(calibrate_campaign(raw)) == {"coop-full", "coop-assigned"}
+    assert calibrate_campaign(replace(solo, noncoop_raw_energy=True)) == {}
 
 
 def test_schemes_and_calibration_share_literal_networks(small_campaign):
@@ -291,11 +336,10 @@ def _check_literal_networks(campaign):
                 "standalone": (full, np.zeros((k, k)),
                                np.eye(k, dtype=bool))}
 
-    rep = representative_assignment(campaign)
-    lams = calibrate_campaign(campaign, rep)
-    rep_nets = networks(rep.sensing_mask(scn.spectrum),
-                        representative_reference_powers(
-                            scn, campaign.reference_dbm))
+    p_rep = representative_reference_powers(scn)
+    rep = representative_assignment(campaign, p_rep)
+    lams = calibrate_campaign(campaign)
+    rep_nets = networks(rep.sensing_mask(scn.spectrum), p_rep)
     assert set(lams) == set(rep_nets)
     for name, network in rep_nets.items():
         want = calibrate_threshold(
@@ -307,28 +351,27 @@ def _check_literal_networks(campaign):
 
     inputs = prepare_realization(campaign, 0)
     live_nets = networks(inputs.sensing_mask, inputs.reference_powers)
-    gains = [threshold_gain(campaign.reference_dbm, t)
-             for t in campaign.thresholds_dbm]
+    gains = [threshold_gain(t) for t in campaign.thresholds_dbm]
     picked = np.arange(m) == inputs.picks[:, None]
     for scheme, structure in (("proposed-multiband", "coop-full"),
                               ("proposed-singleband", "coop-assigned"),
                               ("noncoop-multiband", "standalone"),
                               ("noncoop-singleband", "standalone")):
-        maps = run_scheme(scheme, measurements=inputs.frame.y, gains=gains,
-                          ceiling=ceiling, sensing_mask=inputs.sensing_mask,
-                          reference_powers=inputs.reference_powers,
-                          adjacency=adjacency, params=campaign.diffusion,
-                          thresholds=lams[structure],
-                          channel_picks=inputs.picks)
+        dm = run_scheme(scheme, measurements=inputs.frame.y, gains=gains,
+                        ceiling=ceiling, sensing_mask=inputs.sensing_mask,
+                        reference_powers=inputs.reference_powers,
+                        adjacency=adjacency, params=campaign.diffusion,
+                        thresholds=lams[structure],
+                        channel_picks=inputs.picks)
         w = run_diffusion(inputs.frame.y, *live_nets[structure],
                           campaign.diffusion, gains=gains, ceiling=ceiling)
         decided = (picked if scheme == "noncoop-singleband"
                    else np.ones((k, m), dtype=bool))
-        assert len(maps) == len(gains)
-        for t, dm in enumerate(maps):
+        assert dm.busy.shape == (len(gains), k, m)
+        assert np.array_equal(dm.decided, decided), scheme
+        for t, busy_t in enumerate(dm.busy):
             busy = decide(w[:, t * m:(t + 1) * m], lams[structure])
-            assert np.array_equal(dm.decided, decided), scheme
-            assert np.array_equal(dm.busy, busy & decided), scheme
+            assert np.array_equal(busy_t, busy & decided), scheme
 
 
 def test_non_finite_weights_fail_loud(tmp_path):
@@ -366,7 +409,7 @@ def test_out_dir_checked_before_calibration(tmp_path, monkeypatch):
     # keeps a directory it did not make
     def refused(_campaign):
         raise RuntimeError("calibration ran")
-    monkeypatch.setattr(harness, "_calibrate", refused)
+    monkeypatch.setattr(harness, "calibrate_campaign", refused)
     scenario = generate_scenario("small-grid", seed=5, side_count=3,
                                  incumbent_count=4)
     campaign = Campaign(scenario=scenario, realizations=1)
@@ -407,7 +450,8 @@ def test_summary_contents(small_campaign, campaign_output):
                                                  "standalone"]
     assert summary["schemes"] == list(small_campaign.schemes)
     assert summary["scenario"]["seed"] == 21
-    lams = harness._calibrate(small_campaign)
+    assert summary["reference_dbm"] == -62.0
+    lams = calibrate_campaign(small_campaign)
     assert summary["calibration_thresholds"] == {
         name: {"min": lam.min(), "median": np.median(lam), "max": lam.max()}
         for name, lam in lams.items()}

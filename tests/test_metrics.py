@@ -169,6 +169,36 @@ def test_schedule_devices_invariant_to_sap_relabeling():
     assert base == permuted
 
 
+def test_stacked_metrics_equal_per_slice_calls():
+    # a (T, K, M) stack scores as its slices do, one call per metric; slice
+    # 1 has nothing available and slice 2 nothing busy, so their ratios are
+    # absent beside defined ones
+    rng = substream(6, "stack")
+    truth = rng.uniform(size=(5, 6, 4)) < 0.4
+    truth[1], truth[2] = True, False
+    busy = rng.uniform(size=(5, 6, 4)) < 0.5
+    decided = rng.uniform(size=(6, 4)) < 0.8
+    decided[0] = False                     # a SAP with no verdicts
+    stack = DecisionMap(busy, decided)
+    maps = [DecisionMap(b, decided) for b in busy]
+    for metric in (utilization_ratio, misdetection_probability):
+        per_slice = [metric(dm, t) for dm, t in zip(maps, truth)]
+        assert metric(stack, truth) == per_slice
+        assert None in per_slice and per_slice.count(None) < len(per_slice)
+    scope = rng.uniform(size=(6, 4)) < 0.5
+    for mask in (None, scope, np.zeros((6, 4), dtype=bool)):
+        per_slice = [correct_decision_pct(dm, t, mask)
+                     for dm, t in zip(maps, truth)]
+        assert correct_decision_pct(stack, truth, mask) == per_slice
+    saps = rng.uniform(0.0, 300.0, size=(6, 2))
+    devices = rng.uniform(0.0, 300.0, size=(50, 2))
+    for capacity in (1, 3):
+        per_slice = [schedule_devices(dm, t, devices, saps, capacity)
+                     for dm, t in zip(maps, truth)]
+        assert schedule_devices(stack, truth, devices, saps,
+                                capacity) == per_slice
+
+
 def test_aggregate():
     mean, std, n = aggregate([1.0, 2.0, 3.0])
     assert mean == pytest.approx(2.0)

@@ -15,6 +15,7 @@ from specsense.model import (
     build_spectrum_plan,
 )
 from specsense.propagation import (
+    REFERENCE_DBM,
     LinkRealization,
     MeasurementFrame,
     PropagationParams,
@@ -90,10 +91,12 @@ def test_noise_floor():
 
 
 def test_dbm_norm_round_trip():
+    # the 802.11 energy-detect level is the one normalized unit
+    assert REFERENCE_DBM == -62.0
     vals = np.array([-90.0, -62.0, -30.0])
-    np.testing.assert_allclose(norm_to_dbm(dbm_to_norm(vals, -62.0), -62.0), vals)
-    assert dbm_to_norm(-62.0, -62.0) == 1.0
-    assert dbm_to_norm(-52.0, -62.0) == pytest.approx(10.0)
+    np.testing.assert_allclose(norm_to_dbm(dbm_to_norm(vals)), vals)
+    assert dbm_to_norm(-62.0) == 1.0
+    assert dbm_to_norm(-52.0) == pytest.approx(10.0)
 
 
 def _plan4():
@@ -148,8 +151,8 @@ def _noise(scn, truth, iterations, rng_estimate):
 
 
 def _measure(scn, links, iterations, rng_estimate):
-    """Frame of one realization, drawn from its ground truth at -62 dBm."""
-    truth = compute_ground_truth(scn, links, -62.0)
+    """Frame of one realization, drawn from its ground truth."""
+    truth = compute_ground_truth(scn, links)
     return generate_measurements(truth, _noise(scn, truth, iterations,
                                                rng_estimate))
 
@@ -205,12 +208,12 @@ def test_fading_unit_mean_across_realizations():
     scn_det = _scenario(_det_params(), incumbents=inc)
     scn_fad = _scenario(_det_params(fading="rayleigh"), incumbents=inc)
     links = _links(scn_det)
-    want = received_level(scn_det, links, -62.0)[:, 0]
+    want = received_level(scn_det, links)[:, 0]
     total = np.zeros(9)
     runs = 2500
     for r in range(runs):
         lr = _links(scn_fad, fading=r)
-        total += received_level(scn_fad, lr, -62.0)[:, 0]
+        total += received_level(scn_fad, lr)[:, 0]
     np.testing.assert_allclose(total / runs, want, rtol=0.08)
 
 
@@ -220,8 +223,8 @@ def test_estimation_noise_statistics():
     scn = _scenario(_det_params(estimate_shape=25.0))
     links = _links(scn)
     frame = _measure(scn, links, 4000, substream(scn.seed, "estimate", 0))
-    level = received_level(scn, links, -62.0)
-    v = dbm_to_norm(noise_floor_dbm(20e6, 7.0), -62.0)
+    level = received_level(scn, links)
+    v = dbm_to_norm(noise_floor_dbm(20e6, 7.0))
     ratio = frame.y[:, 3, :] / (level[:, 3] + v)[:, None]
     assert ratio.mean() == pytest.approx(1.0, abs=0.02)
     assert ratio.var() == pytest.approx(1.0 / 25.0, rel=0.15)
@@ -256,7 +259,7 @@ def test_band_draw_uses_channel_grid_for_channel_width_signals():
 def test_reference_powers_respect_neighborhood():
     scn = _scenario(PropagationParams(), seed=17)
     links = _links(scn)
-    p_hat = generate_reference_powers(scn, links.sap_gain_db, -62.0)
+    p_hat = generate_reference_powers(scn, links.sap_gain_db)
     adj = scn.topology.adjacency
     assert (p_hat.diagonal() == 0).all()
     assert (p_hat[~adj] == 0).all()
@@ -267,7 +270,7 @@ def test_reference_powers_respect_neighborhood():
 def test_reference_powers_decay_with_distance_when_deterministic():
     scn = _scenario(_det_params(), seed=17)
     links = _links(scn)
-    p_hat = generate_reference_powers(scn, links.sap_gain_db, -62.0)
+    p_hat = generate_reference_powers(scn, links.sap_gain_db)
     # 50 m orthogonal neighbor beats 70.7 m diagonal neighbor from the corner
     assert p_hat[0, 1] > p_hat[0, 4] > 0
 
@@ -276,7 +279,7 @@ def test_ground_truth_thresholding():
     inc = (Incumbent((0.0, 0.0), 1.5, 30.0, 20e6, 5.40e9),)
     scn = _scenario(_det_params(), incumbents=inc)
     links = _links(scn)
-    truth = compute_ground_truth(scn, links, -62.0)
+    truth = compute_ground_truth(scn, links)
     # co-located SAP sees roughly -17 dBm, far channels only noise
     busy = truth.busy_at(-62.0)
     assert busy[0, 0]
@@ -293,9 +296,9 @@ def test_ground_truth_thresholding():
 def test_received_level_matches_truth_minus_noise():
     scn = _scenario(_det_params())
     links = _links(scn)
-    truth = compute_ground_truth(scn, links, -62.0)
-    v = dbm_to_norm(noise_floor_dbm(20e6, 7.0), -62.0)
-    np.testing.assert_allclose(received_level(scn, links, -62.0),
+    truth = compute_ground_truth(scn, links)
+    v = dbm_to_norm(noise_floor_dbm(20e6, 7.0))
+    np.testing.assert_allclose(received_level(scn, links),
                                truth.true_energy - v, rtol=1e-12)
 
 
@@ -308,8 +311,8 @@ def test_ground_truth_is_the_realized_level():
                    PropagationParams(estimate_shape=None), 9)
     la = _links(scn)
     lb = _links(scn, shadow=1, fading=1)
-    ta = compute_ground_truth(scn, la, -62.0)
-    tb = compute_ground_truth(scn, lb, -62.0)
+    ta = compute_ground_truth(scn, la)
+    tb = compute_ground_truth(scn, lb)
     # shadowing and fading shift the realized level, hence the truth
     assert not np.array_equal(ta.true_energy, tb.true_energy)
     # with estimation noise off, every window reads exactly the true level
@@ -317,17 +320,14 @@ def test_ground_truth_is_the_realized_level():
     frame = generate_measurements(ta, noise)
     expected = np.broadcast_to(ta.true_energy[:, :, None], frame.y.shape)
     assert np.array_equal(frame.y, expected)
-    assert frame.ref_dbm == ta.ref_dbm
 
 
 def test_frame_rescaling():
     # a swept threshold sees the frame times the gain that maps it to 1.0
-    frame = MeasurementFrame(np.full((2, 1, 3), 2.0), -62.0)
-    assert threshold_gain(frame.ref_dbm, -62.0) == 1.0
-    np.testing.assert_allclose(frame.y * threshold_gain(frame.ref_dbm, -72.0),
-                               frame.y * 10.0)
-    np.testing.assert_allclose(frame.y * threshold_gain(frame.ref_dbm, -52.0),
-                               frame.y / 10.0)
+    frame = MeasurementFrame(np.full((2, 1, 3), 2.0))
+    assert threshold_gain(-62.0) == 1.0
+    np.testing.assert_allclose(frame.y * threshold_gain(-72.0), frame.y * 10.0)
+    np.testing.assert_allclose(frame.y * threshold_gain(-52.0), frame.y / 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +402,7 @@ def _oracle_realize_links(scenario, rng_bands, rng_shadow, rng_fading):
                            tuple(fades), sap_los, sap_gain_db)
 
 
-def _oracle_received_level(scenario, links, ref_dbm):
+def _oracle_received_level(scenario, links):
     """Per-incumbent overlap and a fancy-index add over its hit channels."""
     plan = scenario.spectrum
     total = np.zeros((scenario.topology.count, plan.channel_count))
@@ -412,7 +412,7 @@ def _oracle_received_level(scenario, links, ref_dbm):
         hit, gains = links.inc_fade[i]
         if hit.size == 0:
             continue
-        rx = dbm_to_norm(inc.tx_power_dbm + links.inc_gain_db[i], ref_dbm)
+        rx = dbm_to_norm(inc.tx_power_dbm + links.inc_gain_db[i])
         total[:, hit] += rx[:, None] * frac[hit][None, :] * gains
     return total
 
@@ -468,11 +468,11 @@ def test_links_and_truth_match_per_incumbent_oracle(template, fading,
             assert np.array_equal(gains, want_gains)
         assert np.array_equal(links.inc_gain_db, want.inc_gain_db)
         assert np.array_equal(links.sap_gain_db, want.sap_gain_db)
-        level = received_level(scn, links, -62.0)
-        assert np.array_equal(level, _oracle_received_level(scn, want, -62.0))
+        level = received_level(scn, links)
+        assert np.array_equal(level, _oracle_received_level(scn, want))
         v = dbm_to_norm(noise_floor_dbm(scn.spectrum.channel_bandwidth_hz,
-                                        scn.propagation.noise_figure_db), -62.0)
-        assert np.array_equal(compute_ground_truth(scn, links, -62.0).true_energy,
+                                        scn.propagation.noise_figure_db))
+        assert np.array_equal(compute_ground_truth(scn, links).true_energy,
                               v + level)
     if template == "large-synthetic":
         assert any(hit.size == 0 for hit, _ in links.inc_fade)
@@ -495,7 +495,7 @@ def test_overlap_fraction_rows_equal_scalar_calls():
 def test_frame_is_level_times_noise_from_its_substream(shape):
     scn = _scenario(PropagationParams(estimate_shape=shape))
     links = _links(scn)
-    truth = compute_ground_truth(scn, links, -62.0)
+    truth = compute_ground_truth(scn, links)
     size = truth.true_energy.shape + (6,)
     # drawn into a caller's buffer, the noise keeps the bits of the one-call
     # unit-mean Gamma draw; None is noiseless
