@@ -118,20 +118,22 @@ def run_scheme(name, *, measurements, gains=(1.0,), ceiling=None,
     detectors see it as-is, and ``truth_busy`` is the genie's (T, K, M)
     truth stack.
     ``centralized`` compares the frame mean over SAPs and iterations, times
-    each gain, with 1.0 (``centralized_egc``); it rejects a negative frame.
+    each gain, with 1.0 (``centralized_egc``); it rejects a frame with a
+    negative or NaN sample.
 
     A diffusion scheme decides its structure's network (``sensing_mask``
     None: every SAP senses every channel) against ``thresholds``; under
     ``raw_energy`` a non-cooperative SAP compares its latest window's
-    energy times the gain with 1.0. ``noncoop-singleband`` decides only
-    each SAP's ``channel_picks`` channel.
+    energy times the gain with 1.0, and rejects a latest window that is not
+    finite and nonnegative. ``noncoop-singleband`` decides only each SAP's
+    ``channel_picks`` channel.
     """
     if name == "genie":
         return genie(truth_busy)
     k_count, m_count, _ = measurements.shape
     gains = np.asarray(gains, dtype=float)
     if name == "centralized":
-        if measurements.min() < 0:
+        if not measurements.min() >= 0:          # NaN fails it too
             raise ConfigurationError("centralized needs a nonnegative frame")
         return centralized_egc(measurements, gains)
     if name not in SCHEME_IDS:
@@ -144,7 +146,11 @@ def run_scheme(name, *, measurements, gains=(1.0,), ceiling=None,
 
     structure = structure_of(name, raw_energy)
     if structure is None:
-        busy = measurements[:, :, -1] * gains[:, None, None] >= 1.0
+        last = measurements[:, :, -1]
+        if not (np.isfinite(last).all() and (last >= 0).all()):
+            raise ConfigurationError(
+                "raw energy needs a finite nonnegative last window")
+        busy = last * gains[:, None, None] >= 1.0
     else:
         if sensing_mask is None:
             sensing_mask = np.ones((k_count, m_count), dtype=bool)

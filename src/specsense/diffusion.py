@@ -12,6 +12,7 @@ neighbor order: the order of a dense K x K sum, whose extra terms are exact
 zeros, so the weights are those of the dense combine bit for bit.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,18 +222,29 @@ def calibrate_threshold(sensing_mask, reference_powers, adjacency, params, rng,
     Feeds the network injected samples of known energy 1.0 (the normalized
     reference level) on every channel, corrupted only by the receiver's own
     estimation noise (``propagation.estimation_noise`` with
-    ``estimate_shape``, drawn serially on the calling thread), and averages
-    the resulting final weights over ``calibration_runs`` runs. The same
-    receiver ``ceiling`` used on live measurements must be supplied here.
-    In normalized units the result is threshold-independent. A run whose
-    weights go non-finite raises DivergenceError.
+    ``estimate_shape``), and averages the resulting final weights over
+    ``calibration_runs`` runs. A one-worker helper thread draws run r+1's
+    noise from ``rng`` into a second buffer while run r diffuses on the
+    calling thread; the draws keep their order, so the result is that of a
+    serial loop bit for bit. The same receiver ``ceiling`` used on live
+    measurements must be supplied here. In normalized units the result is
+    threshold-independent. Raises ConfigurationError unless
+    ``calibration_runs`` is an integer >= 1, and DivergenceError when a
+    run's weights go non-finite.
     """
+    check_integer("calibration_runs", calibration_runs, 1)
     k_count, m_count = sensing_mask.shape
     shape = (k_count, m_count, params.iterations)
+    # run_diffusion only reads its frame, so two buffers suffice
+    buffers = [np.empty(shape) for _ in range(min(2, calibration_runs))]
     total = np.zeros((k_count, m_count))
-    for _ in range(calibration_runs):
-        u = estimation_noise(np.empty(shape), estimate_shape, rng)
-        total += run_diffusion(u, sensing_mask, reference_powers, adjacency,
-                               params, ceiling=ceiling)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        draw = helper.submit(estimation_noise, buffers[0], estimate_shape, rng)
+        for r in range(calibration_runs):
+            u = draw.result()
+            if r + 1 < calibration_runs:
+                draw = helper.submit(estimation_noise, buffers[(r + 1) % 2],
+                                     estimate_shape, rng)
+            total += run_diffusion(u, sensing_mask, reference_powers,
+                                   adjacency, params, ceiling=ceiling)
     return total / calibration_runs
-

@@ -13,8 +13,9 @@ computed once by ``compute_ground_truth``. Per iteration: only the
 energy-estimation noise of the detector, a unit-mean Gamma factor whose shape
 is the effective number of averaged signal samples, drawn by
 ``estimation_noise`` (in a campaign, on a helper thread while the links are
-realized). The frame is the truth times that noise, so the detectors only
-ever see the truth through noisy per-window estimates.
+realized; in threshold calibration, on a helper thread while the previous
+training run diffuses). The frame is the truth times that noise, so the
+detectors only ever see the truth through noisy per-window estimates.
 """
 
 from dataclasses import dataclass

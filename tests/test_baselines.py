@@ -122,6 +122,36 @@ def test_centralized_rejects_negative_frame():
         run_scheme("centralized", measurements=y, gains=(1.0, 2.0))
 
 
+@pytest.mark.parametrize("nan_at", [(1, 2, 0), slice(None)])
+def test_centralized_rejects_nan_frame(nan_at):
+    # a NaN mean compares False, which would call its channel available on
+    # every SAP; one NaN sample or an all-NaN frame is refused instead
+    y = np.ones((2, 3, 4))
+    y[nan_at] = np.nan
+    with pytest.raises(ConfigurationError, match="nonnegative"):
+        run_scheme("centralized", measurements=y, gains=(1.0, 2.0))
+
+
+@pytest.mark.parametrize("name", ["noncoop-multiband", "noncoop-singleband"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-300, "all-nan"])
+def test_raw_energy_rejects_bad_last_window(name, bad):
+    # the raw energy detector reads only the last window: a NaN there would
+    # become an "available" verdict, so it must be finite and nonnegative
+    y = np.ones((2, 3, 4))
+    if bad == "all-nan":
+        y[:] = np.nan
+    else:
+        y[1, 2, -1] = bad
+    with pytest.raises(ConfigurationError, match="finite nonnegative"):
+        run_scheme(name, measurements=y, gains=(1.0, 2.0),
+                   channel_picks=np.array([0, 2]), raw_energy=True)
+    # earlier windows are not read
+    y = np.ones((2, 3, 4))
+    y[1, 2, 0] = np.nan
+    run_scheme(name, measurements=y, channel_picks=np.array([0, 2]),
+               raw_energy=True)
+
+
 @settings(max_examples=150, deadline=None)
 @given(k_count=st.integers(1, 12), m_count=st.integers(1, 5),
        n_iter=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
@@ -159,7 +189,14 @@ def test_centralized_shortcut_matches_per_gain_oracle(k_count, m_count, n_iter,
         y[:, m, :] /= stat
     gains += [g * (1.0 + k * np.finfo(float).eps) for k in ulps]
     frame = y.copy()
-    maps = _slices(run_scheme("centralized", measurements=y, gains=gains))
+    if np.isnan(y).any():
+        # run_scheme refuses a NaN frame; the statistic itself is still
+        # checked against the oracle below
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            run_scheme("centralized", measurements=y, gains=gains)
+        maps = _slices(centralized_egc(y, gains))
+    else:
+        maps = _slices(run_scheme("centralized", measurements=y, gains=gains))
     assert len(maps) == len(gains)
     # For entries y >= 0 and n = K*N, computed mean(y*g) and mean(y)*g
     # carry at most n + 1 roundings per nonnegative term (none subnormal

@@ -1,5 +1,6 @@
 """Tests for the combine-then-adapt engine: scalar ops, network runs, calibration."""
 
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specsense import diffusion
 from specsense.diffusion import (
     DiffusionParams,
     DivergenceError,
@@ -18,6 +20,7 @@ from specsense.diffusion import (
     run_diffusion,
 )
 from specsense.model import ConfigurationError
+from specsense.propagation import estimation_noise
 from specsense.seeding import substream
 
 
@@ -613,3 +616,102 @@ def test_calibration_applies_ceiling():
                                  ceiling=0.5)
     assert capped[0, 0] < free[0, 0]
 
+
+
+def test_calibration_rejects_bad_run_count():
+    mask, p_hat, adjacency = _self_structure(1, 1)
+    params = DiffusionParams(iterations=5)
+    # 0 runs averaged to an all-NaN threshold, 2.5 failed in range()
+    for bad in (0, -1, 2.5, float("nan"), True, "3"):
+        with pytest.raises(ConfigurationError, match="calibration_runs"):
+            calibrate_threshold(mask, p_hat, adjacency, params,
+                                substream(41, "cal"), calibration_runs=bad)
+    lam = calibrate_threshold(mask, p_hat, adjacency, params,
+                              substream(41, "cal"),
+                              calibration_runs=np.int64(1))
+    assert lam.shape == (1, 1)
+
+
+def _serial_calibration(sensing_mask, reference_powers, adjacency, params,
+                        rng, calibration_runs, estimate_shape, ceiling):
+    """Reference training loop: each run's noise drawn, then diffused."""
+    k_count, m_count = sensing_mask.shape
+    shape = (k_count, m_count, params.iterations)
+    total = np.zeros((k_count, m_count))
+    for _ in range(calibration_runs):
+        u = estimation_noise(np.empty(shape), estimate_shape, rng)
+        total += run_diffusion(u, sensing_mask, reference_powers, adjacency,
+                               params, ceiling=ceiling)
+    return total / calibration_runs
+
+
+@settings(max_examples=40, deadline=None)
+@given(k_count=st.integers(1, 8), m_count=st.integers(1, 5),
+       runs=st.integers(1, 4), estimate_shape=st.sampled_from([None, 0.7]),
+       clamp=st.booleans(), kind=st.sampled_from(["symmetric", "eye"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_calibration_matches_serial_loop(k_count, m_count, runs,
+                                         estimate_shape, clamp, kind, seed):
+    # drawing run r+1's noise on the helper thread while run r diffuses
+    # keeps the serial loop's draws, in order, and so its thresholds bit
+    # for bit
+    params = DiffusionParams(iterations=12)
+    adjacency, mask, p_hat = _random_network(substream(seed, "net"),
+                                             k_count, m_count, kind=kind)
+    network = (mask, p_hat, adjacency, params)
+    options = dict(estimate_shape=estimate_shape,
+                   ceiling=default_ceiling(params) if clamp else None)
+    try:
+        want = _serial_calibration(*network, substream(seed, "cal"), runs,
+                                   **options)
+    except DivergenceError:
+        # an unclamped noise spike can diverge; both loops must say so
+        with pytest.raises(DivergenceError):
+            calibrate_threshold(*network, substream(seed, "cal"),
+                                calibration_runs=runs, **options)
+        return
+    got = calibrate_threshold(*network, substream(seed, "cal"),
+                              calibration_runs=runs, **options)
+    assert np.array_equal(got, want)
+
+
+class _Boom(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("failing_draw", [0, 1])
+def test_noise_error_on_helper_thread_leaves_calibration(monkeypatch,
+                                                         failing_draw):
+    # the first draw fails while the calling thread waits for it; the
+    # second while run 0 diffuses. Either raises its own exception, and
+    # the helper thread is joined
+    threads = threading.active_count()
+    draws = []
+
+    def failing(out, estimate_shape, rng):
+        draws.append(threading.current_thread() is threading.main_thread())
+        if len(draws) > failing_draw:
+            raise _Boom("injected")
+        return estimation_noise(out, estimate_shape, rng)
+
+    monkeypatch.setattr(diffusion, "estimation_noise", failing)
+    mask, p_hat, adjacency = _self_structure(2, 2)
+    with pytest.raises(_Boom, match="injected"):
+        calibrate_threshold(mask, p_hat, adjacency,
+                            DiffusionParams(iterations=20),
+                            substream(43, "cal"), calibration_runs=3)
+    assert draws == [False] * (failing_draw + 1)
+    assert threading.active_count() == threads
+
+
+def test_divergence_on_calling_thread_leaves_calibration():
+    # run 0 diverges while the helper draws run 1's noise: DivergenceError
+    # reaches the caller, and the helper thread is joined
+    threads = threading.active_count()
+    mask, p_hat, adjacency = _self_structure(2, 2)
+    with pytest.raises(DivergenceError):
+        calibrate_threshold(mask, p_hat, adjacency,
+                            DiffusionParams(step_size=100.0, iterations=200),
+                            substream(47, "cal"), calibration_runs=3,
+                            ceiling=None)
+    assert threading.active_count() == threads
