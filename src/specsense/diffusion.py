@@ -215,8 +215,26 @@ def default_ceiling(params):
     return float(np.sqrt(1.0 / params.step_size))
 
 
+def _check_frames(frames, count, shape):
+    """Reject caller-supplied noise buffers this calibration cannot fill."""
+    frames = list(frames)
+    if len(frames) != count:
+        raise ConfigurationError(f"need {count} noise frames, got {len(frames)}")
+    for f in frames:
+        if not (isinstance(f, np.ndarray) and f.shape == shape
+                and f.dtype == np.float64 and f.flags.writeable
+                and f.flags.c_contiguous):
+            raise ConfigurationError(
+                f"noise frames must be writable C-contiguous float64 arrays "
+                f"of shape {shape}")
+    if count == 2 and np.may_share_memory(*frames):
+        raise ConfigurationError("the two noise frames overlap")
+    return frames
+
+
 def calibrate_threshold(sensing_mask, reference_powers, adjacency, params, rng,
-                        calibration_runs=10, estimate_shape=0.7, ceiling=None):
+                        calibration_runs=10, estimate_shape=0.7, ceiling=None,
+                        frames=None):
     """Per-(SAP, channel) thresholds from known-energy training runs.
 
     Feeds the network injected samples of known energy 1.0 (the normalized
@@ -226,17 +244,24 @@ def calibrate_threshold(sensing_mask, reference_powers, adjacency, params, rng,
     ``calibration_runs`` runs. A one-worker helper thread draws run r+1's
     noise from ``rng`` into a second buffer while run r diffuses on the
     calling thread; the draws keep their order, so the result is that of a
-    serial loop bit for bit. The same receiver ``ceiling`` used on live
+    serial loop bit for bit. ``frames``, if given, are the (K, M,
+    ``params.iterations``) buffers to draw into, ``min(2,
+    calibration_runs)`` of them, so a caller can lend its own; their
+    contents are overwritten. The same receiver ``ceiling`` used on live
     measurements must be supplied here. In normalized units the result is
     threshold-independent. Raises ConfigurationError unless
-    ``calibration_runs`` is an integer >= 1, and DivergenceError when a
-    run's weights go non-finite.
+    ``calibration_runs`` is an integer >= 1 and ``frames`` fit, and
+    DivergenceError when a run's weights go non-finite.
     """
     check_integer("calibration_runs", calibration_runs, 1)
     k_count, m_count = sensing_mask.shape
     shape = (k_count, m_count, params.iterations)
     # run_diffusion only reads its frame, so two buffers suffice
-    buffers = [np.empty(shape) for _ in range(min(2, calibration_runs))]
+    count = min(2, calibration_runs)
+    if frames is None:
+        buffers = [np.empty(shape) for _ in range(count)]
+    else:
+        buffers = _check_frames(frames, count, shape)
     total = np.zeros((k_count, m_count))
     with ThreadPoolExecutor(max_workers=1) as helper:
         draw = helper.submit(estimation_noise, buffers[0], estimate_shape, rng)

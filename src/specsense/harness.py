@@ -1,27 +1,36 @@
 """Monte-Carlo campaign orchestration and result emission.
 
 A campaign sweeps decision thresholds over many realizations of one
-scenario. Per realization, ``prepare_realization`` draws the estimation
-noise on a helper thread while it computes the ground truth, normalized to
-``propagation.REFERENCE_DBM``, and draws every other scheme input; the frame
-is the truth times that noise. Then one decide step runs each scheme once
-over the whole sweep: threshold t is the frame times the gain that maps t
-to 1.0 in normalized units. Raw energy detectors (centralized, and the
-raw-energy non-cooperative variant) see the rescaled frame as-is;
-adaptive-filter schemes see it through the receiver's dynamic-range clamp,
-and run all T gains as one diffusion run over T*M channels. Each scheme
-returns one (T, K, M) decision stack, scored once against the truth stack.
-Decision thresholds for the diffusion schemes are calibrated once per
-campaign per network structure, on the network
+scenario. Per realization, ``prepare_realization`` computes the ground
+truth, normalized to ``propagation.REFERENCE_DBM``, and draws every other
+scheme input; the frame is the truth times estimation noise. Then one
+decide step runs each scheme once over the whole sweep: threshold t is the
+frame times the gain that maps t to 1.0 in normalized units. Raw energy
+detectors (centralized, and the raw-energy non-cooperative variant) see
+the rescaled frame as-is; adaptive-filter schemes see it through the
+receiver's dynamic-range clamp, and run all T gains as one diffusion run
+over T*M channels. Each scheme returns one (T, K, M) decision stack, scored
+once against the truth stack. Decision thresholds for the diffusion schemes
+are calibrated once per campaign per network structure, on the network
 ``baselines.structure_network`` builds from representative inputs
 (line-of-sight reference powers and a representative assignment); in
 normalized units one calibration covers the whole sweep.
+
+A campaign allocates its (K, M, N) noise frames once: the pair that
+calibration's look-ahead draws its training noise into. The serial loop
+then reuses them, and a campaign-long helper thread draws realization
+r+1's noise into one while realization r is decided and scored in the
+other. A campaign whose calibration holds one frame (or none) keeps one,
+drawn while each realization's links are realized. Worker processes,
+``emit_footprint_snapshot`` and direct ``prepare_realization`` calls draw
+each frame on demand, on the calling thread.
 
 All randomness flows through named substreams of the master seed, so reruns
 are byte-identical and realizations are order-independent.
 """
 
 import contextlib
+import contextvars
 import csv
 import json
 import logging
@@ -149,12 +158,20 @@ def _ceiling(campaign):
             if campaign.limit_dynamic_range else None)
 
 
-def calibrate_campaign(campaign):
+def _calibration_structures(campaign):
+    """The diffusion network structures the campaign's schemes decide on."""
+    return {structure_of(s, campaign.noncoop_raw_energy)
+            for s in campaign.schemes} - {None}
+
+
+def calibrate_campaign(campaign, frames=None):
     """λ per structure: the once-per-campaign known-energy training pass.
 
     Networks are built from line-of-sight reference powers, plus the
-    representative assignment when ``proposed-singleband`` runs. Raises
-    ArithmeticError naming the structure whose weights diverge.
+    representative assignment when ``proposed-singleband`` runs. Every
+    structure draws its training noise into ``frames`` when given (see
+    ``diffusion.calibrate_threshold``). Raises ArithmeticError naming the
+    structure whose weights diverge.
     """
     scn = campaign.scenario
     p_rep = representative_reference_powers(scn)
@@ -162,11 +179,9 @@ def calibrate_campaign(campaign):
     if "proposed-singleband" in campaign.schemes:
         mask = representative_assignment(campaign, p_rep).sensing_mask(
             scn.spectrum)
-    needed = {structure_of(s, campaign.noncoop_raw_energy)
-              for s in campaign.schemes} - {None}
     ceiling = _ceiling(campaign)
     lams = {}
-    for name in needed:
+    for name in _calibration_structures(campaign):
         network = structure_network(name, mask, p_rep, scn.topology.adjacency)
         try:
             lams[name] = calibrate_threshold(
@@ -174,7 +189,7 @@ def calibrate_campaign(campaign):
                 substream(campaign.seed, "calibrate", name),
                 calibration_runs=campaign.calibration_runs,
                 estimate_shape=scn.propagation.estimate_shape,
-                ceiling=ceiling)
+                ceiling=ceiling, frames=frames)
         except DivergenceError as exc:
             raise ArithmeticError(
                 f"calibration of structure {name}: {exc}") from exc
@@ -198,46 +213,97 @@ class RealizationInputs:
     devices: np.ndarray | None          # (device_count, 2) positions
 
 
+def _frame_shape(campaign):
+    scn = campaign.scenario
+    return (scn.topology.count, scn.spectrum.channel_count,
+            campaign.diffusion.iterations)
+
+
+class _NoiseDraws:
+    """Estimation noise for one campaign's realizations, in reused frames.
+
+    Realization r's noise is drawn into ``frames[r % len(frames)]`` from its
+    own ``"estimate"`` substream, so no draw depends on when it runs. With a
+    ``helper`` (a one-worker executor), ``start`` puts a draw in flight and
+    ``take`` waits for it; with two frames, ``take`` then queues r+1's draw
+    into the other frame while r is decided, so realizations must come in
+    order. Without a helper, ``take`` draws on the calling thread.
+    """
+
+    def __init__(self, campaign, frames, helper=None):
+        self.campaign = campaign
+        self.frames = frames
+        self.helper = helper
+        self._queued = None                  # the next realization's draw
+
+    def _args(self, r):
+        return (self.frames[r % len(self.frames)],
+                self.campaign.scenario.propagation.estimate_shape,
+                substream(self.campaign.seed, "estimate", r))
+
+    def start(self, r):
+        if self.helper is not None and self._queued is None:
+            self._queued = self.helper.submit(estimation_noise, *self._args(r))
+
+    def take(self, r):
+        if self.helper is None:
+            return estimation_noise(*self._args(r))
+        self.start(r)
+        noise, self._queued = self._queued.result(), None
+        if len(self.frames) > 1 and r + 1 < self.campaign.realizations:
+            self.start(r + 1)
+        return noise
+
+
+# The serial campaign loop's draws. run_campaign calls run_realization with
+# just (campaign, lams, r), the call perfbench times, so prepare_realization
+# finds them here; any other caller draws on demand.
+_LOOKAHEAD = contextvars.ContextVar("specsense_noise_draws", default=None)
+
+
 def prepare_realization(campaign, r):
     """Draw realization ``r``: propagation state, truth, frame, scheme inputs.
 
     The frame is the truth times estimation noise, so the realized level is
-    computed once. The noise depends on nothing else: a helper thread draws
-    it (numpy releases the GIL) into a buffer allocated on this thread.
+    computed once. The noise depends on nothing else. Inside
+    ``run_campaign``'s serial loop a campaign-long helper thread draws it
+    (numpy releases the GIL) into one of the campaign's reused frames, while
+    this thread realizes the links; with two frames, realization r+1's draw
+    is queued as soon as r's frame is ready. Called any other way, this
+    draws the noise on the calling thread into a new frame. Either way the
+    frame keeps the bits of a serial draw.
     """
     scn = campaign.scenario
     seed = campaign.seed
     topo = scn.topology
-    buffer = np.empty((topo.count, scn.spectrum.channel_count,
-                       campaign.diffusion.iterations))
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        noise = helper.submit(estimation_noise, buffer,
-                              scn.propagation.estimate_shape,
-                              substream(seed, "estimate", r))
-        links = realize_links(scn, substream(seed, "bands", r),
-                              substream(seed, "shadow", r),
-                              substream(seed, "fading", r))
-        truth = compute_ground_truth(scn, links)
-        p_hat = generate_reference_powers(scn, links.sap_gain_db)
-        sensing_mask = None
-        if "proposed-singleband" in campaign.schemes:
-            cost = cost_from_reference_powers(p_hat, scn.spectrum.subset_count)
-            assignment, _ = heuristic_assign(
-                cost, topo.positions, scn.spectrum.quota,
-                substream(seed, "assign", r), campaign.scheduler_restarts)
-            sensing_mask = assignment.sensing_mask(scn.spectrum)
-        picks = None
-        if "noncoop-singleband" in campaign.schemes:
-            picks = substream(seed, "pick", r).integers(
-                scn.spectrum.channel_count, size=topo.count)
-        devices = None
-        if campaign.device_count > 0:
-            x0, y0, x1, y1 = topo.bounding_box()
-            u = substream(seed, "devices", r).uniform(
-                size=(campaign.device_count, 2))
-            devices = np.column_stack([x0 + u[:, 0] * (x1 - x0),
-                                       y0 + u[:, 1] * (y1 - y0)])
-        frame = generate_measurements(truth, noise.result())
+    draws = _LOOKAHEAD.get()
+    if draws is None or draws.campaign is not campaign:
+        draws = _NoiseDraws(campaign, [np.empty(_frame_shape(campaign))])
+    draws.start(r)
+    links = realize_links(scn, substream(seed, "bands", r),
+                          substream(seed, "shadow", r),
+                          substream(seed, "fading", r))
+    truth = compute_ground_truth(scn, links)
+    p_hat = generate_reference_powers(scn, links.sap_gain_db)
+    sensing_mask = None
+    if "proposed-singleband" in campaign.schemes:
+        cost = cost_from_reference_powers(p_hat, scn.spectrum.subset_count)
+        assignment, _ = heuristic_assign(
+            cost, topo.positions, scn.spectrum.quota,
+            substream(seed, "assign", r), campaign.scheduler_restarts)
+        sensing_mask = assignment.sensing_mask(scn.spectrum)
+    picks = None
+    if "noncoop-singleband" in campaign.schemes:
+        picks = substream(seed, "pick", r).integers(
+            scn.spectrum.channel_count, size=topo.count)
+    devices = None
+    if campaign.device_count > 0:
+        x0, y0, x1, y1 = topo.bounding_box()
+        u = substream(seed, "devices", r).uniform(
+            size=(campaign.device_count, 2))
+        devices = np.column_stack([x0 + u[:, 0] * (x1 - x0),
+                                   y0 + u[:, 1] * (y1 - y0)])
+    frame = generate_measurements(truth, draws.take(r))
     return RealizationInputs(frame, truth, p_hat, sensing_mask, picks, devices)
 
 
@@ -339,21 +405,36 @@ def run_campaign(campaign, out_dir):
 def _run_and_write(campaign, out_dir):
     scn = campaign.scenario
 
-    lams = calibrate_campaign(campaign)
+    # One frame pair per campaign: calibration's look-ahead fills it, then
+    # the serial loop's. A campaign whose calibration holds one frame (or
+    # none) reuses one frame and does not look ahead, so the loop never
+    # holds a frame calibration did not already need.
+    count = (min(2, campaign.calibration_runs)
+             if _calibration_structures(campaign) else 1)
+    frames = [np.empty(_frame_shape(campaign)) for _ in range(count)]
+    lams = calibrate_campaign(campaign, frames)
     log.info("calibrated %d structure/threshold pairs", len(lams))
 
     total = campaign.realizations
     per_real, checksums = [], []
     start = time.perf_counter()
     with contextlib.ExitStack() as stack:
-        outcomes = (run_realization(campaign, lams, r) for r in range(total))
         if campaign.workers > 1:
+            del frames                       # workers draw their own
             # workers receive the campaign itself (pickled under spawn), so
             # every field reaches them unchanged; map yields in order
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=campaign.workers, initializer=_worker_init,
                 initargs=(replace(campaign, workers=1), lams)))
             outcomes = pool.map(_worker_run, range(total))
+        else:
+            # the helper starts with realization 0's draw, inside
+            # run_realization(0), and is joined before this block exits
+            helper = stack.enter_context(ThreadPoolExecutor(max_workers=1))
+            token = _LOOKAHEAD.set(_NoiseDraws(campaign, frames, helper))
+            stack.callback(_LOOKAHEAD.reset, token)
+            outcomes = (run_realization(campaign, lams, r)
+                        for r in range(total))
         for done, (crc, res) in enumerate(outcomes, 1):
             checksums.append(crc)
             per_real.append(res)

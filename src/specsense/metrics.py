@@ -45,16 +45,31 @@ def correct_decision_pct(decision_map, truth_busy, scope_mask=None):
     return _per_slice(matches, evaluated, 100.0)
 
 
+ATTACH_BLOCK = 512                   # devices per block of squared distances
+
+
 def attach_devices(device_positions, sap_positions):
-    """Nearest-SAP attachment; ties go to the smaller SAP id."""
+    """Nearest-SAP attachment; ties go to the smaller SAP id.
+
+    Squared distances are formed ``ATTACH_BLOCK`` devices at a time in two
+    reused (block, K) buffers, so memory stays flat in the device count.
+    """
     dev = np.asarray(device_positions, dtype=float).reshape(-1, 2)
     sap = np.asarray(sap_positions, dtype=float)
-    d2 = dev[:, 0, None] - sap[None, :, 0]
-    dy = dev[:, 1, None] - sap[None, :, 1]
-    d2 *= d2
-    dy *= dy
-    d2 += dy
-    return d2.argmin(axis=1)
+    home = np.empty(dev.shape[0], dtype=np.intp)
+    d2_buf = np.empty((min(ATTACH_BLOCK, dev.shape[0]), sap.shape[0]))
+    dy_buf = np.empty_like(d2_buf)
+    for start in range(0, dev.shape[0], ATTACH_BLOCK):
+        block = dev[start:start + ATTACH_BLOCK]
+        d2 = d2_buf[:block.shape[0]]
+        dy = dy_buf[:block.shape[0]]
+        np.subtract(block[:, 0, None], sap[None, :, 0], out=d2)
+        np.subtract(block[:, 1, None], sap[None, :, 1], out=dy)
+        d2 *= d2
+        dy *= dy
+        d2 += dy
+        d2.argmin(axis=1, out=home[start:start + block.shape[0]])
+    return home
 
 
 def schedule_devices(decision_map, truth_busy, device_positions, sap_positions,

@@ -12,9 +12,11 @@ each SAP this window: noise floor plus the shadowed, faded incumbent power,
 computed once by ``compute_ground_truth``. Per iteration: only the
 energy-estimation noise of the detector, a unit-mean Gamma factor whose shape
 is the effective number of averaged signal samples, drawn by
-``estimation_noise`` (in a campaign, on a helper thread while the links are
-realized; in threshold calibration, on a helper thread while the previous
-training run diffuses). The frame is the truth times that noise, so the
+``estimation_noise`` (in a campaign's serial loop, on a helper thread while
+the previous realization is decided, or while the links are realized when
+the campaign holds one frame; in threshold calibration, on a helper thread
+while the previous training run diffuses). The frame is the truth times
+that noise, so the
 detectors only ever see the truth through noisy per-window estimates.
 """
 

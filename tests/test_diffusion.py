@@ -673,6 +673,47 @@ def test_calibration_matches_serial_loop(k_count, m_count, runs,
     got = calibrate_threshold(*network, substream(seed, "cal"),
                               calibration_runs=runs, **options)
     assert np.array_equal(got, want)
+    # lent frames, stale contents and all, give the same thresholds
+    frames = [np.full((k_count, m_count, 12), np.nan)
+              for _ in range(min(2, runs))]
+    lent = calibrate_threshold(*network, substream(seed, "cal"),
+                               calibration_runs=runs, frames=frames,
+                               **options)
+    assert np.array_equal(lent, want)
+
+
+def test_calibration_rejects_frames_that_do_not_fit():
+    params = DiffusionParams(iterations=10)
+    mask, p_hat, adjacency = _self_structure(2, 3)
+    shape = (2, 3, 10)
+    pair = np.empty((2,) + shape)
+    read_only = np.empty(shape)
+    read_only.flags.writeable = False
+    bad = {
+        "count": [np.empty(shape)],
+        "shape": [np.empty(shape), np.empty((2, 3, 9))],
+        "dtype": [np.empty(shape), np.empty(shape, dtype=np.float32)],
+        "read-only": [np.empty(shape), read_only],
+        "strided": [np.empty(shape), np.empty((2, 3, 20))[:, :, ::2]],
+        "fortran": [np.empty(shape), np.empty(shape, order="F")],
+        "list": [np.empty(shape), np.empty(shape).tolist()],
+        "same buffer": [pair[0], pair[0]],
+    }
+    for frames in bad.values():
+        with pytest.raises(ConfigurationError):
+            calibrate_threshold(mask, p_hat, adjacency, params,
+                                substream(53, "cal"), calibration_runs=3,
+                                frames=frames)
+    with pytest.raises(ConfigurationError):
+        calibrate_threshold(mask, p_hat, adjacency, params,
+                            substream(53, "cal"), calibration_runs=1,
+                            frames=list(pair))
+    lam = calibrate_threshold(mask, p_hat, adjacency, params,
+                              substream(53, "cal"), calibration_runs=3,
+                              frames=list(pair))
+    assert np.array_equal(lam, calibrate_threshold(
+        mask, p_hat, adjacency, params, substream(53, "cal"),
+        calibration_runs=3))
 
 
 class _Boom(RuntimeError):

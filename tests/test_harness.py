@@ -4,7 +4,9 @@ import json
 import logging
 import re
 import threading
+import time
 import warnings
+import zlib
 from dataclasses import replace
 from importlib import metadata
 
@@ -17,8 +19,9 @@ import specsense
 from specsense import harness, metrics, propagation
 from specsense.baselines import run_scheme
 from specsense.cli import main
-from specsense.diffusion import (DiffusionParams, calibrate_threshold, decide,
-                                 default_ceiling, run_diffusion)
+from specsense.diffusion import (DiffusionParams, DivergenceError,
+                                 calibrate_threshold, decide, default_ceiling,
+                                 run_diffusion)
 from specsense.harness import (
     Campaign,
     calibrate_campaign,
@@ -234,7 +237,7 @@ def test_realized_level_computed_once_per_realization(small_campaign,
                              incumbent_bandwidth_hz=20e6)),
 ])
 def test_frame_is_the_serial_noise_draw_times_truth(template, overrides):
-    # the helper thread draws the same bits as one serial Gamma draw
+    # the noise in a frame has the bits of one serial Gamma draw
     scn = generate_scenario(template, seed=8, **overrides)
     campaign = Campaign(scenario=scn, realizations=2,
                         diffusion=DiffusionParams(iterations=9),
@@ -259,8 +262,9 @@ def _boom(*_args, **_kwargs):
 @pytest.mark.parametrize("name", ["estimation_noise", "realize_links"])
 def test_errors_on_either_thread_leave_prepare_realization(small_campaign,
                                                            monkeypatch, name):
-    # a failing noise draw (helper thread) or link draw (calling thread)
-    # raises its own exception, and the helper thread is joined
+    # a direct call draws on demand: a failing noise draw or link draw
+    # raises its own exception and leaves no thread behind (the helper
+    # thread's failures are run through run_campaign below)
     threads = threading.active_count()
     monkeypatch.setattr(harness, name, _boom)
     with pytest.raises(_Boom, match="injected"):
@@ -407,7 +411,7 @@ def test_calibration_divergence_names_structure(tmp_path):
 def test_out_dir_checked_before_calibration(tmp_path, monkeypatch):
     # an unusable output path fails before any work; a failed campaign
     # keeps a directory it did not make
-    def refused(_campaign):
+    def refused(_campaign, _frames):
         raise RuntimeError("calibration ran")
     monkeypatch.setattr(harness, "calibrate_campaign", refused)
     scenario = generate_scenario("small-grid", seed=5, side_count=3,
@@ -489,10 +493,93 @@ def test_progress_log_counts_elapsed_and_eta(small_campaign, campaign_output,
 
 
 def test_workers_match_serial(small_campaign, campaign_output, tmp_path):
+    # workers draw each frame on demand; the serial loop draws one ahead.
+    # summary.json's frame_crc32 covers every frame's bits
     par = replace(small_campaign, workers=2)
-    results_path, _ = run_campaign(par, tmp_path)
-    with open(results_path, "rb") as fh, open(campaign_output[0], "rb") as gh:
-        assert fh.read() == gh.read()
+    for path, ref in zip(run_campaign(par, tmp_path), campaign_output):
+        with open(path, "rb") as fh, open(ref, "rb") as gh:
+            assert fh.read() == gh.read()
+
+
+def test_serial_frames_match_direct_draws(small_campaign, tmp_path,
+                                          monkeypatch):
+    # the look-ahead reuses two frames over four realizations, one draw
+    # each, all on the helper thread; a direct prepare_realization draws
+    # each frame anew, without a look-ahead
+    campaign = replace(small_campaign, realizations=4)
+    draws = []
+
+    def counted(*args):
+        draws.append(threading.current_thread() is threading.main_thread())
+        return propagation.estimation_noise(*args)
+
+    monkeypatch.setattr(harness, "estimation_noise", counted)
+    _, summary_path = run_campaign(campaign, tmp_path)
+    monkeypatch.undo()
+    assert draws == [False] * 4
+    with open(summary_path, encoding="utf-8") as fh:
+        crcs = json.load(fh)["frame_crc32"]
+    assert crcs == [f"{zlib.crc32(prepare_realization(campaign, r).frame.y):08x}"
+                    for r in range(4)]
+
+
+def test_divergence_while_a_draw_is_in_flight(small_campaign, tmp_path,
+                                              monkeypatch):
+    # realization 1 diverges while the helper draws realization 2's noise:
+    # the usual one-line error reaches the caller, the helper is joined
+    # and the output directory run_campaign made is removed
+    campaign = replace(small_campaign, realizations=4)
+    threads = threading.active_count()
+    draws, calls = [], []
+    in_flight = threading.Event()
+
+    def slow_noise(out, estimate_shape, rng):
+        draws.append(threading.current_thread() is threading.main_thread())
+        if len(draws) == 3:
+            in_flight.set()
+            time.sleep(0.2)
+        return propagation.estimation_noise(out, estimate_shape, rng)
+
+    def failing_scheme(scheme, **kwargs):
+        calls.append(scheme)
+        if len(calls) > len(campaign.schemes):
+            assert in_flight.wait(5.0)
+            raise DivergenceError(0, 1.0)
+        return run_scheme(scheme, **kwargs)
+
+    monkeypatch.setattr(harness, "estimation_noise", slow_noise)
+    monkeypatch.setattr(harness, "run_scheme", failing_scheme)
+    with pytest.raises(ArithmeticError,
+                       match=r"^genie: diffusion weights went non-finite in "
+                             r"realization 1 at threshold -74\.0 dBm$"):
+        run_campaign(campaign, tmp_path / "out")
+    assert draws == [False] * 3
+    assert threading.active_count() == threads
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("failing_draw", [1, 2])
+def test_noise_error_in_a_look_ahead_draw(small_campaign, tmp_path,
+                                          monkeypatch, failing_draw):
+    # realization 1's or 2's draw, queued while the realization before it
+    # decides, fails on the helper thread: its own exception reaches the
+    # caller, the helper is joined and the output directory is removed
+    campaign = replace(small_campaign, realizations=4)
+    threads = threading.active_count()
+    draws = []
+
+    def failing(out, estimate_shape, rng):
+        draws.append(threading.current_thread() is threading.main_thread())
+        if len(draws) > failing_draw:
+            raise _Boom("injected")
+        return propagation.estimation_noise(out, estimate_shape, rng)
+
+    monkeypatch.setattr(harness, "estimation_noise", failing)
+    with pytest.raises(_Boom, match="injected"):
+        run_campaign(campaign, tmp_path / "out")
+    assert draws == [False] * (failing_draw + 1)
+    assert threading.active_count() == threads
+    assert not (tmp_path / "out").exists()
 
 
 def test_results_csv_round_trip(campaign_output, tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the performance metrics and device scheduling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from specsense.baselines import DecisionMap, genie
 from specsense.metrics import (
+    ATTACH_BLOCK,
     aggregate,
     attach_devices,
     correct_decision_pct,
@@ -115,6 +118,35 @@ def test_attach_devices_matches_broadcast_oracle(data, k_count, n_dev,
     # ties go to the smaller SAP id
     for n in range(n_dev):
         assert home[n] == np.flatnonzero(d2[n] == d2[n].min())[0]
+
+
+@pytest.mark.parametrize("n_dev", [ATTACH_BLOCK, 3 * ATTACH_BLOCK + 1,
+                                   4 * ATTACH_BLOCK - 7])
+def test_blocked_attach_matches_broadcast_oracle(n_dev):
+    # three or more blocks, the last one full or partial; integer
+    # coordinates on a small box and a duplicated SAP make exact ties
+    rng = substream(n_dev, "attach")
+    saps = rng.integers(-6, 7, size=(9, 2)).astype(float)
+    saps[-1] = saps[0]
+    devices = rng.integers(-6, 7, size=(n_dev, 2)).astype(float)
+    d2 = ((devices[:, None, :] - saps[None, :, :]) ** 2).sum(axis=2)
+    assert ((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1).any()
+    assert np.array_equal(attach_devices(devices, saps), d2.argmin(axis=1))
+
+
+def test_attach_devices_memory_flat_in_device_count():
+    # the broadcast form holds two (100000, 50) float64 arrays, 80 MB
+    rng = substream(5, "attach-memory")
+    devices = rng.uniform(0.0, 2000.0, size=(100_000, 2))
+    saps = rng.uniform(0.0, 2000.0, size=(50, 2))
+    tracemalloc.start()
+    try:
+        home = attach_devices(devices, saps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert home.shape == (100_000,)
+    assert peak < 4e6
 
 
 def test_schedule_devices_examples():
