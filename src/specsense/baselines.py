@@ -8,21 +8,24 @@ no-decision (decided=False, under every gain) when the scheme has no verdict
 for it, which only the non-cooperative single-band scheme does.
 
 The four diffusion-based schemes are one combine-then-adapt diffusion, run
-once over the whole sweep, on one of three networks, the calibration
-structures (``CALIBRATION_STRUCTURE``, built by ``structure_network``):
+over the whole sweep, on one of three networks, the calibration structures
+(``CALIBRATION_STRUCTURE``, built by ``structure_network``):
 
 * ``coop-full`` (proposed-multiband): all channels, neighbor graph;
 * ``coop-assigned`` (proposed-singleband): scheduled channels, neighbor graph;
 * ``standalone`` (both noncoop schemes): all channels, self-only graph.
 
-Under raw energy the non-cooperative schemes skip the diffusion.
+Schemes deciding on one frame share runs (``run_scheme``'s ``shared``): the
+two noncoop schemes decide on one standalone run, and the ``COOPERATIVE``
+structures, on one graph, can run side by side as one call. Under raw
+energy the non-cooperative schemes skip the diffusion.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import DiffusionParams, decide, run_diffusion
+from .diffusion import DiffusionParams, DivergenceError, decide, run_diffusion
 from .model import ConfigurationError
 
 SCHEME_IDS = (
@@ -41,6 +44,9 @@ CALIBRATION_STRUCTURE = {
     "noncoop-multiband": "standalone",
     "noncoop-singleband": "standalone",
 }
+
+# the structures on the neighbor graph, so they can share one run
+COOPERATIVE = ("coop-full", "coop-assigned")
 
 
 @dataclass
@@ -105,10 +111,34 @@ def structure_network(structure, sensing_mask, reference_powers, adjacency):
     return full, np.zeros((len(full), len(full))), np.eye(len(full), dtype=bool)
 
 
+def structure_weights(structures, *, measurements, sensing_mask,
+                      reference_powers, adjacency, params, gains=(1.0,),
+                      ceiling=None):
+    """Each structure's (T, K, M) weight stack, from one diffusion run.
+
+    The frame is repeated once per structure on the channel axis, each copy
+    under its structure's sensing mask, so the structures must share one
+    graph. Columns are independent, so each stack is bit for bit that of
+    the structure's own run. Raises DivergenceError when any weight of any
+    structure goes non-finite.
+    """
+    k_count, m_count, _ = measurements.shape
+    networks = [structure_network(s, sensing_mask, reference_powers, adjacency)
+                for s in structures]
+    _, powers, graph = networks[0]
+    frame = (measurements if len(structures) == 1 else
+             np.concatenate([measurements] * len(structures), axis=1))
+    w = run_diffusion(frame, np.concatenate([n[0] for n in networks], axis=1),
+                      powers, graph, params, gains=gains, ceiling=ceiling)
+    # column (t * S + s) * M + m of w is channel m of structure s under gain t
+    stacks = w.reshape(k_count, len(gains), len(structures), m_count)
+    return dict(zip(structures, stacks.transpose(2, 1, 0, 3)))
+
+
 def run_scheme(name, *, measurements, gains=(1.0,), ceiling=None,
                truth_busy=None, sensing_mask=None, reference_powers=None,
                adjacency=None, params=None, thresholds=None,
-               channel_picks=None, raw_energy=False):
+               channel_picks=None, raw_energy=False, shared=None, pack=()):
     """Dispatch one scheme by id over a gain sweep; one DecisionMap for all.
 
     ``measurements`` is the unscaled (K, M, N) frame; gain t rescales it as
@@ -127,6 +157,12 @@ def run_scheme(name, *, measurements, gains=(1.0,), ceiling=None,
     energy times the gain with 1.0, and rejects a latest window that is not
     finite and nonnegative. ``noncoop-singleband`` decides only each SAP's
     ``channel_picks`` channel.
+
+    ``shared``, a dict for the schemes deciding on one frame, holds weight
+    stacks by structure: a scheme decides on its structure's stack when
+    there, and stores the stacks it runs. A structure in ``pack`` runs in
+    one call with the rest of ``pack`` not yet run; if that call diverges
+    it runs alone, so a DivergenceError is always the scheme's own.
     """
     if name == "genie":
         return genie(truth_busy)
@@ -154,14 +190,21 @@ def run_scheme(name, *, measurements, gains=(1.0,), ceiling=None,
     else:
         if sensing_mask is None:
             sensing_mask = np.ones((k_count, m_count), dtype=bool)
-        network = structure_network(structure, sensing_mask, reference_powers,
-                                    adjacency)
-        w = run_diffusion(measurements, *network,
-                          DiffusionParams() if params is None else params,
-                          gains=gains, ceiling=ceiling)
-        # column t * M + m of w is channel m under gain t
-        stack = w.reshape(k_count, gains.size, m_count).transpose(1, 0, 2)
-        busy = decide(stack, thresholds)
+        shared = {} if shared is None else shared
+        if structure not in shared:
+            inputs = dict(measurements=measurements, sensing_mask=sensing_mask,
+                          reference_powers=reference_powers,
+                          adjacency=adjacency, gains=gains, ceiling=ceiling,
+                          params=DiffusionParams() if params is None else params)
+            group = (tuple(s for s in pack if s not in shared)
+                     if structure in pack else (structure,))
+            try:
+                shared.update(structure_weights(group, **inputs))
+            except DivergenceError:
+                if group == (structure,):
+                    raise
+                shared.update(structure_weights((structure,), **inputs))
+        busy = decide(shared[structure], thresholds)
     if name == "noncoop-singleband":
         # the self-only filter evolves each channel independently, so
         # running every channel and masking afterwards matches sensing

@@ -210,6 +210,27 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
     return w
 
 
+# Widest packed call: per-column cost of run_diffusion falls with the call's
+# width until about this many columns on the desk and device graphs, then
+# stays flat (see CHANGES.md for the sweep)
+PACK_COLUMNS = 128
+PACK_BYTES = 8 << 20          # largest frame a packed call reads
+
+
+def runs_per_call(columns, frame_shape, runs):
+    """How many of ``runs`` independent runs to pack into one call.
+
+    Columns of ``run_diffusion`` are independent, so runs of ``columns``
+    columns each, each on a float64 frame of ``frame_shape``, can run side
+    by side as one call's columns. A packed call stays within
+    ``PACK_COLUMNS`` columns and ``PACK_BYTES`` of frame.
+    """
+    frame_bytes = 8 * int(np.prod(frame_shape))
+    fit = min(PACK_COLUMNS // max(columns, 1),
+              PACK_BYTES // max(frame_bytes, 1))
+    return max(1, min(runs, fit))
+
+
 def default_ceiling(params):
     """Largest energy the adaptation stays contractive for: mu * y^2 <= 1."""
     return float(np.sqrt(1.0 / params.step_size))
@@ -241,35 +262,55 @@ def calibrate_threshold(sensing_mask, reference_powers, adjacency, params, rng,
     reference level) on every channel, corrupted only by the receiver's own
     estimation noise (``propagation.estimation_noise`` with
     ``estimate_shape``), and averages the resulting final weights over
-    ``calibration_runs`` runs. A one-worker helper thread draws run r+1's
-    noise from ``rng`` into a second buffer while run r diffuses on the
-    calling thread; the draws keep their order, so the result is that of a
-    serial loop bit for bit. ``frames``, if given, are the (K, M,
-    ``params.iterations``) buffers to draw into, ``min(2,
-    calibration_runs)`` of them, so a caller can lend its own; their
-    contents are overwritten. The same receiver ``ceiling`` used on live
+    ``calibration_runs`` runs. The runs go ``runs_per_call`` at a time
+    into one ``run_diffusion`` call, their noise side by side on the
+    channel axis under the mask tiled once per run. A one-worker helper
+    thread draws group j+1's noise from ``rng``, run by run, while group j
+    diffuses on the calling thread; the draws keep their order and the runs
+    are summed in run order, so the result is that of a serial loop bit for
+    bit. ``frames``, if given, are ``min(2, calibration_runs)`` (K, M,
+    ``params.iterations``) buffers a caller lends, overwritten: one-run
+    groups are drawn into them, else each run is drawn into the first and
+    copied into its group. The same receiver ``ceiling`` used on live
     measurements must be supplied here. In normalized units the result is
     threshold-independent. Raises ConfigurationError unless
     ``calibration_runs`` is an integer >= 1 and ``frames`` fit, and
-    DivergenceError when a run's weights go non-finite.
+    DivergenceError when a group's weights go non-finite.
     """
     check_integer("calibration_runs", calibration_runs, 1)
     k_count, m_count = sensing_mask.shape
     shape = (k_count, m_count, params.iterations)
-    # run_diffusion only reads its frame, so two buffers suffice
-    count = min(2, calibration_runs)
-    if frames is None:
-        buffers = [np.empty(shape) for _ in range(count)]
+    if frames is not None:
+        frames = _check_frames(frames, min(2, calibration_runs), shape)
+    per_call = runs_per_call(m_count, shape, calibration_runs)
+    sizes = [min(per_call, calibration_runs - start)
+             for start in range(0, calibration_runs, per_call)]
+    # run_diffusion only reads its frame, so two group buffers suffice
+    count = min(2, len(sizes))
+    if per_call == 1:
+        buffers = frames or [np.empty(shape) for _ in range(count)]
     else:
-        buffers = _check_frames(frames, count, shape)
+        buffers = [np.empty((k_count, per_call * m_count, params.iterations))
+                   for _ in range(count)]
+        run_buffer = np.empty(shape) if frames is None else frames[0]
+
+    def draw(j):
+        out = buffers[j % 2][:, :sizes[j] * m_count]
+        if per_call == 1:
+            return estimation_noise(out, estimate_shape, rng)
+        for run in np.split(out, sizes[j], axis=1):
+            run[...] = estimation_noise(run_buffer, estimate_shape, rng)
+        return out
+
     total = np.zeros((k_count, m_count))
     with ThreadPoolExecutor(max_workers=1) as helper:
-        draw = helper.submit(estimation_noise, buffers[0], estimate_shape, rng)
-        for r in range(calibration_runs):
-            u = draw.result()
-            if r + 1 < calibration_runs:
-                draw = helper.submit(estimation_noise, buffers[(r + 1) % 2],
-                                     estimate_shape, rng)
-            total += run_diffusion(u, sensing_mask, reference_powers,
-                                   adjacency, params, ceiling=ceiling)
+        pending = helper.submit(draw, 0)
+        for j, size in enumerate(sizes):
+            u = pending.result()
+            if j + 1 < len(sizes):
+                pending = helper.submit(draw, j + 1)
+            w = run_diffusion(u, np.tile(sensing_mask, size), reference_powers,
+                              adjacency, params, ceiling=ceiling)
+            for run in np.split(w, size, axis=1):
+                total += run
     return total / calibration_runs

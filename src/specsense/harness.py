@@ -9,16 +9,21 @@ frame times the gain that maps t to 1.0 in normalized units. Raw energy
 detectors (centralized, and the raw-energy non-cooperative variant) see
 the rescaled frame as-is; adaptive-filter schemes see it through the
 receiver's dynamic-range clamp, and run all T gains as one diffusion run
-over T*M channels. Each scheme returns one (T, K, M) decision stack, scored
-once against the truth stack. Decision thresholds for the diffusion schemes
-are calibrated once per campaign per network structure, on the network
+over T*M channels. Each structure runs once per realization: both
+non-cooperative schemes decide on one standalone run, and the two
+cooperative structures run side by side as one call of 2*T*M channels
+when ``diffusion.runs_per_call`` packs two runs that wide. Each scheme
+returns one (T, K, M) decision stack, scored once against the truth stack.
+Decision thresholds for the diffusion schemes are calibrated once per
+campaign per network structure, on the network
 ``baselines.structure_network`` builds from representative inputs
 (line-of-sight reference powers and a representative assignment); in
 normalized units one calibration covers the whole sweep.
 
 A campaign allocates its (K, M, N) noise frames once: the pair that
-calibration's look-ahead draws its training noise into. The serial loop
-then reuses them, and a campaign-long helper thread draws realization
+calibration's look-ahead draws its training noise into (run by run, when
+``runs_per_call`` groups several runs into one call). The serial loop then
+reuses them, and a campaign-long helper thread draws realization
 r+1's noise into one while realization r is decided and scored in the
 other. A campaign whose calibration holds one frame (or none) keeps one,
 drawn while each realization's links are realized. Worker processes,
@@ -43,10 +48,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .baselines import (SCHEME_IDS, run_scheme, structure_network,
-                        structure_of)
+from .baselines import (COOPERATIVE, SCHEME_IDS, run_scheme,
+                        structure_network, structure_of)
 from .diffusion import (DiffusionParams, DivergenceError, calibrate_threshold,
-                        default_ceiling)
+                        default_ceiling, runs_per_call)
 from .metrics import (aggregate, correct_decision_pct, misdetection_probability,
                       schedule_devices, utilization_ratio)
 from .model import (ConfigurationError, Incumbent, Scenario,
@@ -159,9 +164,14 @@ def _ceiling(campaign):
 
 
 def _calibration_structures(campaign):
-    """The diffusion network structures the campaign's schemes decide on."""
-    return {structure_of(s, campaign.noncoop_raw_energy)
-            for s in campaign.schemes} - {None}
+    """The diffusion network structures the campaign's schemes decide on.
+
+    In the order of the schemes' first use, so calibration runs them, and
+    names a diverging one, the same way in every process.
+    """
+    structures = (structure_of(s, campaign.noncoop_raw_energy)
+                  for s in campaign.schemes)
+    return tuple(dict.fromkeys(s for s in structures if s is not None))
 
 
 def calibrate_campaign(campaign, frames=None):
@@ -307,17 +317,33 @@ def prepare_realization(campaign, r):
     return RealizationInputs(frame, truth, p_hat, sensing_mask, picks, devices)
 
 
+def _cooperative_pack(campaign):
+    """The cooperative pair when the campaign decides on both structures
+    and ``runs_per_call`` packs two of their T*M-column runs; else ()."""
+    shape = _frame_shape(campaign)
+    columns = len(campaign.thresholds_dbm) * shape[1]
+    if (set(COOPERATIVE) <= set(_calibration_structures(campaign))
+            and runs_per_call(columns, shape, 2) == 2):
+        return COOPERATIVE
+    return ()
+
+
 def decide_schemes(campaign, lams, inputs, r):
     """Yield (scheme, DecisionMap, truth stack) once per scheme.
 
-    Slice t of both (T, K, M) stacks is threshold t of the sweep. Diffusion
-    weights that go non-finite raise ArithmeticError naming the scheme, the
+    Slice t of both (T, K, M) stacks is threshold t of the sweep. Each
+    diffusion structure runs once: the two noncoop schemes share the
+    standalone run, and the cooperative pair runs as one call when it fits
+    (``_cooperative_pack``). Diffusion weights that go non-finite raise
+    ArithmeticError at the diverging scheme's turn, naming the scheme, the
     realization ``r`` and the first threshold affected.
     """
     thresholds = campaign.thresholds_dbm
     gains = [threshold_gain(t) for t in thresholds]
     truth = np.array([inputs.truth.busy_at(t) for t in thresholds])
     ceiling = _ceiling(campaign)
+    pack = _cooperative_pack(campaign)
+    shared = {}                          # weight stacks by structure
     for scheme in campaign.schemes:
         structure = structure_of(scheme, campaign.noncoop_raw_energy)
         try:
@@ -334,6 +360,8 @@ def decide_schemes(campaign, lams, inputs, r):
                 thresholds=lams.get(structure),
                 channel_picks=inputs.picks,
                 raw_energy=campaign.noncoop_raw_energy,
+                shared=shared,
+                pack=pack,
             )
         except DivergenceError as exc:
             raise ArithmeticError(

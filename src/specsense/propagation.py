@@ -14,10 +14,10 @@ energy-estimation noise of the detector, a unit-mean Gamma factor whose shape
 is the effective number of averaged signal samples, drawn by
 ``estimation_noise`` (in a campaign's serial loop, on a helper thread while
 the previous realization is decided, or while the links are realized when
-the campaign holds one frame; in threshold calibration, on a helper thread
-while the previous training run diffuses). The frame is the truth times
-that noise, so the
-detectors only ever see the truth through noisy per-window estimates.
+the campaign holds one frame; in threshold calibration, run by run on a
+helper thread while the previous group of training runs diffuses). The
+frame is the truth times that noise, so the detectors only ever see the
+truth through noisy per-window estimates.
 """
 
 from dataclasses import dataclass

@@ -1,12 +1,16 @@
 """Tests for the comparison schemes and the scheme dispatcher."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specsense import baselines
 from specsense.baselines import (
     CALIBRATION_STRUCTURE,
+    COOPERATIVE,
     SCHEME_IDS,
     DecisionMap,
     centralized_egc,
@@ -14,7 +18,8 @@ from specsense.baselines import (
     run_scheme,
     structure_of,
 )
-from specsense.diffusion import DiffusionParams, default_ceiling
+from specsense.diffusion import (DiffusionParams, DivergenceError,
+                                 default_ceiling, run_diffusion)
 from specsense.metrics import (
     correct_decision_pct,
     misdetection_probability,
@@ -382,3 +387,97 @@ def test_run_scheme_stack_equals_single_gain_calls(name, raw_energy,
 def test_run_scheme_unknown_name():
     with pytest.raises(ConfigurationError):
         run_scheme("majority-vote", measurements=np.ones((1, 1, 2)))
+
+
+def _counting_runs():
+    """A stand-in for ``baselines.run_diffusion`` and the frame widths it saw."""
+    widths = []
+
+    def counted(measurements, *args, **kwargs):
+        widths.append(measurements.shape[1])
+        return run_diffusion(measurements, *args, **kwargs)
+    return counted, widths
+
+
+@settings(max_examples=60, deadline=None)
+@given(k_count=st.integers(1, 8), m_count=st.integers(1, 4),
+       exponents=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
+       multiband_first=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_packed_cooperative_pair_matches_separate_calls(
+        k_count, m_count, exponents, multiband_first, seed):
+    # the pair as one call on the frame repeated twice, under both masks,
+    # gives each scheme the DecisionMap of its own run_scheme call, bit for
+    # bit, whichever scheme comes first
+    rng = np.random.default_rng(seed)
+    params = DiffusionParams(iterations=12)
+    links = rng.uniform(size=(k_count, k_count)) < 0.5
+    adjacency = links | links.T | np.eye(k_count, dtype=bool)
+    network = dict(
+        measurements=rng.gamma(0.7, 1 / 0.7, size=(k_count, m_count, 12)),
+        gains=[10.0 ** e for e in exponents], ceiling=default_ceiling(params),
+        sensing_mask=rng.uniform(size=(k_count, m_count)) < 0.6,
+        reference_powers=np.where(adjacency & ~np.eye(k_count, dtype=bool),
+                                  rng.uniform(0.5, 1.5, (k_count, k_count)),
+                                  0.0),
+        adjacency=adjacency, params=params)
+    lams = {name: rng.uniform(0.5, 1.5, size=(k_count, m_count))
+            for name in ("proposed-multiband", "proposed-singleband")}
+    order = list(lams) if multiband_first else list(lams)[::-1]
+    counted, widths = _counting_runs()
+    shared = {}
+    with mock.patch.object(baselines, "run_diffusion", counted):
+        packed = {name: run_scheme(name, thresholds=lams[name], shared=shared,
+                                   pack=COOPERATIVE, **network)
+                  for name in order}
+    assert widths == [2 * m_count]
+    assert set(shared) == set(COOPERATIVE)
+    for name in order:
+        alone = run_scheme(name, thresholds=lams[name], **network)
+        assert np.array_equal(packed[name].busy, alone.busy), name
+        assert np.array_equal(packed[name].decided, alone.decided), name
+
+
+def test_noncoop_schemes_share_one_standalone_run():
+    y, _, _, lam = _toy_inputs(k_count=4, m_count=3)
+    inputs = dict(measurements=y, gains=(1.0, 0.5),
+                  params=DiffusionParams(iterations=30), thresholds=lam,
+                  channel_picks=np.array([0, 2, 1, 2]))
+    counted, widths = _counting_runs()
+    shared = {}
+    with mock.patch.object(baselines, "run_diffusion", counted):
+        maps = [run_scheme(name, shared=shared, pack=COOPERATIVE, **inputs)
+                for name in ("noncoop-multiband", "noncoop-singleband")]
+    assert widths == [3] and list(shared) == ["standalone"]
+    for name, dm in zip(("noncoop-multiband", "noncoop-singleband"), maps):
+        alone = run_scheme(name, **inputs)
+        assert np.array_equal(dm.busy, alone.busy), name
+        assert np.array_equal(dm.decided, alone.decided), name
+
+
+def test_packed_divergence_falls_back_to_own_runs():
+    # NaN energy wherever some SAP leaves a channel unsensed diverges the
+    # assigned network alone: the packed call fails, multiband still gets
+    # its own run's map and singleband raises its own run's error
+    y, p_hat, adjacency, lam = _toy_inputs(seed=11)
+    mask = np.array([[True, False], [False, True], [True, True]])
+
+    def nan_where_assigned(measurements, sensing_mask, *args, **kwargs):
+        partial = ~np.asarray(sensing_mask).all(axis=0)
+        measurements = np.where(partial[None, :, None], np.nan, measurements)
+        return run_diffusion(measurements, sensing_mask, *args, **kwargs)
+
+    inputs = dict(measurements=y, gains=(2.0, 1.0), sensing_mask=mask,
+                  reference_powers=p_hat, adjacency=adjacency,
+                  params=DiffusionParams(iterations=30), thresholds=lam)
+    with mock.patch.object(baselines, "run_diffusion", nan_where_assigned):
+        for pack in ((), COOPERATIVE):
+            shared = {}
+            dm = run_scheme("proposed-multiband", shared=shared, pack=pack,
+                            **inputs)
+            assert list(shared) == ["coop-full"]
+            assert np.array_equal(dm.busy, run_scheme("proposed-multiband",
+                                                      **inputs).busy)
+            with pytest.raises(DivergenceError) as info:
+                run_scheme("proposed-singleband", shared=shared, pack=pack,
+                           **inputs)
+            assert info.value.gain_index == 0

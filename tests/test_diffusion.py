@@ -2,6 +2,7 @@
 
 import threading
 import tracemalloc
+from unittest import mock
 from dataclasses import fields, replace
 
 import numpy as np
@@ -680,6 +681,70 @@ def test_calibration_matches_serial_loop(k_count, m_count, runs,
                                calibration_runs=runs, frames=frames,
                                **options)
     assert np.array_equal(lent, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k_count=st.integers(1, 6), m_count=st.integers(1, 4),
+       runs=st.integers(1, 7), per_call=st.integers(1, 7),
+       estimate_shape=st.sampled_from([None, 0.7]), clamp=st.booleans(),
+       kind=st.sampled_from(["symmetric", "eye"]), lend=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_grouped_calibration_matches_serial_loop(k_count, m_count, runs,
+                                                 per_call, estimate_shape,
+                                                 clamp, kind, lend, seed):
+    # runs packed per_call at a time (one run per call, some, or all of
+    # them) side by side in one call give the serial loop's thresholds bit
+    # for bit, in one call per group
+    params = DiffusionParams(iterations=12)
+    adjacency, mask, p_hat = _random_network(substream(seed, "net"),
+                                             k_count, m_count, kind=kind)
+    network = (mask, p_hat, adjacency, params)
+    options = dict(estimate_shape=estimate_shape,
+                   ceiling=default_ceiling(params) if clamp else None)
+    frames = ([np.full((k_count, m_count, 12), np.nan)
+               for _ in range(min(2, runs))] if lend else None)
+    widths = []
+
+    def counted(measurements, *args, **kwargs):
+        widths.append(measurements.shape[1])
+        return run_diffusion(measurements, *args, **kwargs)
+
+    with mock.patch.object(diffusion, "PACK_COLUMNS", per_call * m_count), \
+            mock.patch.object(diffusion, "run_diffusion", counted):
+        try:
+            got = calibrate_threshold(*network, substream(seed, "cal"),
+                                      calibration_runs=runs, frames=frames,
+                                      **options)
+        except DivergenceError:
+            got = None
+    group = min(per_call, runs)
+    assert widths[:-1] == [group * m_count] * (len(widths) - 1)
+    if got is None:
+        # an unclamped noise spike can diverge; the serial loop must too
+        with pytest.raises(DivergenceError):
+            _serial_calibration(*network, substream(seed, "cal"), runs,
+                                **options)
+        return
+    assert widths == ([group * m_count] * (runs // group)
+                      + [runs % group * m_count] * (runs % group > 0))
+    want = _serial_calibration(*network, substream(seed, "cal"), runs,
+                               **options)
+    assert np.array_equal(got, want)
+
+
+def test_runs_per_call_bounds_columns_and_bytes():
+    cap = diffusion.PACK_COLUMNS
+    frame = (5, 4, 10)
+    assert diffusion.runs_per_call(4, frame, 6) == 6
+    assert diffusion.runs_per_call(4, frame, 100) == cap // 4
+    assert diffusion.runs_per_call(cap // 2, frame, 2) == 2
+    assert diffusion.runs_per_call(cap // 2 + 1, frame, 2) == 1
+    assert diffusion.runs_per_call(cap + 1, frame, 5) == 1
+    # a frame past the byte bound runs alone, however narrow
+    third = (diffusion.PACK_BYTES // 3 // 8, 1, 1)
+    assert diffusion.runs_per_call(1, third, 9) == 3
+    assert diffusion.runs_per_call(1, (diffusion.PACK_BYTES // 8 + 1,), 9) == 1
+    assert diffusion.runs_per_call(0, (5, 0, 10), 3) == 3
 
 
 def test_calibration_rejects_frames_that_do_not_fit():

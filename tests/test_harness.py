@@ -2,7 +2,10 @@
 
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -16,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specsense
-from specsense import harness, metrics, propagation
+from specsense import baselines, diffusion, harness, metrics, propagation
 from specsense.baselines import run_scheme
 from specsense.cli import main
 from specsense.diffusion import (DiffusionParams, DivergenceError,
@@ -25,6 +28,7 @@ from specsense.diffusion import (DiffusionParams, DivergenceError,
 from specsense.harness import (
     Campaign,
     calibrate_campaign,
+    decide_schemes,
     emit_footprint_snapshot,
     emit_plot_data,
     generate_scenario,
@@ -406,6 +410,100 @@ def test_calibration_divergence_names_structure(tmp_path):
                        match=r"^calibration of structure coop-full: "):
         run_campaign(campaign, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def test_calibration_divergence_names_one_structure_in_every_process():
+    # both cooperative structures diverge; whatever the hash seed, the error
+    # names the structure of the first scheme
+    code = """if True:
+        from specsense.diffusion import DiffusionParams
+        from specsense.harness import Campaign, calibrate_campaign
+        from specsense.harness import generate_scenario
+        scenario = generate_scenario("small-grid", seed=5, side_count=3,
+                                     incumbent_count=4)
+        for schemes in (("proposed-multiband", "proposed-singleband"),
+                        ("proposed-singleband", "proposed-multiband")):
+            try:
+                calibrate_campaign(Campaign(
+                    scenario=scenario, schemes=schemes, realizations=1,
+                    diffusion=DiffusionParams(step_size=100.0),
+                    calibration_runs=1, limit_dynamic_range=False))
+            except ArithmeticError as exc:
+                print(str(exc).partition(":")[0])
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(specsense.__file__)))
+    for hash_seed in ("0", "1"):
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, timeout=120,
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src))
+        assert out.stdout.splitlines() == [
+            "calibration of structure coop-full",
+            "calibration of structure coop-assigned"], hash_seed
+
+
+def test_diffusion_runs_per_realization(small_campaign, monkeypatch):
+    # six schemes, three structures: the standalone run is shared by both
+    # noncoop schemes and the cooperative pair (2 thresholds x 4 channels
+    # each) packs into one call on an 8-channel frame, unless its 16
+    # columns are past the width rule; raw energy takes the noncoop schemes
+    # off the diffusion
+    lams = calibrate_campaign(small_campaign)
+    widths = []
+    original = baselines.run_diffusion
+
+    def counted(measurements, *args, **kwargs):
+        widths.append(measurements.shape[1])
+        return original(measurements, *args, **kwargs)
+
+    monkeypatch.setattr(baselines, "run_diffusion", counted)
+    for campaign, pack_columns, want in (
+            (small_campaign, 128, [8, 4]),
+            (small_campaign, 15, [4, 4, 4]),
+            (replace(small_campaign, noncoop_raw_energy=True), 128, [8])):
+        monkeypatch.setattr(diffusion, "PACK_COLUMNS", pack_columns)
+        for r in range(2):
+            widths.clear()
+            harness.run_realization(campaign, lams, r)
+            assert widths == want, (pack_columns, r)
+
+
+@pytest.mark.parametrize("multiband_first", [True, False])
+def test_singleband_divergence_surfaces_at_its_turn(small_campaign,
+                                                    monkeypatch,
+                                                    multiband_first):
+    # NaN energy on the channels some SAP leaves unsensed diverges the
+    # assigned network alone. Packed or not, multiband's map is yielded
+    # first when it comes first, and singleband's error reads as before
+    schemes = ("proposed-multiband", "proposed-singleband")
+    campaign = replace(small_campaign, schemes=schemes if multiband_first
+                       else schemes[::-1])
+    lams = calibrate_campaign(campaign)
+    inputs = prepare_realization(campaign, 0)
+    original = baselines.run_diffusion
+
+    def nan_where_assigned(measurements, sensing_mask, *args, **kwargs):
+        partial = ~np.asarray(sensing_mask).all(axis=0)
+        measurements = np.where(partial[None, :, None], np.nan, measurements)
+        return original(measurements, sensing_mask, *args, **kwargs)
+
+    monkeypatch.setattr(baselines, "run_diffusion", nan_where_assigned)
+    outcomes = []
+    for pack_columns in (128, 1):
+        monkeypatch.setattr(diffusion, "PACK_COLUMNS", pack_columns)
+        yielded = []
+        with pytest.raises(ArithmeticError) as info:
+            for scheme, dm, _ in decide_schemes(campaign, lams, inputs, 0):
+                yielded.append((scheme, dm.busy))
+        outcomes.append((yielded, str(info.value)))
+    (packed, packed_error), (alone, alone_error) = outcomes
+    assert packed_error == alone_error == (
+        "proposed-singleband: diffusion weights went non-finite in "
+        "realization 0 at threshold -74.0 dBm")
+    assert [s for s, _ in packed] == [s for s, _ in alone] == (
+        ["proposed-multiband"] if multiband_first else [])
+    for (_, a), (_, b) in zip(packed, alone):
+        assert np.array_equal(a, b)
 
 
 def test_out_dir_checked_before_calibration(tmp_path, monkeypatch):
