@@ -236,26 +236,8 @@ def default_ceiling(params):
     return float(np.sqrt(1.0 / params.step_size))
 
 
-def _check_frames(frames, count, shape):
-    """Reject caller-supplied noise buffers this calibration cannot fill."""
-    frames = list(frames)
-    if len(frames) != count:
-        raise ConfigurationError(f"need {count} noise frames, got {len(frames)}")
-    for f in frames:
-        if not (isinstance(f, np.ndarray) and f.shape == shape
-                and f.dtype == np.float64 and f.flags.writeable
-                and f.flags.c_contiguous):
-            raise ConfigurationError(
-                f"noise frames must be writable C-contiguous float64 arrays "
-                f"of shape {shape}")
-    if count == 2 and np.may_share_memory(*frames):
-        raise ConfigurationError("the two noise frames overlap")
-    return frames
-
-
 def calibrate_threshold(sensing_mask, reference_powers, adjacency, params, rng,
-                        calibration_runs=10, estimate_shape=0.7, ceiling=None,
-                        frames=None):
+                        calibration_runs=10, estimate_shape=0.7, ceiling=None):
     """Per-(SAP, channel) thresholds from known-energy training runs.
 
     Feeds the network injected samples of known energy 1.0 (the normalized
@@ -264,42 +246,34 @@ def calibrate_threshold(sensing_mask, reference_powers, adjacency, params, rng,
     ``estimate_shape``), and averages the resulting final weights over
     ``calibration_runs`` runs. The runs go ``runs_per_call`` at a time
     into one ``run_diffusion`` call, their noise side by side on the
-    channel axis under the mask tiled once per run. A one-worker helper
-    thread draws group j+1's noise from ``rng``, run by run, while group j
+    channel axis under the mask tiled once per run. Calibration holds its
+    own noise: at most two group buffers of (K, ``runs_per_call`` * M,
+    ``params.iterations``), and no other frame. A one-worker helper thread
+    draws group j+1's noise from ``rng``, run by run, while group j
     diffuses on the calling thread; the draws keep their order and the runs
     are summed in run order, so the result is that of a serial loop bit for
-    bit. ``frames``, if given, are ``min(2, calibration_runs)`` (K, M,
-    ``params.iterations``) buffers a caller lends, overwritten: one-run
-    groups are drawn into them, else each run is drawn into the first and
-    copied into its group. The same receiver ``ceiling`` used on live
-    measurements must be supplied here. In normalized units the result is
-    threshold-independent. Raises ConfigurationError unless
-    ``calibration_runs`` is an integer >= 1 and ``frames`` fit, and
-    DivergenceError when a group's weights go non-finite.
+    bit. The same receiver ``ceiling`` used on live measurements must be
+    supplied here. In normalized units the result is threshold-independent.
+    Raises ConfigurationError unless ``calibration_runs`` is an integer
+    >= 1, and DivergenceError when a group's weights go non-finite.
     """
     check_integer("calibration_runs", calibration_runs, 1)
     k_count, m_count = sensing_mask.shape
     shape = (k_count, m_count, params.iterations)
-    if frames is not None:
-        frames = _check_frames(frames, min(2, calibration_runs), shape)
     per_call = runs_per_call(m_count, shape, calibration_runs)
     sizes = [min(per_call, calibration_runs - start)
              for start in range(0, calibration_runs, per_call)]
     # run_diffusion only reads its frame, so two group buffers suffice
-    count = min(2, len(sizes))
-    if per_call == 1:
-        buffers = frames or [np.empty(shape) for _ in range(count)]
-    else:
-        buffers = [np.empty((k_count, per_call * m_count, params.iterations))
-                   for _ in range(count)]
-        run_buffer = np.empty(shape) if frames is None else frames[0]
+    buffers = [np.empty((k_count, per_call * m_count, params.iterations))
+               for _ in range(min(2, len(sizes)))]
 
     def draw(j):
+        # each row of a run is a C-contiguous (M, N) block; drawn in order,
+        # the rows take the stream of one (K, M, N) draw
         out = buffers[j % 2][:, :sizes[j] * m_count]
-        if per_call == 1:
-            return estimation_noise(out, estimate_shape, rng)
         for run in np.split(out, sizes[j], axis=1):
-            run[...] = estimation_noise(run_buffer, estimate_shape, rng)
+            for row in run:
+                estimation_noise(row, estimate_shape, rng)
         return out
 
     total = np.zeros((k_count, m_count))

@@ -20,13 +20,12 @@ campaign per network structure, on the network
 (line-of-sight reference powers and a representative assignment); in
 normalized units one calibration covers the whole sweep.
 
-A campaign allocates its (K, M, N) noise frames once: the pair that
-calibration's look-ahead draws its training noise into (run by run, when
-``runs_per_call`` groups several runs into one call). The serial loop then
-reuses them, and a campaign-long helper thread draws realization
-r+1's noise into one while realization r is decided and scored in the
-other. A campaign whose calibration holds one frame (or none) keeps one,
-drawn while each realization's links are realized. Worker processes,
+Calibration holds its own group buffers of training noise. Once it has
+returned, the serial loop allocates its (K, M, N) noise frames: a pair
+when a calibrated structure has two or more runs, and a campaign-long
+helper thread draws realization r+1's noise into one while realization r
+is decided and scored in the other; else one, drawn while each
+realization's links are realized. Worker processes,
 ``emit_footprint_snapshot`` and direct ``prepare_realization`` calls draw
 each frame on demand, on the calling thread.
 
@@ -106,6 +105,8 @@ class Campaign:
                               ("device_capacity", 1),
                               ("scheduler_restarts", 1)):
             check_integer(name, getattr(self, name), minimum)
+        # a frame needs a slice; DiffusionParams allows 0, the initial state
+        check_integer("diffusion.iterations", self.diffusion.iterations, 1)
         if self.master_seed is not None:
             check_integer("master_seed", self.master_seed)
         if not self.thresholds_dbm:
@@ -174,12 +175,12 @@ def _calibration_structures(campaign):
     return tuple(dict.fromkeys(s for s in structures if s is not None))
 
 
-def calibrate_campaign(campaign, frames=None):
+def calibrate_campaign(campaign):
     """λ per structure: the once-per-campaign known-energy training pass.
 
     Networks are built from line-of-sight reference powers, plus the
-    representative assignment when ``proposed-singleband`` runs. Every
-    structure draws its training noise into ``frames`` when given (see
+    representative assignment when ``proposed-singleband`` runs. Each
+    structure draws its training noise into buffers of its own (see
     ``diffusion.calibrate_threshold``). Raises ArithmeticError naming the
     structure whose weights diverge.
     """
@@ -199,7 +200,7 @@ def calibrate_campaign(campaign, frames=None):
                 substream(campaign.seed, "calibrate", name),
                 calibration_runs=campaign.calibration_runs,
                 estimate_shape=scn.propagation.estimate_shape,
-                ceiling=ceiling, frames=frames)
+                ceiling=ceiling)
         except DivergenceError as exc:
             raise ArithmeticError(
                 f"calibration of structure {name}: {exc}") from exc
@@ -433,14 +434,7 @@ def run_campaign(campaign, out_dir):
 def _run_and_write(campaign, out_dir):
     scn = campaign.scenario
 
-    # One frame pair per campaign: calibration's look-ahead fills it, then
-    # the serial loop's. A campaign whose calibration holds one frame (or
-    # none) reuses one frame and does not look ahead, so the loop never
-    # holds a frame calibration did not already need.
-    count = (min(2, campaign.calibration_runs)
-             if _calibration_structures(campaign) else 1)
-    frames = [np.empty(_frame_shape(campaign)) for _ in range(count)]
-    lams = calibrate_campaign(campaign, frames)
+    lams = calibrate_campaign(campaign)
     log.info("calibrated %d structure/threshold pairs", len(lams))
 
     total = campaign.realizations
@@ -448,7 +442,6 @@ def _run_and_write(campaign, out_dir):
     start = time.perf_counter()
     with contextlib.ExitStack() as stack:
         if campaign.workers > 1:
-            del frames                       # workers draw their own
             # workers receive the campaign itself (pickled under spawn), so
             # every field reaches them unchanged; map yields in order
             pool = stack.enter_context(ProcessPoolExecutor(
@@ -456,6 +449,10 @@ def _run_and_write(campaign, out_dir):
                 initargs=(replace(campaign, workers=1), lams)))
             outcomes = pool.map(_worker_run, range(total))
         else:
+            # two frames only where calibration's group buffers held two
+            # frames of noise, so the loop's frames never outweigh them
+            count = min(2, campaign.calibration_runs) if lams else 1
+            frames = [np.empty(_frame_shape(campaign)) for _ in range(count)]
             # the helper starts with realization 0's draw, inside
             # run_realization(0), and is joined before this block exits
             helper = stack.enter_context(ThreadPoolExecutor(max_workers=1))

@@ -12,12 +12,13 @@ each SAP this window: noise floor plus the shadowed, faded incumbent power,
 computed once by ``compute_ground_truth``. Per iteration: only the
 energy-estimation noise of the detector, a unit-mean Gamma factor whose shape
 is the effective number of averaged signal samples, drawn by
-``estimation_noise`` (in a campaign's serial loop, on a helper thread while
-the previous realization is decided, or while the links are realized when
-the campaign holds one frame; in threshold calibration, run by run on a
-helper thread while the previous group of training runs diffuses). The
-frame is the truth times that noise, so the detectors only ever see the
-truth through noisy per-window estimates.
+``estimation_noise``: in threshold calibration, run by run into
+calibration's own group buffers on a helper thread while the previous
+group of training runs diffuses; in a campaign's serial loop, into frames
+allocated once calibration has returned, on a helper thread while the
+previous realization is decided (or while the links are realized when the
+loop holds one frame). The frame is the truth times that noise, so the
+detectors only ever see the truth through noisy per-window estimates.
 """
 
 from dataclasses import dataclass

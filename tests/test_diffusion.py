@@ -674,24 +674,17 @@ def test_calibration_matches_serial_loop(k_count, m_count, runs,
     got = calibrate_threshold(*network, substream(seed, "cal"),
                               calibration_runs=runs, **options)
     assert np.array_equal(got, want)
-    # lent frames, stale contents and all, give the same thresholds
-    frames = [np.full((k_count, m_count, 12), np.nan)
-              for _ in range(min(2, runs))]
-    lent = calibrate_threshold(*network, substream(seed, "cal"),
-                               calibration_runs=runs, frames=frames,
-                               **options)
-    assert np.array_equal(lent, want)
 
 
 @settings(max_examples=60, deadline=None)
 @given(k_count=st.integers(1, 6), m_count=st.integers(1, 4),
        runs=st.integers(1, 7), per_call=st.integers(1, 7),
        estimate_shape=st.sampled_from([None, 0.7]), clamp=st.booleans(),
-       kind=st.sampled_from(["symmetric", "eye"]), lend=st.booleans(),
+       kind=st.sampled_from(["symmetric", "eye"]),
        seed=st.integers(0, 2**32 - 1))
 def test_grouped_calibration_matches_serial_loop(k_count, m_count, runs,
                                                  per_call, estimate_shape,
-                                                 clamp, kind, lend, seed):
+                                                 clamp, kind, seed):
     # runs packed per_call at a time (one run per call, some, or all of
     # them) side by side in one call give the serial loop's thresholds bit
     # for bit, in one call per group
@@ -701,8 +694,6 @@ def test_grouped_calibration_matches_serial_loop(k_count, m_count, runs,
     network = (mask, p_hat, adjacency, params)
     options = dict(estimate_shape=estimate_shape,
                    ceiling=default_ceiling(params) if clamp else None)
-    frames = ([np.full((k_count, m_count, 12), np.nan)
-               for _ in range(min(2, runs))] if lend else None)
     widths = []
 
     def counted(measurements, *args, **kwargs):
@@ -713,8 +704,7 @@ def test_grouped_calibration_matches_serial_loop(k_count, m_count, runs,
             mock.patch.object(diffusion, "run_diffusion", counted):
         try:
             got = calibrate_threshold(*network, substream(seed, "cal"),
-                                      calibration_runs=runs, frames=frames,
-                                      **options)
+                                      calibration_runs=runs, **options)
         except DivergenceError:
             got = None
     group = min(per_call, runs)
@@ -732,6 +722,26 @@ def test_grouped_calibration_matches_serial_loop(k_count, m_count, runs,
     assert np.array_equal(got, want)
 
 
+def test_packed_calibration_holds_only_its_group_buffer():
+    # six runs share one call, and their noise is drawn straight into that
+    # call's group buffer: calibration holds no other frame-sized array
+    k_count, m_count, runs = 4, 2, 6
+    params = DiffusionParams(iterations=2000)
+    shape = (k_count, m_count, params.iterations)
+    assert diffusion.runs_per_call(m_count, shape, runs) == runs
+    frame_bytes = 8 * k_count * m_count * params.iterations
+    mask, p_hat, adjacency = _self_structure(k_count, m_count)
+    rng = substream(61, "cal")    # made first: numpy.random loads lazily
+    tracemalloc.start()
+    try:
+        calibrate_threshold(mask, p_hat, adjacency, params, rng,
+                            calibration_runs=runs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < runs * frame_bytes + frame_bytes / 2
+
+
 def test_runs_per_call_bounds_columns_and_bytes():
     cap = diffusion.PACK_COLUMNS
     frame = (5, 4, 10)
@@ -745,40 +755,6 @@ def test_runs_per_call_bounds_columns_and_bytes():
     assert diffusion.runs_per_call(1, third, 9) == 3
     assert diffusion.runs_per_call(1, (diffusion.PACK_BYTES // 8 + 1,), 9) == 1
     assert diffusion.runs_per_call(0, (5, 0, 10), 3) == 3
-
-
-def test_calibration_rejects_frames_that_do_not_fit():
-    params = DiffusionParams(iterations=10)
-    mask, p_hat, adjacency = _self_structure(2, 3)
-    shape = (2, 3, 10)
-    pair = np.empty((2,) + shape)
-    read_only = np.empty(shape)
-    read_only.flags.writeable = False
-    bad = {
-        "count": [np.empty(shape)],
-        "shape": [np.empty(shape), np.empty((2, 3, 9))],
-        "dtype": [np.empty(shape), np.empty(shape, dtype=np.float32)],
-        "read-only": [np.empty(shape), read_only],
-        "strided": [np.empty(shape), np.empty((2, 3, 20))[:, :, ::2]],
-        "fortran": [np.empty(shape), np.empty(shape, order="F")],
-        "list": [np.empty(shape), np.empty(shape).tolist()],
-        "same buffer": [pair[0], pair[0]],
-    }
-    for frames in bad.values():
-        with pytest.raises(ConfigurationError):
-            calibrate_threshold(mask, p_hat, adjacency, params,
-                                substream(53, "cal"), calibration_runs=3,
-                                frames=frames)
-    with pytest.raises(ConfigurationError):
-        calibrate_threshold(mask, p_hat, adjacency, params,
-                            substream(53, "cal"), calibration_runs=1,
-                            frames=list(pair))
-    lam = calibrate_threshold(mask, p_hat, adjacency, params,
-                              substream(53, "cal"), calibration_runs=3,
-                              frames=list(pair))
-    assert np.array_equal(lam, calibrate_threshold(
-        mask, p_hat, adjacency, params, substream(53, "cal"),
-        calibration_runs=3))
 
 
 class _Boom(RuntimeError):

@@ -175,7 +175,9 @@ def test_campaign_validation(tmp_path):
                 dict(device_count=2.0), dict(device_capacity=nan),
                 dict(scheduler_restarts=2.0), dict(workers=1.5),
                 dict(realizations=True), dict(master_seed=1.5),
-                dict(master_seed="9")):
+                dict(master_seed="9"),
+                # a campaign's frames need at least one iteration slice
+                dict(diffusion=DiffusionParams(iterations=0))):
         with pytest.raises(ConfigurationError):
             Campaign(scenario=scn, **bad)
     counts = Campaign(scenario=scn, realizations=np.int64(2),
@@ -509,7 +511,7 @@ def test_singleband_divergence_surfaces_at_its_turn(small_campaign,
 def test_out_dir_checked_before_calibration(tmp_path, monkeypatch):
     # an unusable output path fails before any work; a failed campaign
     # keeps a directory it did not make
-    def refused(_campaign, _frames):
+    def refused(_campaign):
         raise RuntimeError("calibration ran")
     monkeypatch.setattr(harness, "calibrate_campaign", refused)
     scenario = generate_scenario("small-grid", seed=5, side_count=3,
@@ -830,6 +832,17 @@ def test_cli_reports_errors(tmp_path, capsys):
     assert rc == 1
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    # no iterations: rejected up front, whichever schemes would have failed
+    # first (an IndexError, a zero-size reduction, or calibration)
+    for schemes in (["genie,noncoop-multiband", "--noncoop-raw-energy"],
+                    ["genie,centralized"], ["proposed-multiband"]):
+        rc = main(["simulate", "--scenario", scenario_path,
+                   "--out", str(tmp_path / "out"), "--iterations", "0",
+                   "--schemes", *schemes])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: diffusion.iterations must be an integer >= 1\n")
+        assert not (tmp_path / "out").exists()
 
     # without the receiver clamp the default grid's cooperative adaptation
     # diverges at -82 dBm: one error line, no traceback and no numpy warning
