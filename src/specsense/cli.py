@@ -40,7 +40,7 @@ def _cmd_generate(args):
     overrides = {}
     if args.saps is not None:
         if args.template == "small-grid":
-            side = int(round(args.saps ** 0.5))
+            side = int(round(max(args.saps, 0) ** 0.5))
             if side * side != args.saps:
                 raise ConfigurationError("--saps must be a square for small-grid")
             overrides["side_count"] = side

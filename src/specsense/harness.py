@@ -581,10 +581,11 @@ def generate_scenario(template, seed=1, **overrides):
     with 20/40/80 MHz signals.
     """
     if template == "small-grid":
-        side = int(overrides.pop("side_count", 10))
+        side = check_integer("side_count", overrides.pop("side_count", 10), 1)
         spacing = float(overrides.pop("spacing_m", 200.0))
         radius = float(overrides.pop("radius_m", spacing))
-        incumbents = int(overrides.pop("incumbent_count", 50))
+        incumbents = check_integer(
+            "incumbent_count", overrides.pop("incumbent_count", 50), 0)
         tx_dbm = float(overrides.pop("incumbent_tx_dbm", 30.0))
         height = float(overrides.pop("height_m", 10.0))
         if overrides:
@@ -601,10 +602,11 @@ def generate_scenario(template, seed=1, **overrides):
         return Scenario(topo, plan, incs, PropagationParams(), seed)
 
     if template == "large-synthetic":
-        count = int(overrides.pop("sap_count", 500))
+        count = check_integer("sap_count", overrides.pop("sap_count", 500), 1)
         region = float(overrides.pop("region_m", 2000.0))
         radius = float(overrides.pop("radius_m", 200.0))
-        incumbents = int(overrides.pop("incumbent_count", 2000))
+        incumbents = check_integer(
+            "incumbent_count", overrides.pop("incumbent_count", 2000), 0)
         tx_dbm = float(overrides.pop("incumbent_tx_dbm", 30.0))
         height = float(overrides.pop("height_m", 10.0))
         channelization = overrides.pop("channelization", "nb-iot")

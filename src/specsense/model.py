@@ -20,11 +20,12 @@ class ConfigurationError(ValueError):
 
 
 def check_integer(name, value, minimum=None):
-    """Reject a ``value`` that is no int or numpy integer >= ``minimum``."""
+    """``value`` as an int; raise unless it is an integer >= ``minimum``."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or (minimum is not None and value < minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ConfigurationError(f"{name} must be an integer{bound}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------

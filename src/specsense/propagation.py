@@ -9,16 +9,19 @@ Randomness is layered by time scale. Per realization: incumbent band draws,
 LOS states, shadowing, and small-scale fading, all static across the sensing
 window (block fading). Ground truth is the realized energy level present at
 each SAP this window: noise floor plus the shadowed, faded incumbent power,
-computed once by ``compute_ground_truth``. Per iteration: only the
-energy-estimation noise of the detector, a unit-mean Gamma factor whose shape
-is the effective number of averaged signal samples, drawn by
-``estimation_noise``: in threshold calibration, run by run into
-calibration's own group buffers on a helper thread while the previous
-group of training runs diffuses; in a campaign's serial loop, into frames
-allocated once calibration has returned, on a helper thread while the
-previous realization is decided (or while the links are realized when the
-loop holds one frame). The frame is the truth times that noise, so the
-detectors only ever see the truth through noisy per-window estimates.
+computed once by ``compute_ground_truth``. The fading gains are never held
+all at once: ``realize_links`` snapshots the fading stream, and the level
+sum draws each incumbent's gains from that snapshot and drops them. Per
+iteration: only the energy-estimation noise of the detector, a unit-mean
+Gamma factor whose shape is the effective number of averaged signal
+samples, drawn by ``estimation_noise``: in threshold calibration, run by
+run into calibration's own group buffers on a helper thread while the
+previous group of training runs diffuses; in a campaign's serial loop,
+into frames allocated once calibration has returned, on a helper thread
+while the previous realization is decided (or while the links are realized
+when the loop holds one frame). The frame is the truth times that noise,
+so the detectors only ever see the truth through noisy per-window
+estimates.
 """
 
 from dataclasses import dataclass
@@ -151,20 +154,36 @@ class PropagationParams:
 class LinkRealization:
     """Large-scale state for one realization, fixed across sensing iterations.
 
-    Incumbent-to-SAP arrays have shape (n_inc, K). ``inc_fade`` holds one
-    (channels_hit, gains) pair per incumbent: the channel indices its signal
-    overlaps (one contiguous run) and the block-fading power gains of shape
-    (K, len(hit)). The gains are views into one flat draw, in incumbent
-    order.
+    Incumbent-to-SAP arrays have shape (n_inc, K). Each incumbent's signal
+    overlaps one contiguous run of channels, ``inc_runs[i]`` = (first, past
+    last). ``fade_state`` snapshots the fading stream before any gain is
+    drawn (None without fading); ``inc_fade`` draws the gains from it.
     """
 
     inc_center_hz: np.ndarray      # (n_inc,)
     inc_bandwidth_hz: np.ndarray   # (n_inc,)
     inc_los: np.ndarray            # (n_inc, K) bool
     inc_gain_db: np.ndarray        # (n_inc, K) -(pathloss + shadowing)
-    inc_fade: tuple                # per incumbent (hit_idx, gains)
+    inc_runs: np.ndarray           # (n_inc, 2) channel run [lo, hi)
+    fade_state: dict | None        # bit-generator state, None: no fading
     sap_los: np.ndarray            # (K, K) bool, symmetric
     sap_gain_db: np.ndarray        # (K, K) -(pathloss + shadowing), diag 0
+
+    @property
+    def inc_fade(self):
+        """Yield (channels_hit, gains) per incumbent, in incumbent order.
+
+        Each pass draws the (K, len(hit)) block-fading power gains afresh from
+        ``fade_state``, so passes agree and take the stream of one flat draw.
+        """
+        k_count, state = self.inc_los.shape[1], self.fade_state
+        if state is not None:
+            rng = np.random.Generator(getattr(np.random, state["bit_generator"])())
+            rng.bit_generator.state = state
+        for lo, hi in self.inc_runs:
+            shape = (k_count, hi - lo)
+            yield np.arange(lo, hi), (np.ones(shape) if state is None
+                                      else rng.standard_exponential(shape))
 
 
 @dataclass
@@ -231,8 +250,9 @@ def realize_links(scenario, rng_bands, rng_shadow, rng_fading):
 
     ``rng_bands`` drives the realization geometry (incumbent band draws and
     LOS states), ``rng_shadow`` the shadowing, ``rng_fading`` the
-    block-fading gains. All three shape ground truth, which is the realized
-    (shadowed, faded) level; only the estimation noise drawn by
+    block-fading gains, drawn from a snapshot of it (it is not consumed)
+    whenever ``inc_fade`` is read. All three shape ground truth, which is the
+    realized (shadowed, faded) level; only the estimation noise drawn by
     ``estimation_noise`` is confined to the measurements.
     """
     topo = scenario.topology
@@ -260,18 +280,12 @@ def realize_links(scenario, rng_bands, rng_shadow, rng_fading):
     shadow = rng_shadow.standard_normal((n_inc, k_count)) * sigma
     inc_gain_db = -(inc_pl + shadow)
 
-    # block fading per incumbent on the channels its signal overlaps, drawn
-    # as one flat block in incumbent order and split into (K, hits) views
-    hits = [np.flatnonzero(row)
-            for row in channel_overlap_fraction(plan, centers, bandwidths) > 0]
-    sizes = [k_count * hit.size for hit in hits]
-    if prop.fading == "rayleigh":
-        flat = rng_fading.standard_exponential(sum(sizes))
-    else:
-        flat = np.ones(sum(sizes))
-    blocks = np.split(flat, np.cumsum(sizes)[:-1])
-    fades = [(hit, block.reshape(k_count, hit.size))
-             for hit, block in zip(hits, blocks)]
+    # block fading per incumbent on its run of channels, drawn on demand
+    hit = channel_overlap_fraction(plan, centers, bandwidths) > 0
+    lo = hit.argmax(axis=1)
+    runs = np.stack([lo, lo + hit.sum(axis=1)], axis=1)
+    fade_state = (rng_fading.bit_generator.state
+                  if prop.fading == "rayleigh" else None)
 
     # SAP <-> SAP links: shared LOS per pair, shadowing per direction
     sd2d = np.sqrt(((topo.positions[:, None, :] - topo.positions[None, :, :]) ** 2).sum(axis=2))
@@ -292,7 +306,7 @@ def realize_links(scenario, rng_bands, rng_shadow, rng_fading):
     np.fill_diagonal(sap_gain_db, 0.0)
 
     return LinkRealization(centers, bandwidths, inc_los, inc_gain_db,
-                           tuple(fades), sap_los, sap_gain_db)
+                           runs, fade_state, sap_los, sap_gain_db)
 
 
 def received_level(scenario, links):
@@ -300,20 +314,23 @@ def received_level(scenario, links):
 
     The level a receiver actually sees this realization: transmit power
     split flat over the channels each signal overlaps, through pathloss,
-    shadowing and block fading.
+    shadowing and block fading. One pass over ``links.inc_fade`` draws each
+    incumbent's gains, scales them in place and adds them in, so at most one
+    incumbent's gains are live.
     """
     plan = scenario.spectrum
     k_count = scenario.topology.count
     total = np.zeros((k_count, plan.channel_count))
     frac = channel_overlap_fraction(plan, links.inc_center_hz,
                                     links.inc_bandwidth_hz)
-    for i, inc in enumerate(scenario.incumbents):
-        hit, gains = links.inc_fade[i]
+    for i, (inc, (hit, gains)) in enumerate(zip(scenario.incumbents,
+                                                links.inc_fade)):
         if hit.size == 0:
             continue
         lo, hi = hit[0], hit[-1] + 1  # a signal's channels are contiguous
         rx = dbm_to_norm(inc.tx_power_dbm + links.inc_gain_db[i])
-        total[:, lo:hi] += rx[:, None] * frac[i, lo:hi][None, :] * gains
+        gains *= rx[:, None] * frac[i, lo:hi][None, :]
+        total[:, lo:hi] += gains
     return total
 
 

@@ -145,6 +145,36 @@ def test_scenario_dict_round_trips_exactly(template, seed):
     assert json.dumps(again, sort_keys=True) == json.dumps(spec, sort_keys=True)
 
 
+@pytest.mark.parametrize("template, bad", [
+    ("small-grid", dict(side_count=2.5)), ("small-grid", dict(side_count=0)),
+    ("small-grid", dict(side_count=True)),
+    ("small-grid", dict(incumbent_count=2.7)),
+    ("small-grid", dict(incumbent_count=-1)),
+    ("large-synthetic", dict(sap_count=True)),
+    ("large-synthetic", dict(sap_count=0)),
+    ("large-synthetic", dict(sap_count=7.0)),
+    ("large-synthetic", dict(incumbent_count=2.7)),
+    ("large-synthetic", dict(incumbent_count=-1)),
+    ("large-synthetic", dict(incumbent_count="5")),
+])
+def test_generate_scenario_rejects_bad_counts(template, bad):
+    # counts were truncated (2.5 -> 2), taken as 1 (True) or left to numpy's
+    # "negative dimensions" error
+    (name, _), = bad.items()
+    with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+        generate_scenario(template, seed=3, **bad)
+
+
+def test_generate_scenario_takes_integer_counts():
+    grid = generate_scenario("small-grid", seed=3, side_count=np.int64(2),
+                             incumbent_count=0)
+    assert grid.topology.count == 4 and grid.incumbents == ()
+    wide = generate_scenario("large-synthetic", seed=3, sap_count=np.int32(5),
+                             incumbent_count=np.uint8(3),
+                             total_bandwidth_hz=20e6)
+    assert wide.topology.count == 5 and len(wide.incumbents) == 3
+
+
 # ---------------------------------------------------------------------------
 # Campaign plumbing
 # ---------------------------------------------------------------------------
@@ -811,6 +841,22 @@ def test_cli_reports_errors(tmp_path, capsys):
                "--out", str(tmp_path / "s.json")])
     assert rc == 1
     assert "square" in capsys.readouterr().err
+    # bad counts: one error line, no numpy message and no file
+    for args, field in ((["large-synthetic", "--incumbents", "-1"],
+                         "incumbent_count must be an integer >= 0"),
+                        (["small-grid", "--incumbents", "-1"],
+                         "incumbent_count must be an integer >= 0"),
+                        (["large-synthetic", "--saps", "0"],
+                         "sap_count must be an integer >= 1"),
+                        (["small-grid", "--saps", "0"],
+                         "side_count must be an integer >= 1"),
+                        (["small-grid", "--saps", "-4"],
+                         "--saps must be a square for small-grid")):
+        rc = main(["generate-scenario", "--template", *args,
+                   "--out", str(tmp_path / "bad.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {field}\n"
+        assert not (tmp_path / "bad.json").exists()
 
     rc = main(["emit-plot-data", "--figure", "footprint-snapshot",
                "--out", str(tmp_path / "x.csv")])

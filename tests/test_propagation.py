@@ -1,6 +1,7 @@
 """Tests for pathloss, link realization, and measurement generation."""
 
 import math
+import tracemalloc
 import zlib
 from dataclasses import replace
 
@@ -347,7 +348,10 @@ def _scalar_overlap(plan, signal_center_hz, signal_bandwidth_hz):
 
 
 def _oracle_realize_links(scenario, rng_bands, rng_shadow, rng_fading):
-    """Link realization with one fading draw per incumbent."""
+    """Link realization with one fading draw per incumbent.
+
+    Returns the links and, beside them, the per-incumbent (hit, gains) list.
+    """
     topo = scenario.topology
     plan = scenario.spectrum
     prop = scenario.propagation
@@ -372,6 +376,8 @@ def _oracle_realize_links(scenario, rng_bands, rng_shadow, rng_fading):
     shadow = rng_shadow.standard_normal((n_inc, k_count)) * sigma
     inc_gain_db = -(inc_pl + shadow)
 
+    fade_state = (rng_fading.bit_generator.state
+                  if prop.fading == "rayleigh" else None)
     fades = []
     for i in range(n_inc):
         frac = _scalar_overlap(plan, centers[i], bandwidths[i])
@@ -381,6 +387,8 @@ def _oracle_realize_links(scenario, rng_bands, rng_shadow, rng_fading):
         else:
             gains = np.ones((k_count, hit.size))
         fades.append((hit, gains))
+    runs = np.array([(hit[0], hit[-1] + 1) if hit.size else (0, 0)
+                     for hit, _ in fades], dtype=np.intp).reshape(n_inc, 2)
 
     sd2d = np.sqrt(((topo.positions[:, None, :] - topo.positions[None, :, :]) ** 2).sum(axis=2))
     sd2d = np.maximum(sd2d, 1.0)
@@ -398,18 +406,19 @@ def _oracle_realize_links(scenario, rng_bands, rng_shadow, rng_fading):
     sshadow = rng_shadow.standard_normal((k_count, k_count)) * ssigma
     sap_gain_db = -(spl + sshadow)
     np.fill_diagonal(sap_gain_db, 0.0)
-    return LinkRealization(centers, bandwidths, inc_los, inc_gain_db,
-                           tuple(fades), sap_los, sap_gain_db)
+    links = LinkRealization(centers, bandwidths, inc_los, inc_gain_db,
+                            runs, fade_state, sap_los, sap_gain_db)
+    return links, fades
 
 
-def _oracle_received_level(scenario, links):
+def _oracle_received_level(scenario, links, fades):
     """Per-incumbent overlap and a fancy-index add over its hit channels."""
     plan = scenario.spectrum
     total = np.zeros((scenario.topology.count, plan.channel_count))
     for i, inc in enumerate(scenario.incumbents):
         frac = _scalar_overlap(plan, links.inc_center_hz[i],
                                links.inc_bandwidth_hz[i])
-        hit, gains = links.inc_fade[i]
+        hit, gains = fades[i]
         if hit.size == 0:
             continue
         rx = dbm_to_norm(inc.tx_power_dbm + links.inc_gain_db[i])
@@ -440,9 +449,10 @@ def _oracle_scenario(template, fading):
 @pytest.mark.parametrize("template", ["small-grid", "large-synthetic"])
 def test_links_and_truth_match_per_incumbent_oracle(template, fading,
                                                     own_fading_stream):
-    # the one flat fading draw splits into the per-incumbent draws; the
-    # fading generator is its own substream or a separate one seeded like
-    # the shadowing substream, and in either case touches only the fades
+    # the gains drawn on demand from the fading snapshot equal the oracle's
+    # per-incumbent draws; the fading generator is its own substream or a
+    # separate one seeded like the shadowing substream, and in either case
+    # touches only the fades
     scn = _oracle_scenario(template, fading)
     fading_tag = "fading" if own_fading_stream else "shadow"
 
@@ -452,14 +462,14 @@ def test_links_and_truth_match_per_incumbent_oracle(template, fading,
 
     for r in range(3):
         links = realize_links(scn, *streams(r))
-        want = _oracle_realize_links(scn, *streams(r))
+        want, want_fades = _oracle_realize_links(scn, *streams(r))
         other = realize_links(scn, *streams(r, "estimate"))
         assert np.array_equal(links.inc_gain_db, other.inc_gain_db)
         assert np.array_equal(links.sap_gain_db, other.sap_gain_db)
         assert np.array_equal(links.sap_los, other.sap_los)
-        assert len(links.inc_fade) == len(want.inc_fade)
-        for (hit, gains), (want_hit, want_gains) in zip(links.inc_fade,
-                                                        want.inc_fade):
+        fades = list(links.inc_fade)
+        assert len(fades) == len(want_fades)
+        for (hit, gains), (want_hit, want_gains) in zip(fades, want_fades):
             assert np.array_equal(hit, want_hit)
             # the slice add in received_level relies on contiguous hits
             if hit.size:
@@ -469,13 +479,58 @@ def test_links_and_truth_match_per_incumbent_oracle(template, fading,
         assert np.array_equal(links.inc_gain_db, want.inc_gain_db)
         assert np.array_equal(links.sap_gain_db, want.sap_gain_db)
         level = received_level(scn, links)
-        assert np.array_equal(level, _oracle_received_level(scn, want))
+        assert np.array_equal(level,
+                              _oracle_received_level(scn, want, want_fades))
         v = dbm_to_norm(noise_floor_dbm(scn.spectrum.channel_bandwidth_hz,
                                         scn.propagation.noise_figure_db))
         assert np.array_equal(compute_ground_truth(scn, links).true_energy,
                               v + level)
     if template == "large-synthetic":
-        assert any(hit.size == 0 for hit, _ in links.inc_fade)
+        assert any(hit.size == 0 for hit, _ in fades)
+
+
+@pytest.mark.parametrize("fading", ["rayleigh", "none"])
+def test_fading_gains_are_drawn_on_demand_from_a_snapshot(fading):
+    scn = _oracle_scenario("large-synthetic", fading)
+    rng_fading = substream(scn.seed, "fading", 0)
+    links = realize_links(scn, substream(scn.seed, "bands", 0),
+                          substream(scn.seed, "shadow", 0), rng_fading)
+    # the caller's stream is snapshotted, not consumed
+    assert rng_fading.random() == substream(scn.seed, "fading", 0).random()
+    first = list(links.inc_fade)
+    rng_fading.standard_exponential(10_000)
+    second = list(links.inc_fade)
+    assert len(first) == len(second) == len(scn.incumbents)
+    for (hit, gains), (again_hit, again) in zip(first, second):
+        assert np.array_equal(hit, again_hit)
+        assert np.array_equal(gains, again)
+        assert gains is not again
+        assert gains.shape == (scn.topology.count, hit.size)
+    flat = np.concatenate([gains.ravel() for _, gains in first])
+    if fading == "none":
+        assert np.all(flat == 1.0)
+    else:
+        # block by block, the stream of one flat draw
+        fresh = substream(scn.seed, "fading", 0)
+        assert np.array_equal(flat, fresh.standard_exponential(flat.size))
+    truth = compute_ground_truth(scn, links).true_energy
+    assert np.array_equal(truth, compute_ground_truth(scn, links).true_energy)
+
+
+def test_ground_truth_never_holds_every_fading_gain():
+    # the level sum draws one incumbent's gains at a time: the traced peak
+    # of links plus truth stays far below the bytes of all the gains
+    scn = generate_scenario("large-synthetic", seed=5, sap_count=50,
+                            incumbent_count=800, total_bandwidth_hz=100e6)
+    tracemalloc.start()
+    try:
+        compute_ground_truth(scn, _links(scn))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    gain_bytes = sum(gains.nbytes for _, gains in _links(scn).inc_fade)
+    assert gain_bytes > 70e6
+    assert peak < 0.25 * gain_bytes
 
 
 def test_overlap_fraction_rows_equal_scalar_calls():
