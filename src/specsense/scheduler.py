@@ -74,6 +74,16 @@ def column_sums(cost):
     return cost.sum(axis=0)
 
 
+def _checked_column_sums(cost):
+    """``column_sums``, or ConfigurationError for a negative, NaN or infinite
+    cost or an overflowing sum (rejected, not warned about)."""
+    with np.errstate(over="ignore"):
+        colsum = column_sums(cost)
+    if not ((cost >= 0.0).all() and np.isfinite(colsum).all()):
+        raise ConfigurationError("costs must be finite and nonnegative")
+    return colsum
+
+
 def objective_value(cost, assignment):
     """Worst per-subset load of an assignment (lower is better)."""
     a = assignment.subset_of_sap if isinstance(assignment, Assignment) else np.asarray(assignment)
@@ -138,7 +148,10 @@ def cluster_saps(positions, n_clusters, rng, max_iter=100, tol=1e-6):
         if total <= 0:
             centers[c] = pts[rng.integers(n)]
         else:
-            centers[c] = pts[rng.choice(n, p=d2 / total)]
+            # rng.choice(n, p=d2 / total)'s own draw, without its checks
+            cdf = np.cumsum(d2 / total)
+            cdf /= cdf[-1]
+            centers[c] = pts[cdf.searchsorted(rng.random(), side="right")]
         d2 = np.minimum(d2, ((pts - centers[c]) ** 2).sum(axis=1))
 
     coords = pts.T.copy()                       # (2, n): x row, y row
@@ -210,6 +223,7 @@ def heuristic_assign(cost, positions, quota, rng, restarts=8):
         raise ConfigurationError("quota must sum to the SAP count")
     if restarts < 1:
         raise ConfigurationError("restarts must be >= 1")
+    _checked_column_sums(cost)
     positions = np.asarray(positions, dtype=float)
 
     best_a = None
@@ -239,37 +253,53 @@ def _solve_dfs(colsum, quota):
     subset_order = [l for l in sorted(range(l_count), key=lambda l: -lbs[l])
                     if quota[l]]
     cols = [colsum[:, l].tolist() for l in range(l_count)]
-    a = [-1] * k_count      # subsets on the current path; a leaf has set all
-    best_obj = np.inf
+    # Each subset's SAPs are ranked once, by cost with ties to the smaller
+    # id, as a stable sort of any ascending pool ranks them; the pool is the
+    # ``free`` flags, so a depth's candidates are its ranking filtered.
+    ranks = [sorted(range(k_count), key=col.__getitem__) for col in cols]
+    free = [True] * k_count
+    # Twins (equal columns and quotas) swapping SAP sets leave the loads as
+    # they were, and the DFS reaches first the leaf whose earlier twin has
+    # the lower-ranked first SAP: a twin draws past its previous twin's.
+    keys = [(quota[l], cols[l]) for l in subset_order]
+    twin = [max((e for e in range(d) if keys[e] == key), default=-1)
+            for d, key in enumerate(keys)]
+    first = [0] * len(keys)  # the lowest-ranked SAP each depth chose
+    a = [-1] * k_count       # entries go stale as SAPs are freed, but a
+    best_obj = np.inf        # leaf has chosen every SAP on its path
     best_a = list(a)
 
     # Loads add left to right from 0.0 (the builtin sum() compensates float
     # sums from Python 3.12 on), so a subset's bound is exactly the load of
-    # its cheapest combination.
-    def lower_bound(pool, depth):
-        lb = 0.0
+    # its q cheapest free SAPs; one bound at the incumbent cuts the node.
+    def bound_reached(depth):
         for l in subset_order[depth:]:
-            col = cols[l]
-            load = 0.0
-            for v in sorted([col[k] for k in pool])[:quota[l]]:
-                load += v
-            lb = max(lb, load)
-        return lb
+            col, q, load = cols[l], quota[l], 0.0
+            for k in ranks[l]:
+                if free[k]:
+                    load += col[k]
+                    q -= 1
+                    if not q:
+                        break
+            if load >= best_obj:
+                return True
+        return False
 
-    def recurse(pool, depth, cur_max):
+    def recurse(depth, cur_max):
         nonlocal best_obj, best_a
         if depth == len(subset_order):
-            if cur_max < best_obj:
+            if cur_max < best_obj:    # the first minimal leaf in visit order
                 best_obj = cur_max
                 best_a = list(a)
             return
         l = subset_order[depth]
         q = quota[l]
-        col = cols[l]
-        order = sorted(pool, key=col.__getitem__)
-        vals = [col[k] for k in order]
+        rank = ranks[l]
+        if twin[depth] >= 0:
+            rank = rank[rank.index(first[twin[depth]]) + 1:]
+        order = [k for k in rank if free[k]]
+        vals = [cols[l][k] for k in order]
         n = len(order)
-        chosen = []
 
         # Size-q combinations of ``order`` in lexicographic order, with
         # prefix load s. Break once max(cur_max, s + vals[i] + ... +
@@ -282,23 +312,23 @@ def _solve_dfs(colsum, quota):
                 load = s
                 for t in range(i, i + q - j):
                     load += vals[t]
-                node_max = max(cur_max, load)
+                node_max = load if load > cur_max else cur_max
                 if node_max >= best_obj:
                     break
-                chosen.append(order[i])
+                k = order[i]
+                free[k] = False
+                a[k] = l
+                if not j:
+                    first[depth] = k
                 if j + 1 < q:
                     pick(i + 1, j + 1, s + vals[i])
-                else:
-                    rest = [k for k in pool if k not in chosen]
-                    if max(node_max, lower_bound(rest, depth + 1)) < best_obj:
-                        for k in chosen:
-                            a[k] = l
-                        recurse(rest, depth + 1, node_max)
-                chosen.pop()
+                elif not bound_reached(depth + 1):
+                    recurse(depth + 1, node_max)
+                free[k] = True
 
         pick(0, 0, 0.0)
 
-    recurse(list(range(k_count)), 0, 0.0)
+    recurse(0, 0.0)
     return np.array(best_a, dtype=int)
 
 
@@ -344,11 +374,13 @@ def _solve_milp(colsum, quota):
 def solve_exact(cost, quota, engine="auto"):
     """Optimal assignment under the min-max objective.
 
-    ``dfs`` is a pure-python branch and bound, practical to K=20;
-    ``milp`` hands the standard mixed-integer formulation to scipy/HiGHS.
-    ``auto`` picks dfs for small instances and milp beyond. Costs are
-    inflicted interference: a negative (or NaN) entry is a
-    ConfigurationError.
+    ``dfs`` is a pure-python branch and bound, practical to K=20. It ranks
+    each subset's SAPs once, keeps the pool as free flags, lets twin subsets
+    (equal columns and quotas) take SAP sets in rank order only, and returns
+    the first minimal leaf in visit order. ``milp`` hands the standard
+    mixed-integer formulation to scipy/HiGHS. ``auto`` picks dfs for small
+    instances and milp beyond. Costs are inflicted interference: a negative
+    or NaN entry, or a column sum that is not finite, is a ConfigurationError.
     """
     quota = tuple(int(q) for q in quota)
     k_count, _, l_count = cost.shape
@@ -356,9 +388,7 @@ def solve_exact(cost, quota, engine="auto"):
         raise ConfigurationError("quota length must match cost subset axis")
     if sum(quota) != k_count:
         raise ConfigurationError("quota must sum to the SAP count")
-    if not (cost >= 0.0).all():
-        raise ConfigurationError("costs must be nonnegative")
-    colsum = column_sums(cost)
+    colsum = _checked_column_sums(cost)
 
     if engine == "auto":
         engine = "dfs" if k_count <= DFS_SAP_LIMIT else "milp"

@@ -1,5 +1,6 @@
 """Tests for the sensing-assignment cost model, solvers, and heuristic."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -310,7 +311,7 @@ def test_exact_single_subset_is_forced():
 
 
 @pytest.mark.parametrize("engine", ["dfs", "milp"])
-@pytest.mark.parametrize("bad", [-1e-12, -100.0, np.nan])
+@pytest.mark.parametrize("bad", [-1e-12, -100.0, np.nan, np.inf])
 def test_exact_rejects_negative_costs(engine, bad):
     cost = build_cost_tensor(6, 2, substream(5, "negative"))
     cost[2, 4, 1] = bad
@@ -347,6 +348,37 @@ def test_dfs_matches_combination_reference(quota, costs, seed):
     want = _solve_dfs_reference(column_sums(cost), quota)
     np.testing.assert_array_equal(assignment.subset_of_sap, want)
     assert obj == objective_value(cost, want)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dfs_matches_reference_on_twin_subsets(seed):
+    # reference-power costs give every subset the same column and the
+    # quotas are equal, so all four subsets are twins and mirror pruning
+    # cuts most of the tree; the reference tests every combination
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.1, 2.0, size=(12, 12))
+    p[rng.uniform(size=p.shape) < 0.5] = 0.0
+    cost = cost_from_reference_powers(p, 4)
+    assignment, _ = solve_exact(cost, (3, 3, 3, 3), engine="dfs")
+    want = _solve_dfs_reference(column_sums(cost), (3, 3, 3, 3))
+    np.testing.assert_array_equal(assignment.subset_of_sap, want)
+
+
+def test_exact_assignments_on_gap_instances_are_pinned():
+    # the gap rows record objectives only, so they cannot see a changed
+    # tied assignment. The digest hashes every assignment solve_exact
+    # returns on benchmark_gap's instances at sizes 8/12/16/20, instance
+    # seed 7 and 4 subsets, recorded from the search that re-sorted its
+    # pool at every node
+    h = hashlib.sha256()
+    for k_count, instances in ((8, 30), (12, 30), (16, 60), (20, 30)):
+        quota = uniform_quota(4, k_count)
+        for i in range(instances):
+            cost = build_cost_tensor(k_count, 4, substream(7, "gap", k_count, i))
+            assignment, _ = solve_exact(cost, quota)
+            h.update(assignment.subset_of_sap.astype("<i8").tobytes())
+    assert h.hexdigest() == (
+        "192f43a78477000c6a7017e8ce9f7eb2b1222a9574d354d709fae2517fb6ef96")
 
 
 def test_exact_rejects_bad_quota_and_oversize():
@@ -556,6 +588,11 @@ def test_heuristic_rejects_bad_inputs():
         heuristic_assign(cost, positions, (3, 2, 0), substream(43, "h"))
     with pytest.raises(ConfigurationError):
         heuristic_assign(cost, positions, (3, 2), substream(43, "h"), restarts=0)
+    # SAP 1 inflicts inf on SAP 0 under every subset: every assignment
+    # scores inf, so no pass can beat the starting objective
+    cost[0, 1, :] = np.inf
+    with pytest.raises(ConfigurationError, match="finite and nonnegative"):
+        heuristic_assign(cost, positions, (3, 2), substream(43, "h"))
 
 
 def test_assignment_sensing_mask_shape():
