@@ -119,10 +119,12 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
     if params.iterations > n_iter:
         raise ConfigurationError("more iterations requested than measurements")
     adjacency = np.asarray(adjacency, dtype=bool)
-    if adjacency.shape != (k_count, k_count) or not adjacency.diagonal().all():
-        raise ConfigurationError(
-            f"adjacency must be ({k_count}, {k_count}) with every SAP its own "
-            f"neighbor, got shape {adjacency.shape}")
+    if adjacency.shape != (k_count, k_count):
+        raise ConfigurationError(f"adjacency must be ({k_count}, {k_count}), "
+                                 f"got shape {adjacency.shape}")
+    if not adjacency.diagonal().all():
+        raise ConfigurationError("adjacency must list every SAP as its own "
+                                 "neighbor")
     gains = np.asarray(gains, dtype=float)
     t_count = gains.size
     columns = t_count * m_count

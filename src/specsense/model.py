@@ -89,6 +89,8 @@ def build_random_topology(count, region_m, radius_m, height_m, rng):
     if count < 1:
         raise ConfigurationError("count must be >= 1")
     width, depth = region_m
+    if not (0 < width < math.inf and 0 < depth < math.inf):
+        raise ConfigurationError("region_m must be finite and positive")
     positions = rng.uniform(0.0, 1.0, size=(count, 2)) * np.array([width, depth])
     return _finalize_topology(positions, radius_m, height_m)
 

@@ -9,19 +9,20 @@ Randomness is layered by time scale. Per realization: incumbent band draws,
 LOS states, shadowing, and small-scale fading, all static across the sensing
 window (block fading). Ground truth is the realized energy level present at
 each SAP this window: noise floor plus the shadowed, faded incumbent power,
-computed once by ``compute_ground_truth``. The fading gains are never held
-all at once: ``realize_links`` snapshots the fading stream, and the level
-sum draws each incumbent's gains from that snapshot and drops them. Per
-iteration: only the energy-estimation noise of the detector, a unit-mean
-Gamma factor whose shape is the effective number of averaged signal
-samples, drawn by ``estimation_noise``: in threshold calibration, run by
-run into calibration's own group buffers on a helper thread while the
-previous group of training runs diffuses; in a campaign's serial loop,
-into frames allocated once calibration has returned, on a helper thread
-while the previous realization is decided (or while the links are realized
-when the loop holds one frame). The frame is the truth times that noise,
-so the detectors only ever see the truth through noisy per-window
-estimates.
+computed once by ``compute_ground_truth``. Besides the frame, links and
+truth hold one block of incumbent links and one incumbent's channel run at a
+time: ``realize_links`` forms the links in blocks and snapshots the fading
+stream, and the level sum draws, weighs and adds each incumbent's gains from
+that snapshot on its own run. Per iteration: only the energy-estimation
+noise of the detector, a unit-mean Gamma factor whose shape is the effective
+number of averaged signal samples, drawn by ``estimation_noise``: in
+threshold calibration, run by run into calibration's own group buffers on a
+helper thread while the previous group of training runs diffuses; in a
+campaign's serial loop, into frames allocated once calibration has returned,
+on a helper thread while the previous realization is decided (or while the
+links are realized when the loop holds one frame). The frame is the truth
+times that noise, so the detectors only ever see the truth through noisy
+per-window estimates.
 """
 
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from .model import ConfigurationError
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 REFERENCE_DBM = -62.0
+LINK_BLOCK_BYTES = 1 << 18   # widest temporary of one block of incumbent links
 
 
 def dbm_to_norm(dbm):
@@ -94,21 +96,23 @@ def los_probability(distance_2d_m):
     return np.where(d <= 18.0, 1.0, far)
 
 
-def channel_overlap_fraction(plan, signal_center_hz, signal_bandwidth_hz):
+def channel_overlap_fraction(plan, signal_center_hz, signal_bandwidth_hz,
+                             channels=None):
     """Fraction of a flat incumbent signal falling in each channel.
 
     Centers and widths of any common shape (...) give shape (..., M), one
-    row per signal; a scalar signal gives shape (M,).
+    row per signal; a scalar signal gives shape (M,). An index array
+    ``channels`` evaluates only those columns, bit for bit.
     """
     center = np.asarray(signal_center_hz, dtype=float)[..., None]
     width = np.asarray(signal_bandwidth_hz, dtype=float)[..., None]
     lo = center - width / 2.0
     hi = center + width / 2.0
-    m = np.arange(plan.channel_count)
+    m = np.arange(plan.channel_count) if channels is None else channels
     band_lo = (plan.center_frequency_hz - plan.total_bandwidth_hz / 2.0
                + m * plan.channel_bandwidth_hz)
     band_hi = band_lo + plan.channel_bandwidth_hz
-    overlap = np.clip(np.minimum(band_hi, hi) - np.maximum(band_lo, lo), 0.0, None)
+    overlap = np.maximum(np.minimum(band_hi, hi) - np.maximum(band_lo, lo), 0.0)
     return overlap / width
 
 
@@ -253,37 +257,45 @@ def realize_links(scenario, rng_bands, rng_shadow, rng_fading):
     block-fading gains, drawn from a snapshot of it (it is not consumed)
     whenever ``inc_fade`` is read. All three shape ground truth, which is the
     realized (shadowed, faded) level; only the estimation noise drawn by
-    ``estimation_noise`` is confined to the measurements.
+    ``estimation_noise`` is confined to the measurements. Incumbent links and
+    channel runs are formed in blocks of incumbents whose widest temporary,
+    (block, max(2K, M)) floats, fits ``LINK_BLOCK_BYTES``. Each stream draws
+    its rows in order, so the blocks keep the bits of one (n_inc, K) draw.
     """
     topo = scenario.topology
     plan = scenario.spectrum
     prop = scenario.propagation
     carrier = prop.carrier_hz if prop.carrier_hz is not None else plan.center_frequency_hz
     k_count = topo.count
+    ut_height = float(topo.heights_m[0])
     n_inc = len(scenario.incumbents)
     centers, bandwidths = _realize_bands(scenario, plan, rng_bands)
 
-    # incumbent -> SAP links
+    # incumbent -> SAP links and each signal's run of channels, in blocks
     inc_pos = np.array([inc.position for inc in scenario.incumbents], dtype=float).reshape(n_inc, 2)
     inc_h = np.array([inc.height_m for inc in scenario.incumbents], dtype=float)
-    d2d = np.sqrt(((inc_pos[:, None, :] - topo.positions[None, :, :]) ** 2).sum(axis=2))
-    d2d = np.maximum(d2d, 1.0)  # clamp co-located transmitters to 1 m
-    dz = inc_h[:, None] - topo.heights_m[None, :]
-    d3d = np.sqrt(d2d ** 2 + dz ** 2)
-    if prop.model == "free-space":
-        inc_los = np.ones((n_inc, k_count), dtype=bool)
-    else:
-        inc_los = rng_bands.uniform(size=(n_inc, k_count)) < los_probability(d2d)
-    inc_pl = pathloss_db(d3d, carrier, inc_los,
-                         ut_height_m=float(topo.heights_m[0]), model=prop.model)
-    sigma = np.where(inc_los, prop.shadowing_sigma_los_db, prop.shadowing_sigma_nlos_db)
-    shadow = rng_shadow.standard_normal((n_inc, k_count)) * sigma
-    inc_gain_db = -(inc_pl + shadow)
+    inc_los = np.ones((n_inc, k_count), dtype=bool)
+    inc_gain_db = np.empty((n_inc, k_count))
+    runs = np.empty((n_inc, 2), dtype=np.intp)
+    rows = max(1, LINK_BLOCK_BYTES // (8 * max(2 * k_count, plan.channel_count)))
+    for start in range(0, n_inc, rows):
+        blk = slice(start, start + rows)
+        d2d = np.sqrt(((inc_pos[blk, None, :] - topo.positions[None, :, :]) ** 2).sum(axis=2))
+        d2d = np.maximum(d2d, 1.0)  # clamp co-located transmitters to 1 m
+        dz = inc_h[blk, None] - topo.heights_m[None, :]
+        d3d = np.sqrt(d2d ** 2 + dz ** 2)
+        los = inc_los[blk]
+        if prop.model != "free-space":
+            los[...] = rng_bands.uniform(size=los.shape) < los_probability(d2d)
+        pl = pathloss_db(d3d, carrier, los, ut_height_m=ut_height, model=prop.model)
+        sigma = np.where(los, prop.shadowing_sigma_los_db, prop.shadowing_sigma_nlos_db)
+        shadow = rng_shadow.standard_normal(los.shape) * sigma
+        np.negative(pl + shadow, out=inc_gain_db[blk])
+        hit = channel_overlap_fraction(plan, centers[blk], bandwidths[blk]) > 0
+        runs[blk, 0] = hit.argmax(axis=1)
+        runs[blk, 1] = runs[blk, 0] + hit.sum(axis=1)
 
     # block fading per incumbent on its run of channels, drawn on demand
-    hit = channel_overlap_fraction(plan, centers, bandwidths) > 0
-    lo = hit.argmax(axis=1)
-    runs = np.stack([lo, lo + hit.sum(axis=1)], axis=1)
     fade_state = (rng_fading.bit_generator.state
                   if prop.fading == "rayleigh" else None)
 
@@ -298,8 +310,7 @@ def realize_links(scenario, rng_bands, rng_shadow, rng_fading):
         sap_los = np.eye(k_count, dtype=bool)
         sap_los[iu] = upper[iu]
         sap_los = sap_los | sap_los.T
-    spl = pathloss_db(sd2d, carrier, sap_los,
-                      ut_height_m=float(topo.heights_m[0]), model=prop.model)
+    spl = pathloss_db(sd2d, carrier, sap_los, ut_height_m=ut_height, model=prop.model)
     ssigma = np.where(sap_los, prop.shadowing_sigma_los_db, prop.shadowing_sigma_nlos_db)
     sshadow = rng_shadow.standard_normal((k_count, k_count)) * ssigma
     sap_gain_db = -(spl + sshadow)
@@ -315,22 +326,20 @@ def received_level(scenario, links):
     The level a receiver actually sees this realization: transmit power
     split flat over the channels each signal overlaps, through pathloss,
     shadowing and block fading. One pass over ``links.inc_fade`` draws each
-    incumbent's gains, scales them in place and adds them in, so at most one
-    incumbent's gains are live.
+    incumbent's gains, scales them in place by its overlap fractions on its
+    own channel run and adds them in, so at most one incumbent's are live.
     """
     plan = scenario.spectrum
-    k_count = scenario.topology.count
-    total = np.zeros((k_count, plan.channel_count))
-    frac = channel_overlap_fraction(plan, links.inc_center_hz,
-                                    links.inc_bandwidth_hz)
+    total = np.zeros((scenario.topology.count, plan.channel_count))
     for i, (inc, (hit, gains)) in enumerate(zip(scenario.incumbents,
                                                 links.inc_fade)):
         if hit.size == 0:
             continue
-        lo, hi = hit[0], hit[-1] + 1  # a signal's channels are contiguous
+        frac = channel_overlap_fraction(plan, links.inc_center_hz[i],
+                                        links.inc_bandwidth_hz[i], hit)
         rx = dbm_to_norm(inc.tx_power_dbm + links.inc_gain_db[i])
-        gains *= rx[:, None] * frac[i, lo:hi][None, :]
-        total[:, lo:hi] += gains
+        gains *= rx[:, None] * frac
+        total[:, hit[0]:hit[-1] + 1] += gains  # a signal's channels are contiguous
     return total
 
 

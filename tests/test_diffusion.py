@@ -299,10 +299,13 @@ def test_run_rejects_malformed_adjacency():
     y = substream(43, "adjacency").uniform(0.1, 2.0, size=(3, 2, 5))
     mask = np.ones((3, 2), dtype=bool)
     p_hat = np.ones((3, 3))
-    for adjacency in (~np.eye(3, dtype=bool),          # no self-loops
-                      np.ones((3, 4), dtype=bool)):    # not (K, K)
-        with pytest.raises(ConfigurationError, match="adjacency"):
+    # the message names the check that failed: a square adjacency without
+    # every self-loop used to read "must be (3, 3) ... got shape (3, 3)"
+    for adjacency, why in ((~np.eye(3, dtype=bool), "its own neighbor"),
+                           (np.ones((3, 4), dtype=bool), r"got shape \(3, 4\)")):
+        with pytest.raises(ConfigurationError, match=why) as err:
             run_diffusion(y, mask, p_hat, adjacency, params)
+        assert str(err.value).startswith("adjacency must ")
 
 
 def test_colocated_saps_share_trajectories():

@@ -851,7 +851,10 @@ def test_cli_reports_errors(tmp_path, capsys):
                         (["small-grid", "--saps", "0"],
                          "side_count must be an integer >= 1"),
                         (["small-grid", "--saps", "-4"],
-                         "--saps must be a square for small-grid")):
+                         "--saps must be a square for small-grid"),
+                        *((["large-synthetic", "--region-m", region],
+                           "region_m must be finite and positive")
+                          for region in ("-1", "0", "inf", "nan"))):
         rc = main(["generate-scenario", "--template", *args,
                    "--out", str(tmp_path / "bad.json")])
         assert rc == 1

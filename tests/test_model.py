@@ -1,8 +1,11 @@
 """Tests for topology, spectrum plan, and scenario serialization."""
 
+import math
+
 import numpy as np
 import pytest
 
+from specsense.harness import generate_scenario
 from specsense.model import (
     ConfigurationError,
     Incumbent,
@@ -53,6 +56,20 @@ def test_random_topology_inside_region_and_deterministic():
     assert (topo_a.positions[:, 0] <= 300.0).all()
     assert (topo_a.positions[:, 1] <= 200.0).all()
     assert (topo_a.positions >= 0.0).all()
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
+def test_random_topology_rejects_bad_region(bad):
+    # a zero side used to put every SAP on one line, a negative one was
+    # taken as a mirrored region, and an infinite one gave NaN positions and
+    # an adjacency with a False diagonal, reported only by the first
+    # diffusion call
+    for region in ((bad, 300.0), (300.0, bad)):
+        with pytest.raises(ConfigurationError, match="region_m"):
+            build_random_topology(10, region, 80.0, 10.0, substream(3, "p"))
+    with pytest.raises(ConfigurationError, match="region_m"):
+        generate_scenario("large-synthetic", sap_count=9, incumbent_count=0,
+                          region_m=bad)
 
 
 def test_grid_bounding_box():

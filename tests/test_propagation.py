@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from specsense import propagation
 from specsense.harness import generate_scenario
 from specsense.model import (
     Incumbent,
@@ -444,18 +445,11 @@ def _oracle_scenario(template, fading):
     return replace(scn, propagation=replace(scn.propagation, fading=fading))
 
 
-@pytest.mark.parametrize("own_fading_stream", [True, False])
-@pytest.mark.parametrize("fading", ["rayleigh", "none"])
-@pytest.mark.parametrize("template", ["small-grid", "large-synthetic"])
-def test_links_and_truth_match_per_incumbent_oracle(template, fading,
-                                                    own_fading_stream):
-    # the gains drawn on demand from the fading snapshot equal the oracle's
-    # per-incumbent draws; the fading generator is its own substream or a
-    # separate one seeded like the shadowing substream, and in either case
-    # touches only the fades
-    scn = _oracle_scenario(template, fading)
-    fading_tag = "fading" if own_fading_stream else "shadow"
+def _check_links_and_truth(scn, fading_tag):
+    """Assert three realizations' links, level and truth equal the oracle's.
 
+    Returns the last realization's (hit, gains) list.
+    """
     def streams(r, tag=fading_tag):
         return [substream(scn.seed, "bands", r), substream(scn.seed, "shadow", r),
                 substream(scn.seed, tag, r)]
@@ -476,7 +470,10 @@ def test_links_and_truth_match_per_incumbent_oracle(template, fading,
                 assert np.array_equal(hit, np.arange(hit[0], hit[-1] + 1))
             assert gains.shape == want_gains.shape
             assert np.array_equal(gains, want_gains)
+        assert np.array_equal(links.inc_los, want.inc_los)
         assert np.array_equal(links.inc_gain_db, want.inc_gain_db)
+        assert np.array_equal(links.inc_runs, want.inc_runs)
+        assert np.array_equal(links.sap_los, want.sap_los)
         assert np.array_equal(links.sap_gain_db, want.sap_gain_db)
         level = received_level(scn, links)
         assert np.array_equal(level,
@@ -485,8 +482,61 @@ def test_links_and_truth_match_per_incumbent_oracle(template, fading,
                                         scn.propagation.noise_figure_db))
         assert np.array_equal(compute_ground_truth(scn, links).true_energy,
                               v + level)
+    return fades
+
+
+@pytest.mark.parametrize("own_fading_stream", [True, False])
+@pytest.mark.parametrize("fading", ["rayleigh", "none"])
+@pytest.mark.parametrize("template", ["small-grid", "large-synthetic"])
+def test_links_and_truth_match_per_incumbent_oracle(template, fading,
+                                                    own_fading_stream):
+    # the gains drawn on demand from the fading snapshot equal the oracle's
+    # per-incumbent draws; the fading generator is its own substream or a
+    # separate one seeded like the shadowing substream, and in either case
+    # touches only the fades
+    scn = _oracle_scenario(template, fading)
+    fades = _check_links_and_truth(
+        scn, "fading" if own_fading_stream else "shadow")
     if template == "large-synthetic":
         assert any(hit.size == 0 for hit, _ in fades)
+
+
+@pytest.mark.parametrize("fading", ["rayleigh", "none"])
+def test_links_and_truth_match_oracle_across_link_blocks(monkeypatch, fading):
+    # blocks of three incumbents: every stream draws its rows block by block,
+    # and the empty-run incumbent (20) closes a block while the channel-edge
+    # straddler (21) opens the next
+    scn = _oracle_scenario("large-synthetic", fading)
+    m_count, k_count = scn.spectrum.channel_count, scn.topology.count
+    assert m_count > 2 * k_count          # the (block, M) overlap is widest
+    monkeypatch.setattr(propagation, "LINK_BLOCK_BYTES", 3 * 8 * m_count)
+    assert len(scn.incumbents) == 22      # eight blocks, the last of one
+    fades = _check_links_and_truth(scn, "fading")
+    assert fades[20][0].size == 0
+    assert np.array_equal(fades[21][0], [3, 4])
+
+
+def test_links_and_truth_hold_no_incumbent_by_channel_array():
+    # wide-area's shape: one (n_inc, M) float array is 8.9 MB. The links go
+    # a block of incumbents at a time and the level sum one incumbent's run
+    # at a time, so neither holds such an array (each held 28.1 and 17.5 MiB
+    # when they formed the distances and overlap fractions whole)
+    scn = generate_scenario("large-synthetic", seed=5, sap_count=100,
+                            incumbent_count=2000, total_bandwidth_hz=100e6)
+    full = 8 * len(scn.incumbents) * scn.spectrum.channel_count
+    assert full > 8.8e6
+
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            return fn(*args), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    links, links_peak = traced_peak(_links, scn)
+    _, truth_peak = traced_peak(compute_ground_truth, scn, links)
+    assert links_peak < full
+    assert truth_peak < full
 
 
 @pytest.mark.parametrize("fading", ["rayleigh", "none"])
@@ -544,6 +594,9 @@ def test_overlap_fraction_rows_equal_scalar_calls():
     for c, w, row in zip(centers, widths, rows):
         assert np.array_equal(row, _scalar_overlap(plan, float(c), float(w)))
         assert np.array_equal(row, channel_overlap_fraction(plan, c, w))
+        run = np.arange(5, 17)
+        assert np.array_equal(row[run],
+                              channel_overlap_fraction(plan, c, w, run))
 
 
 @pytest.mark.parametrize("shape", [0.3, 0.7, 1.0, 25.0, None])
