@@ -41,7 +41,7 @@ import logging
 import os
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -442,6 +442,10 @@ def _run_and_write(campaign, out_dir):
     start = time.perf_counter()
     with contextlib.ExitStack() as stack:
         if campaign.workers > 1:
+            # imported here: multiprocessing is a tenth of the package's
+            # import time, and serial runs never need it
+            from concurrent.futures import ProcessPoolExecutor
+
             # workers receive the campaign itself (pickled under spawn), so
             # every field reaches them unchanged; map yields in order
             pool = stack.enter_context(ProcessPoolExecutor(

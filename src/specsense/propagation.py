@@ -327,12 +327,15 @@ def received_level(scenario, links):
     split flat over the channels each signal overlaps, through pathloss,
     shadowing and block fading. One pass over ``links.inc_fade`` draws each
     incumbent's gains, scales them in place by its overlap fractions on its
-    own channel run and adds them in, so at most one incumbent's are live.
+    own channel run and adds them in, so at most one incumbent's are live:
+    each draw is taken with ``next`` and dropped before the next one, where
+    a ``zip`` or ``enumerate`` tuple would keep the last one alive.
     """
     plan = scenario.spectrum
     total = np.zeros((scenario.topology.count, plan.channel_count))
-    for i, (inc, (hit, gains)) in enumerate(zip(scenario.incumbents,
-                                                links.inc_fade)):
+    fades = links.inc_fade
+    for i, inc in enumerate(scenario.incumbents):
+        hit, gains = next(fades)
         if hit.size == 0:
             continue
         frac = channel_overlap_fraction(plan, links.inc_center_hz[i],
@@ -340,6 +343,7 @@ def received_level(scenario, links):
         rx = dbm_to_norm(inc.tx_power_dbm + links.inc_gain_db[i])
         gains *= rx[:, None] * frac
         total[:, hit[0]:hit[-1] + 1] += gains  # a signal's channels are contiguous
+        del gains
     return total
 
 
@@ -354,7 +358,9 @@ def compute_ground_truth(scenario, links):
     plan = scenario.spectrum
     prop = scenario.propagation
     v = dbm_to_norm(noise_floor_dbm(plan.channel_bandwidth_hz, prop.noise_figure_db))
-    return GroundTruth(v + received_level(scenario, links))
+    level = received_level(scenario, links)
+    level += v  # in place, the same bits as v + level: one (K, M) array
+    return GroundTruth(level)
 
 
 def estimation_noise(out, estimate_shape, rng):

@@ -244,7 +244,61 @@ def heuristic_assign(cost, positions, quota, rng, restarts=8):
 # Exact solvers
 # ---------------------------------------------------------------------------
 
+def _greedy_load(colsum, quota):
+    """Objective of a feasible assignment: a greedy one, swap-polished.
+
+    The greedy places the costliest SAP (by its cheapest column) first, each
+    on the open subset it loads least. While one exists, the polish then
+    takes the swap of a SAP in the most loaded subset with a SAP elsewhere
+    that leaves both subsets below the top load, the larger of the two
+    least, so the objective never rises. The returned load is re-summed.
+    """
+    k_count, l_count = colsum.shape
+    rows = colsum.tolist()
+    load = [0.0] * l_count
+    room = list(quota)
+    a = [0] * k_count
+    for k in sorted(range(k_count), key=lambda k: -min(rows[k])):
+        row, least = rows[k], np.inf
+        for l in range(l_count):
+            if room[l] and load[l] + row[l] < least:
+                least, pick = load[l] + row[l], l
+        load[pick] = least
+        room[pick] -= 1
+        a[k] = pick
+    for _ in range(k_count * l_count):
+        top = load.index(max(load))
+        # a SAP y entering ``top`` from subset l leaves l at rest + x's cost
+        inside, outside = [], []
+        for y, l in enumerate(a):
+            if l == top:
+                inside.append(y)
+            else:
+                outside.append((y, l, load[l] - rows[y][l], rows[y][top]))
+        least, swap = load[top], None
+        for x in inside:
+            row = rows[x]
+            base = load[top] - row[top]
+            for y, l, rest, cost in outside:
+                t = base + cost
+                if t < least:
+                    o = rest + row[l]
+                    if o < least:
+                        least, swap = (t if t > o else o), (x, y, l, t, o)
+        if swap is None:
+            break
+        x, y, l, load[top], load[l] = swap
+        a[x], a[y] = l, top
+    load = [0.0] * l_count
+    for k, l in enumerate(a):
+        load[l] += rows[k][l]
+    return max(load)
+
+
 def _solve_dfs(colsum, quota):
+    from itertools import compress
+    from math import inf, nextafter
+
     k_count, l_count = colsum.shape
     # visit subsets in decreasing order of their cheapest possible load so
     # the running max is pinned early and pruning bites
@@ -252,11 +306,11 @@ def _solve_dfs(colsum, quota):
            for l, q in enumerate(quota)]
     subset_order = [l for l in sorted(range(l_count), key=lambda l: -lbs[l])
                     if quota[l]]
-    cols = [colsum[:, l].tolist() for l in range(l_count)]
+    cols = colsum.T.tolist()
     # Each subset's SAPs are ranked once, by cost with ties to the smaller
     # id, as a stable sort of any ascending pool ranks them; the pool is the
     # ``free`` flags, so a depth's candidates are its ranking filtered.
-    ranks = [sorted(range(k_count), key=col.__getitem__) for col in cols]
+    ranks = np.argsort(colsum, axis=0, kind="stable").T.tolist()
     free = [True] * k_count
     # Twins (equal columns and quotas) swapping SAP sets leave the loads as
     # they were, and the DFS reaches first the leaf whose earlier twin has
@@ -266,8 +320,25 @@ def _solve_dfs(colsum, quota):
             for d, key in enumerate(keys)]
     first = [0] * len(keys)  # the lowest-ranked SAP each depth chose
     a = [-1] * k_count       # entries go stale as SAPs are freed, but a
-    best_obj = np.inf        # leaf has chosen every SAP on its path
-    best_a = list(a)
+    best_a = list(a)         # leaf has chosen every SAP on its path
+    # mins[d][k]: SAP k's cheapest column among the subsets from depth d on
+    mins = np.minimum.accumulate(colsum.T[subset_order[::-1]]).tolist()[::-1]
+    # The warm start enters a hair above its objective and is never
+    # returned: the first leaf below it, and then the first minimal leaf in
+    # visit order, still replace it under the strict ``<``, and a leaf that
+    # ties it is not cut, however its load rounds in another summation order.
+    best_obj = nextafter(_greedy_load(colsum, quota) * (1 + 1e-9), inf)
+
+    # The subsets from ``depth`` on must absorb every free SAP, so their
+    # max load is at least their mean, which is at least the free SAPs'
+    # cheapest columns summed over their count. That sum rounds in another
+    # order than any leaf's loads, so it cuts only past the incumbent by a
+    # relative 1e-9, far above the rounding of a 20-term sum. With one
+    # subset left, ``bound_reached`` already checks its exact load.
+    def averaged_out(depth):
+        rest = len(subset_order) - depth
+        return (rest > 1 and sum(compress(mins[depth], free)) / rest
+                >= best_obj * (1 + 1e-9))
 
     # Loads add left to right from 0.0 (the builtin sum() compensates float
     # sums from Python 3.12 on), so a subset's bound is exactly the load of
@@ -322,7 +393,8 @@ def _solve_dfs(colsum, quota):
                     first[depth] = k
                 if j + 1 < q:
                     pick(i + 1, j + 1, s + vals[i])
-                elif not bound_reached(depth + 1):
+                elif not (averaged_out(depth + 1)
+                          or bound_reached(depth + 1)):
                     recurse(depth + 1, node_max)
                 free[k] = True
 
@@ -377,7 +449,14 @@ def solve_exact(cost, quota, engine="auto"):
     ``dfs`` is a pure-python branch and bound, practical to K=20. It ranks
     each subset's SAPs once, keeps the pool as free flags, lets twin subsets
     (equal columns and quotas) take SAP sets in rank order only, and returns
-    the first minimal leaf in visit order. ``milp`` hands the standard
+    the first minimal leaf in visit order. It starts from a warm incumbent,
+    a greedy assignment (costliest SAP first, to the open subset it loads
+    least) polished by load-lowering swaps, entered a hair above its
+    objective so that the search's own leaves replace it. Once a subset's
+    SAPs are chosen, two bounds can cut the node: a remaining subset's
+    cheapest load reaching the incumbent, or (load balancing) the free
+    SAPs' cheapest columns, summed and divided by the remaining subsets'
+    count, passing it by a relative 1e-9. ``milp`` hands the standard
     mixed-integer formulation to scipy/HiGHS. ``auto`` picks dfs for small
     instances and milp beyond. Costs are inflicted interference: a negative
     or NaN entry, or a column sum that is not finite, is a ConfigurationError.

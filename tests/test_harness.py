@@ -622,6 +622,18 @@ def test_progress_log_counts_elapsed_and_eta(small_campaign, campaign_output,
             assert fh.read() == gh.read()
 
 
+def test_import_leaves_multiprocessing_unloaded():
+    # only a campaign with workers > 1 needs the process pool, so importing
+    # the package skips multiprocessing, a tenth of its import time
+    src = os.path.dirname(os.path.dirname(os.path.abspath(specsense.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, specsense; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, check=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.split() == ["False"]
+
+
 def test_workers_match_serial(small_campaign, campaign_output, tmp_path):
     # workers draw each frame on demand; the serial loop draws one ahead.
     # summary.json's frame_crc32 covers every frame's bits

@@ -583,6 +583,25 @@ def test_ground_truth_never_holds_every_fading_gain():
     assert peak < 0.25 * gain_bytes
 
 
+def test_ground_truth_holds_one_level_array():
+    # the noise floor goes into the level sum's own array, so one call
+    # peaks near one (K, M) float64 array; adding it out of place held the
+    # level and the truth at once, two arrays
+    scn = generate_scenario("large-synthetic", seed=5, sap_count=20,
+                            incumbent_count=20)
+    links = _links(scn)
+    level_bytes = 8 * scn.topology.count * scn.spectrum.channel_count
+    assert scn.spectrum.channel_count == 2777
+    tracemalloc.start()
+    try:
+        truth = compute_ground_truth(scn, links)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert truth.true_energy.nbytes == level_bytes
+    assert peak < 1.8 * level_bytes
+
+
 def test_overlap_fraction_rows_equal_scalar_calls():
     plan = build_spectrum_plan(10e6, 180e3, 1, center_frequency_hz=5.43e9)
     rng = np.random.default_rng(7)

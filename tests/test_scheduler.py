@@ -21,6 +21,7 @@ from specsense.scheduler import (
     pick_min_cost_sap,
     solve_exact,
 )
+from specsense.scheduler import _greedy_load
 from specsense.seeding import substream
 
 
@@ -278,8 +279,13 @@ def test_exact_constant_costs_closed_form():
     cost = np.full((k_count, k_count, 3), c)
     idx = np.arange(k_count)
     cost[idx, idx, :] = 0.0
-    _, obj = solve_exact(cost, (3, 2, 1))
+    assignment, obj = solve_exact(cost, (3, 2, 1))
     assert obj == pytest.approx(c * (k_count - 1) * 3)
+    # every leaf ties the warm start, which enters a hair above it: the
+    # search still returns its own first leaf, not the warm start
+    np.testing.assert_array_equal(
+        assignment.subset_of_sap,
+        _solve_dfs_reference(column_sums(cost), (3, 2, 1)))
 
 
 def test_exact_matches_enumeration():
@@ -323,13 +329,15 @@ def test_exact_rejects_negative_costs(engine, bad):
 @given(quota=st.one_of(st.lists(st.integers(0, 4), min_size=1, max_size=4),
                        st.lists(st.integers(0, 10), min_size=1, max_size=2),
                        st.sampled_from([(9, 3), (8, 0, 2), (3, 9, 0, 1)])),
-       costs=st.sampled_from(["uniform", "integer", "reference-powers"]),
+       costs=st.sampled_from(["uniform", "integer", "reference-powers",
+                              "constant"]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_dfs_matches_combination_reference(quota, costs, seed):
     # the same assignment, not only the same objective, as the search that
     # tests every combination: integer costs make ties common, reference
-    # powers give subset-constant costs, and a quota of 8 or more sums its
-    # bound where numpy's sum switches to pairwise accumulation
+    # powers give subset-constant costs, constant costs make every leaf tie
+    # the warm start, and a quota of 8 or more sums its bound where numpy's
+    # sum switches to pairwise accumulation
     quota = tuple(quota)
     k_count, l_count = sum(quota), len(quota)
     assume(k_count >= 1)
@@ -340,14 +348,21 @@ def test_dfs_matches_combination_reference(quota, costs, seed):
         cost = rng.integers(0, 4, size=(k_count, k_count, l_count)).astype(float)
         idx = np.arange(k_count)
         cost[idx, idx, :] = 0.0
-    else:
+    elif costs == "reference-powers":
         p = rng.uniform(0.1, 2.0, size=(k_count, k_count))
         p[rng.uniform(size=p.shape) < 0.5] = 0.0
         cost = cost_from_reference_powers(p, l_count)
+    else:
+        cost = np.full((k_count, k_count, l_count), rng.uniform(0.0, 10.0))
+        idx = np.arange(k_count)
+        cost[idx, idx, :] = 0.0
     assignment, obj = solve_exact(cost, quota, engine="dfs")
     want = _solve_dfs_reference(column_sums(cost), quota)
     np.testing.assert_array_equal(assignment.subset_of_sap, want)
     assert obj == objective_value(cost, want)
+    # the warm start is a feasible assignment's load, so never below the
+    # optimum beyond the rounding of another summation order
+    assert _greedy_load(column_sums(cost), quota) >= obj * (1 - 1e-12)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
