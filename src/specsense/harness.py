@@ -56,7 +56,7 @@ from .metrics import (aggregate, correct_decision_pct, misdetection_probability,
 from .model import (ConfigurationError, Incumbent, Scenario,
                     build_grid_topology, build_random_topology,
                     build_spectrum_plan, check_integer, check_quota_feasible,
-                    scenario_to_dict)
+                    scenario_to_dict, uniform_quota)
 from .propagation import (REFERENCE_DBM, GroundTruth, MeasurementFrame,
                           PropagationParams, estimation_noise,
                           generate_measurements, generate_reference_powers,
@@ -595,8 +595,8 @@ def generate_scenario(template, seed=1, **overrides):
         if overrides:
             raise ConfigurationError(f"unknown overrides {sorted(overrides)}")
         topo = build_grid_topology(side, spacing, radius, height)
-        plan = build_spectrum_plan(80e6, 20e6, 1,
-                                   uniform_quota_saps=topo.count)
+        plan = build_spectrum_plan(80e6, 20e6, 1)
+        plan = plan.with_quota(uniform_quota(plan.subset_count, topo.count))
         x0, y0, x1, y1 = topo.bounding_box()
         rng = substream(seed, "incumbent-placement")
         incs = tuple(
@@ -627,8 +627,8 @@ def generate_scenario(template, seed=1, **overrides):
             raise ConfigurationError(f"unknown channelization {channelization!r}")
         topo = build_random_topology(count, (region, region), radius, height,
                                      substream(seed, "sap-placement"))
-        plan = build_spectrum_plan(total_bw, b, max(1, int(sap_bw // b)),
-                                   uniform_quota_saps=count)
+        plan = build_spectrum_plan(total_bw, b, max(1, int(sap_bw // b)))
+        plan = plan.with_quota(uniform_quota(plan.subset_count, count))
         rng = substream(seed, "incumbent-placement")
         incs = tuple(
             Incumbent((float(u * region), float(v * region)), height, tx_dbm,

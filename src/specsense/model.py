@@ -126,11 +126,9 @@ class SpectrumPlan:
         return lo + (m + 0.5) * self.channel_bandwidth_hz
 
     def with_quota(self, quota):
-        quota = tuple(int(q) for q in quota)
+        quota = tuple(check_integer("quota entry", q, 0) for q in quota)
         if len(quota) != self.subset_count:
             raise ConfigurationError("quota length must equal subset count")
-        if any(q < 0 for q in quota):
-            raise ConfigurationError("quota entries must be nonnegative")
         return SpectrumPlan(
             self.total_bandwidth_hz, self.channel_bandwidth_hz,
             self.channels_per_sap, self.center_frequency_hz,
@@ -150,13 +148,11 @@ def uniform_quota(subset_count, sap_count):
 
 
 def build_spectrum_plan(total_bandwidth_hz, channel_bandwidth_hz, channels_per_sap=1,
-                        quota=None, uniform_quota_saps=None,
-                        center_frequency_hz=5.43e9):
+                        quota=None, center_frequency_hz=5.43e9):
     """Build the channel/subset plan; quota optional until a SAP count is known.
 
-    ``quota`` gives explicit per-subset SAP counts; ``uniform_quota_saps=K``
-    applies the uniform policy instead. Raises ConfigurationError when both
-    are given or the explicit quota length mismatches.
+    ``quota`` gives per-subset SAP counts, as ``SpectrumPlan.with_quota``
+    does later (e.g. with ``uniform_quota`` once K is known).
     """
     if not 0 < channel_bandwidth_hz <= total_bandwidth_hz < math.inf:
         raise ConfigurationError("need 0 < b <= B < inf")
@@ -176,13 +172,7 @@ def build_spectrum_plan(total_bandwidth_hz, channel_bandwidth_hz, channels_per_s
         int(channels_per_sap), float(center_frequency_hz),
         m_count, l_count, subset_of_channel, None,
     )
-    if quota is not None and uniform_quota_saps is not None:
-        raise ConfigurationError("give either quota or uniform_quota_saps, not both")
-    if uniform_quota_saps is not None:
-        plan = plan.with_quota(uniform_quota(l_count, int(uniform_quota_saps)))
-    elif quota is not None:
-        plan = plan.with_quota(quota)
-    return plan
+    return plan if quota is None else plan.with_quota(quota)
 
 
 def check_quota_feasible(plan, sap_count):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigurationError, uniform_quota
+from .model import ConfigurationError, check_integer, uniform_quota
 from .seeding import substream
 
 DFS_SAP_LIMIT = 20
@@ -38,24 +38,19 @@ class Assignment:
             raise ConfigurationError(f"assignment counts {got} violate quota {tuple(quota)}")
 
 
-def build_cost_tensor(sap_count, subset_count, rng, cost_range=(0.0, 1000.0)):
-    """Random cost tensor with i.i.d. uniform off-diagonal entries."""
-    lo, hi = cost_range
-    if lo < 0:
-        raise ConfigurationError("cost_range must be nonnegative")
-    if hi < lo:
-        raise ConfigurationError("cost_range upper bound below lower bound")
-    cost = rng.uniform(lo, hi, size=(sap_count, sap_count, subset_count))
+def build_cost_tensor(sap_count, subset_count, rng):
+    """Random cost tensor with i.i.d. off-diagonal entries uniform on [0, 1000)."""
+    cost = rng.uniform(0.0, 1000.0, size=(sap_count, sap_count, subset_count))
     idx = np.arange(sap_count)
     cost[idx, idx, :] = 0.0
     return cost
 
 
-def cost_from_reference_powers(reference_powers, subset_count, penalty_factor=1e6):
+def cost_from_reference_powers(reference_powers, subset_count):
     """Cost tensor from neighbor reference powers: weak links cost more.
 
-    Off-neighborhood pairs (zero reference power) get a penalty far above any
-    real cost so the heuristic avoids grouping SAPs that cannot hear each
+    Off-neighborhood pairs (zero reference power) cost 1e6 times the largest
+    real cost, so the heuristic avoids grouping SAPs that cannot hear each
     other. The cost of a pair is the same for every subset.
     """
     p = np.asarray(reference_powers, dtype=float)
@@ -63,7 +58,7 @@ def cost_from_reference_powers(reference_powers, subset_count, penalty_factor=1e
     with np.errstate(divide="ignore"):
         base = np.where(p > 0, 1.0 / p, np.inf)
     finite = base[np.isfinite(base)]
-    ceiling = (finite.max() if finite.size else 1.0) * penalty_factor
+    ceiling = (finite.max() if finite.size else 1.0) * 1e6
     base = np.where(np.isfinite(base), base, ceiling)
     np.fill_diagonal(base, 0.0)
     return np.repeat(base[:, :, None], subset_count, axis=2)
@@ -74,14 +69,23 @@ def column_sums(cost):
     return cost.sum(axis=0)
 
 
-def _checked_column_sums(cost):
-    """``column_sums``, or ConfigurationError for a negative, NaN or infinite
+def _checked_problem(cost, quota):
+    """``(quota as ints, column_sums(cost))``, or ConfigurationError for a
+    cost not shaped (K, K, L), a quota entry not an integer >= 0, a quota
+    not of length L or not summing to K, or a negative, NaN or infinite
     cost or an overflowing sum (rejected, not warned about)."""
+    if cost.ndim != 3 or cost.shape[0] != cost.shape[1]:
+        raise ConfigurationError(f"cost must be shaped (K, K, L), not {cost.shape}")
+    quota = tuple(check_integer("quota entry", q, 0) for q in quota)
+    if len(quota) != cost.shape[2]:
+        raise ConfigurationError("quota length must match cost subset axis")
+    if sum(quota) != cost.shape[0]:
+        raise ConfigurationError("quota must sum to the SAP count")
     with np.errstate(over="ignore"):
         colsum = column_sums(cost)
     if not ((cost >= 0.0).all() and np.isfinite(colsum).all()):
         raise ConfigurationError("costs must be finite and nonnegative")
-    return colsum
+    return quota, colsum
 
 
 def objective_value(cost, assignment):
@@ -122,9 +126,10 @@ def _pick_per_cluster(cost, ids, labels, l):
 # Clustering for the heuristic
 # ---------------------------------------------------------------------------
 
-def cluster_saps(positions, n_clusters, rng, max_iter=100, tol=1e-6):
+def cluster_saps(positions, n_clusters, rng):
     """Lloyd k-means with k-means++ seeding; returns a label per position.
 
+    Lloyd steps stop once no centroid moves by 1e-6, or after 100 steps.
     Every cluster ends up non-empty (empty clusters steal the point farthest
     from its current centroid), which the assignment loop depends on. A
     Lloyd step takes a fixed number of array calls whatever the cluster
@@ -156,7 +161,7 @@ def cluster_saps(positions, n_clusters, rng, max_iter=100, tol=1e-6):
 
     coords = pts.T.copy()                       # (2, n): x row, y row
     labels = np.zeros(n, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(100):
         dist = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = dist.argmin(axis=1)
         counts = np.bincount(labels, minlength=n_clusters)
@@ -181,7 +186,7 @@ def cluster_saps(positions, n_clusters, rng, max_iter=100, tol=1e-6):
                                 for c in coords]).T / counts[:, None]
         shift = np.abs(new_centers - centers).max()
         centers = new_centers
-        if shift < tol:
+        if shift < 1e-6:
             break
     return labels
 
@@ -212,19 +217,16 @@ def heuristic_assign(cost, positions, quota, rng, restarts=8):
     cheapest SAP of each cluster (``pick_min_cost_sap``), all clusters in one
     pass over the unassigned SAPs' cost block. Restart r always consumes the
     r-th spawned stream, so growing ``restarts`` can only improve the
-    returned objective. Returns ``(assignment, objective)``.
+    returned objective. Returns ``(assignment, objective)``. Inputs are
+    checked as for ``solve_exact``, and positions must be shaped (K, 2).
     """
-    quota = tuple(int(q) for q in quota)
-    k_count = cost.shape[0]
-    l_count = cost.shape[2]
-    if len(quota) != l_count:
-        raise ConfigurationError("quota length must match cost subset axis")
-    if sum(quota) != k_count:
-        raise ConfigurationError("quota must sum to the SAP count")
+    quota, _ = _checked_problem(cost, quota)
+    k_count, _, l_count = cost.shape
     if restarts < 1:
         raise ConfigurationError("restarts must be >= 1")
-    _checked_column_sums(cost)
     positions = np.asarray(positions, dtype=float)
+    if positions.shape != (k_count, 2):
+        raise ConfigurationError("positions must be shaped (K, 2)")
 
     best_a = None
     best_obj = np.inf
@@ -405,42 +407,32 @@ def _solve_dfs(colsum, quota):
 
 
 def _solve_milp(colsum, quota):
+    """One mixed-integer program over x[k, l] row-major, then the max load t.
+
+    Its one constraint matrix holds the L load rows (load - t <= 0), then
+    the K one-subset-per-SAP rows, then the L quota rows."""
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     k_count, l_count = colsum.shape
-    n = k_count * l_count + 1  # x[k, l] flattened, then the max-load variable
+    n = k_count * l_count + 1
+    eye = np.eye(l_count)
+    a = np.zeros((2 * l_count + k_count, n))
+    # load row l holds colsum[k, l] at x[k, l] for every k
+    a[:l_count, :-1] = (eye[:, None, :] * colsum.T[:, :, None]).reshape(l_count, -1)
+    a[:l_count, -1] = -1.0
+    a[l_count:l_count + k_count, :-1] = np.repeat(np.eye(k_count), l_count, axis=1)
+    a[l_count + k_count:, :-1] = np.tile(eye, k_count)
+    lower = np.concatenate([np.full(l_count, -np.inf), np.ones(k_count), quota])
+    upper = np.concatenate([np.zeros(l_count), np.ones(k_count), quota])
 
-    c = np.zeros(n)
-    c[-1] = 1.0
-
-    rows = []
-    for l in range(l_count):
-        row = np.zeros(n)
-        for k in range(k_count):
-            row[k * l_count + l] = colsum[k, l]
-        row[-1] = -1.0
-        rows.append(LinearConstraint(row, -np.inf, 0.0))
-    for k in range(k_count):
-        row = np.zeros(n)
-        row[k * l_count:(k + 1) * l_count] = 1.0
-        rows.append(LinearConstraint(row, 1.0, 1.0))
-    for l in range(l_count):
-        row = np.zeros(n)
-        for k in range(k_count):
-            row[k * l_count + l] = 1.0
-        rows.append(LinearConstraint(row, quota[l], quota[l]))
-
-    integrality = np.ones(n)
-    integrality[-1] = 0
-    ub = np.ones(n)
-    ub[-1] = np.inf
-    res = milp(c, constraints=rows, integrality=integrality,
-               bounds=Bounds(0.0, ub),
+    res = milp(np.append(np.zeros(n - 1), 1.0),         # minimize t
+               constraints=LinearConstraint(a, lower, upper),
+               integrality=np.append(np.ones(n - 1), 0),
+               bounds=Bounds(0.0, np.append(np.ones(n - 1), np.inf)),
                options={"mip_rel_gap": 0.0})
     if not res.success:
         raise RuntimeError(f"milp solve failed: {res.message}")
-    x = res.x[:-1].reshape(k_count, l_count)
-    return x.argmax(axis=1)
+    return res.x[:-1].reshape(k_count, l_count).argmax(axis=1)
 
 
 def solve_exact(cost, quota, engine="auto"):
@@ -458,16 +450,10 @@ def solve_exact(cost, quota, engine="auto"):
     SAPs' cheapest columns, summed and divided by the remaining subsets'
     count, passing it by a relative 1e-9. ``milp`` hands the standard
     mixed-integer formulation to scipy/HiGHS. ``auto`` picks dfs for small
-    instances and milp beyond. Costs are inflicted interference: a negative
-    or NaN entry, or a column sum that is not finite, is a ConfigurationError.
+    instances and milp beyond. ``_checked_problem`` validates the problem.
     """
-    quota = tuple(int(q) for q in quota)
-    k_count, _, l_count = cost.shape
-    if len(quota) != l_count:
-        raise ConfigurationError("quota length must match cost subset axis")
-    if sum(quota) != k_count:
-        raise ConfigurationError("quota must sum to the SAP count")
-    colsum = _checked_column_sums(cost)
+    quota, colsum = _checked_problem(cost, quota)
+    k_count = cost.shape[0]
 
     if engine == "auto":
         engine = "dfs" if k_count <= DFS_SAP_LIMIT else "milp"
@@ -490,12 +476,13 @@ def solve_exact(cost, quota, engine="auto"):
 # ---------------------------------------------------------------------------
 
 def benchmark_gap(sap_counts, subset_count, instances, master_seed,
-                  restarts=1, cost_range=(0.0, 1000.0), region_m=500.0):
+                  restarts=1):
     """Mean optimality gap of the heuristic per SAP count.
 
-    Defaults to single-pass (restarts=1), which measures the raw clustered
-    construction; best-of-N restarts compress the gap much faster on small
-    instances and so mask the size trend.
+    Each instance draws ``build_cost_tensor`` costs and SAP positions
+    uniform on a 500 m square. Defaults to single-pass (restarts=1), which
+    measures the raw clustered construction; best-of-N restarts compress
+    the gap much faster on small instances and so mask the size trend.
 
     Returns one row per entry of ``sap_counts``:
     {sap_count, mean_gap_pct, std_gap_pct, mean_exact, mean_heuristic, instances}.
@@ -512,8 +499,8 @@ def benchmark_gap(sap_counts, subset_count, instances, master_seed,
         heurs = np.zeros(instances)
         for i in range(instances):
             rng = substream(master_seed, "gap", k_count, i)
-            cost = build_cost_tensor(k_count, subset_count, rng, cost_range)
-            positions = rng.uniform(0.0, region_m, size=(k_count, 2))
+            cost = build_cost_tensor(k_count, subset_count, rng)
+            positions = rng.uniform(0.0, 500.0, size=(k_count, 2))
             _, h_obj = heuristic_assign(cost, positions, quota,
                                         substream(master_seed, "gap-restarts", k_count, i),
                                         restarts)

@@ -137,14 +137,13 @@ def test_spectrum_plan_validation():
         build_spectrum_plan(80e6, 20e6, 1, quota=(1, 2, 3))
     with pytest.raises(ConfigurationError):
         build_spectrum_plan(80e6, 20e6, 1, quota=(1, 2, 3, -1))
-    with pytest.raises(ConfigurationError):
-        build_spectrum_plan(80e6, 20e6, 1, quota=(6, 6, 6, 7),
-                            uniform_quota_saps=25)
+    with pytest.raises(ConfigurationError, match="quota entry"):
+        build_spectrum_plan(80e6, 20e6, 1, quota=(3.7, 2.2, 2, 2))
 
 
 def _small_scenario(seed=11):
     topo = build_grid_topology(3, 50.0, 75.0, 10.0)
-    plan = build_spectrum_plan(80e6, 20e6, 1, uniform_quota_saps=9)
+    plan = build_spectrum_plan(80e6, 20e6, 1, quota=(3, 2, 2, 2))
     incs = (
         Incumbent((10.0, 20.0), 1.5, 30.0, 20e6, None),
         Incumbent((80.0, 90.0), 1.5, 30.0, (20e6, 40e6), None),

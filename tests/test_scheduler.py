@@ -206,17 +206,6 @@ def test_uniform_cost_tensor_range_and_diagonal():
     assert (cost[idx, idx, :] == 0.0).all()
 
 
-def test_uniform_cost_tensor_rejects_bad_range():
-    with pytest.raises(ConfigurationError):
-        build_cost_tensor(4, 2, substream(1, "cost"), cost_range=(5.0, 1.0))
-
-
-def test_uniform_cost_tensor_rejects_negative_range():
-    # costs are inflicted interference; the exact solvers assume them >= 0
-    with pytest.raises(ConfigurationError, match="nonnegative"):
-        build_cost_tensor(6, 2, substream(1, "cost"), cost_range=(-100.0, 0.0))
-
-
 def test_reference_power_costs_order_and_penalty():
     # SAP 1 hears SAP 0 strongly, SAP 2 weakly, SAP 3 not at all
     p = np.array([
@@ -257,7 +246,7 @@ def test_objective_forced_two_sap_single_subset():
 def test_objective_matches_slow_evaluation():
     for trial in range(20):
         rng = substream(7, "obj", trial)
-        cost = build_cost_tensor(5, 3, rng, (0.0, 10.0))
+        cost = build_cost_tensor(5, 3, rng) / 100.0
         a = rng.permutation(np.array([0, 0, 1, 1, 2]))
         assert objective_value(cost, a) == pytest.approx(_objective_slow(cost, a))
 
@@ -293,7 +282,7 @@ def test_exact_matches_enumeration():
         rng = substream(11, "exact", trial)
         k_count = int(rng.integers(4, 7))
         quota = tuple(uniform_quota(int(rng.integers(2, 4)), k_count))
-        cost = build_cost_tensor(k_count, len(quota), rng, (0.0, 100.0))
+        cost = build_cost_tensor(k_count, len(quota), rng) / 10.0
         assignment, obj = solve_exact(cost, quota, engine="dfs")
         assignment.validate(quota)
         assert obj == pytest.approx(_best_by_enumeration(cost, quota))
@@ -396,6 +385,21 @@ def test_exact_assignments_on_gap_instances_are_pinned():
         "192f43a78477000c6a7017e8ce9f7eb2b1222a9574d354d709fae2517fb6ef96")
 
 
+def test_milp_assignments_are_pinned():
+    # every assignment the MILP returns on uniform instances at sizes
+    # 8/12/16/24, five each, recorded from the model built one constraint
+    # row at a time
+    h = hashlib.sha256()
+    for k_count in (8, 12, 16, 24):
+        for i in range(5):
+            cost = build_cost_tensor(k_count, 4, substream(3, "m", k_count, i))
+            assignment, _ = solve_exact(cost, uniform_quota(4, k_count),
+                                        engine="milp")
+            h.update(assignment.subset_of_sap.astype("<i8").tobytes())
+    assert h.hexdigest() == (
+        "88b1e5913cd86d294192140c08153e5f7dea34ff450b16651d6b69327b0bd074")
+
+
 def test_exact_rejects_bad_quota_and_oversize():
     cost = build_cost_tensor(4, 2, substream(4, "bad"))
     with pytest.raises(ConfigurationError):
@@ -433,7 +437,7 @@ def test_pick_min_cost_sap_brute_force():
     for trial in range(50):
         rng = substream(17, "pick", trial)
         k_count = 9
-        cost = build_cost_tensor(k_count, 2, rng, (0.0, 50.0))
+        cost = build_cost_tensor(k_count, 2, rng) / 20.0
         size = int(rng.integers(2, 9))
         cluster = rng.choice(k_count, size=size, replace=False)
         l = int(rng.integers(2))
@@ -608,6 +612,50 @@ def test_heuristic_rejects_bad_inputs():
     cost[0, 1, :] = np.inf
     with pytest.raises(ConfigurationError, match="finite and nonnegative"):
         heuristic_assign(cost, positions, (3, 2), substream(43, "h"))
+
+
+def _solve_with(solver, cost, quota, positions=None):
+    """Run one of the three solvers; the heuristic gets K spread positions
+    unless ``positions`` are given."""
+    if solver != "heuristic":
+        return solve_exact(cost, quota, engine=solver)
+    if positions is None:
+        positions = substream(47, "pos").uniform(0.0, 100.0,
+                                                 size=(cost.shape[0], 2))
+    return heuristic_assign(cost, positions, quota, substream(47, "h"))
+
+
+SOLVERS = ["heuristic", "dfs", "milp"]
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("shape, quota", [
+    ((4, 6, 2), (2, 2)),            # more inflicting than suffering SAPs
+    ((6, 4, 2), (3, 3)),            # fewer
+    ((4, 4), (2, 2)),               # no subset axis
+])
+def test_solvers_reject_misshaped_costs(solver, shape, quota):
+    cost = substream(47, "shape").uniform(0.0, 1000.0, size=shape)
+    with pytest.raises(ConfigurationError, match=r"shaped \(K, K, L\)"):
+        _solve_with(solver, cost, quota)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("quota", [(5, -1), (-1, 5), (3.7, 2.2)])
+def test_solvers_reject_bad_quota_entries(solver, quota):
+    # the sums (4, 4 and 5.9, truncating to 5) alone would not tell
+    k_count = 5 if isinstance(quota[0], float) else 4
+    cost = build_cost_tensor(k_count, 2, substream(47, "quota"))
+    with pytest.raises(ConfigurationError, match="quota entry"):
+        _solve_with(solver, cost, quota)
+
+
+@pytest.mark.parametrize("rows", [4, 9])
+def test_heuristic_rejects_misshaped_positions(rows):
+    cost = build_cost_tensor(6, 2, substream(47, "pos-cost"))
+    positions = substream(47, "pos-rows").uniform(0.0, 100.0, size=(rows, 2))
+    with pytest.raises(ConfigurationError, match="positions"):
+        _solve_with("heuristic", cost, (3, 3), positions)
 
 
 def test_assignment_sensing_mask_shape():
