@@ -103,7 +103,10 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
     ``iterations=i + 1``. Row k of the (K, K) ``adjacency`` lists SAP k's
     neighbors, itself included; an iteration costs O(S * K * T * M) for
     largest degree S and allocates nothing: its temporaries live in two
-    (S, K, T*M) and five (K, T*M) buffers made once per call.
+    (S, K, T*M) and five (K, T*M) buffers made once per call. The alpha
+    distances floor at ``EPSILON_GUARD`` on a neighbor's slot and at +inf on
+    a padded slot, so a padded slot's alpha is 1/inf, the exact +0.0 the
+    dense combine gives a non-neighbor, with no mask pass.
 
     ``audit``, if given, is called each iteration with
     (i, alpha, beta, has_informative): alpha[s, k, c] and beta[s, k, c]
@@ -141,7 +144,7 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
     # the column count, so no column's arithmetic depends on T or M. Every
     # temporary lives in a buffer made here.
     beta = np.tile(beta, t_count)
-    valid = valid[:, :, None].astype(float)
+    floor = np.where(valid, EPSILON_GUARD, np.inf)[:, :, None]
     unsensed = np.tile(~sensing_mask, t_count)
     has_informative = np.tile(has_informative, t_count)
     freeze = unsensed & ~has_informative
@@ -175,13 +178,13 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
             tmp *= mu
             tmp += w
 
-            # alpha = valid / max((target_k - w_nbr)^2, eps), normalized over
-            # slots
+            # alpha = 1 / max((target_k - w_nbr)^2, floor), normalized over
+            # slots; NaN passes through maximum, so divergence still shows
             np.take(w, nbr, axis=0, out=w_nbr, mode="clip")
             np.subtract(tmp, w_nbr, out=buf)
             np.square(buf, out=buf)
-            np.maximum(buf, EPSILON_GUARD, out=buf)
-            np.divide(valid, buf, out=buf)
+            np.maximum(buf, floor, out=buf)
+            np.reciprocal(buf, out=buf)
             np.add.reduce(buf, axis=0, out=tmp)
             buf /= tmp
             if audit is not None:

@@ -13,7 +13,9 @@ over T*M channels. Each structure runs once per realization: both
 non-cooperative schemes decide on one standalone run, and the two
 cooperative structures run side by side as one call of 2*T*M channels
 when ``diffusion.runs_per_call`` packs two runs that wide. Each scheme
-returns one (T, K, M) decision stack, scored once against the truth stack.
+returns one (T, K, M) decision stack, scored once against the truth stack;
+the realization's devices are attached to their SAPs once, in
+``prepare_realization``, and every scheme schedules them on that attachment.
 Decision thresholds for the diffusion schemes are calibrated once per
 campaign per network structure, on the network
 ``baselines.structure_network`` builds from representative inputs
@@ -51,8 +53,9 @@ from .baselines import (COOPERATIVE, SCHEME_IDS, run_scheme,
                         structure_network, structure_of)
 from .diffusion import (DiffusionParams, DivergenceError, calibrate_threshold,
                         default_ceiling, runs_per_call)
-from .metrics import (aggregate, correct_decision_pct, misdetection_probability,
-                      schedule_devices, utilization_ratio)
+from .metrics import (aggregate, attach_devices, correct_decision_pct,
+                      misdetection_probability, schedule_devices,
+                      utilization_ratio)
 from .model import (ConfigurationError, Incumbent, Scenario,
                     build_grid_topology, build_random_topology,
                     build_spectrum_plan, check_integer, check_quota_feasible,
@@ -113,6 +116,16 @@ class Campaign:
             raise ConfigurationError("threshold sweep must be nonempty")
         if not np.isfinite(self.thresholds_dbm).all():
             raise ConfigurationError("thresholds must be finite")
+        for t in map(float, self.thresholds_dbm):
+            # 10 ** x overflows below about -3145 dBm and is 0.0 above
+            # about +3171 dBm; either would decide every block one way
+            try:
+                gain = threshold_gain(t)
+            except OverflowError:
+                gain = np.inf
+            if not 0.0 < gain < np.inf:
+                raise ConfigurationError(
+                    f"threshold {t!r} dBm has no finite, positive gain")
         if not self.schemes:
             raise ConfigurationError("need at least one scheme")
         unknown = set(self.schemes) - set(SCHEME_IDS)
@@ -222,6 +235,7 @@ class RealizationInputs:
     sensing_mask: np.ndarray | None     # proposed-singleband assignment
     picks: np.ndarray | None            # noncoop-singleband channel per SAP
     devices: np.ndarray | None          # (device_count, 2) positions
+    device_home: np.ndarray | None      # each device's nearest SAP
 
 
 def _frame_shape(campaign):
@@ -282,7 +296,8 @@ def prepare_realization(campaign, r):
     this thread realizes the links; with two frames, realization r+1's draw
     is queued as soon as r's frame is ready. Called any other way, this
     draws the noise on the calling thread into a new frame. Either way the
-    frame keeps the bits of a serial draw.
+    frame keeps the bits of a serial draw. The devices are attached to
+    their nearest SAPs here, once for every scheme that schedules them.
     """
     scn = campaign.scenario
     seed = campaign.seed
@@ -307,15 +322,17 @@ def prepare_realization(campaign, r):
     if "noncoop-singleband" in campaign.schemes:
         picks = substream(seed, "pick", r).integers(
             scn.spectrum.channel_count, size=topo.count)
-    devices = None
+    devices = home = None
     if campaign.device_count > 0:
         x0, y0, x1, y1 = topo.bounding_box()
         u = substream(seed, "devices", r).uniform(
             size=(campaign.device_count, 2))
         devices = np.column_stack([x0 + u[:, 0] * (x1 - x0),
                                    y0 + u[:, 1] * (y1 - y0)])
+        home = attach_devices(devices, topo.positions)
     frame = generate_measurements(truth, draws.take(r))
-    return RealizationInputs(frame, truth, p_hat, sensing_mask, picks, devices)
+    return RealizationInputs(frame, truth, p_hat, sensing_mask, picks, devices,
+                             home)
 
 
 def _cooperative_pack(campaign):
@@ -391,7 +408,8 @@ def run_realization(campaign, lams, r):
                   correct_decision_pct(dm, truth, own_scope)]
         if inputs.devices is not None:
             values.append(schedule_devices(
-                dm, truth, inputs.devices, positions, campaign.device_capacity))
+                dm, truth, inputs.devices, positions, campaign.device_capacity,
+                home=inputs.device_home))
         for i, t in enumerate(campaign.thresholds_dbm):
             for metric, per_threshold in zip(METRIC_ORDER, values):
                 results[(scheme, t, metric)] = per_threshold[i]

@@ -73,19 +73,23 @@ def attach_devices(device_positions, sap_positions):
 
 
 def schedule_devices(decision_map, truth_busy, device_positions, sap_positions,
-                     capacity_per_block=1):
+                     capacity_per_block=1, *, home=None):
     """Devices served over correctly identified available blocks.
 
     Each device asks its nearest SAP; a SAP serves up to capacity_per_block
-    devices per correct-available block, first-come by device index. The
-    devices are attached once per call, whatever the number of slices.
+    devices per correct-available block, first-come by device index.
+    ``home``, if given, is ``attach_devices(device_positions,
+    sap_positions)``, made once by a caller that schedules the same devices
+    again (a campaign, once per realization for all its schemes); None
+    attaches them here, once for every slice of the stack.
     """
     if capacity_per_block < 1:
         raise ValueError("capacity_per_block must be >= 1")
     truth_busy = np.asarray(truth_busy, dtype=bool)
     correct_available = decision_map.available & ~truth_busy
     slots = correct_available.sum(axis=-1) * capacity_per_block
-    home = attach_devices(device_positions, sap_positions)
+    if home is None:
+        home = attach_devices(device_positions, sap_positions)
     demand = np.bincount(home, minlength=slots.shape[-1])
     return np.minimum(demand, slots).sum(axis=-1).tolist()
 

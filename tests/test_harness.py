@@ -210,6 +210,11 @@ def test_campaign_validation(tmp_path):
                 dict(diffusion=DiffusionParams(iterations=0))):
         with pytest.raises(ConfigurationError):
             Campaign(scenario=scn, **bad)
+    # 10 ** x overflows, or is 0.0: no gain maps these to 1.0
+    for t in (-4000.0, 3200.0, 1e300):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"threshold {t!r} dBm")):
+            Campaign(scenario=scn, thresholds_dbm=(-62.0, t))
     counts = Campaign(scenario=scn, realizations=np.int64(2),
                       master_seed=np.uint32(9), workers=np.int8(1))
     assert counts.realizations == 2 and counts.seed == 9
@@ -224,22 +229,26 @@ def test_campaign_validation(tmp_path):
     assert Campaign(scenario=scn, master_seed=9).seed == 9
 
 
-def test_devices_attached_once_per_scheme_and_realization(small_campaign,
-                                                          monkeypatch,
-                                                          tmp_path):
-    # each scheme's whole threshold sweep is scheduled in one call
+def test_devices_attached_once_per_realization(small_campaign, monkeypatch,
+                                               tmp_path):
+    # prepare_realization attaches the devices; every scheme's whole
+    # threshold sweep is scheduled on that one attachment
     calls = []
-    original = metrics.attach_devices
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(module):
+        original = module.attach_devices
 
-    monkeypatch.setattr(metrics, "attach_devices", counted)
+        def attach(*args, **kwargs):
+            calls.append(module.__name__)
+            return original(*args, **kwargs)
+        return attach
+
+    for module in (harness, metrics):
+        monkeypatch.setattr(module, "attach_devices", counted(module))
     run_campaign(small_campaign, tmp_path)
+    assert len(small_campaign.schemes) > 1
     assert len(small_campaign.thresholds_dbm) == 2
-    assert len(calls) == (len(small_campaign.schemes)
-                          * small_campaign.realizations)
+    assert calls == ["specsense.harness"] * small_campaign.realizations
 
 
 def test_representative_assignment_deterministic(small_campaign):
@@ -892,6 +901,12 @@ def test_cli_reports_errors(tmp_path, capsys):
                "--out", str(tmp_path / "out"), "--thresholds-dbm=nan"])
     assert rc == 1
     assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    rc = main(["simulate", "--scenario", scenario_path,
+               "--out", str(tmp_path / "out"), "--thresholds-dbm=-4000"])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: threshold -4000.0 dBm has no "
+                                       "finite, positive gain\n")
     assert not (tmp_path / "out").exists()
     # no iterations: rejected up front, whichever schemes would have failed
     # first (an IndexError, a zero-size reduction, or calibration)

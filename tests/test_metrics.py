@@ -231,6 +231,26 @@ def test_stacked_metrics_equal_per_slice_calls():
                                 capacity) == per_slice
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k_count=st.integers(1, 6), n_dev=st.integers(0, 25),
+       slices=st.integers(1, 3), capacity=st.integers(1, 4))
+def test_schedule_devices_same_counts_from_given_attachment(data, k_count,
+                                                           n_dev, slices,
+                                                           capacity):
+    # the harness attaches once per realization and passes the attachment;
+    # the counts must be those of an attachment made inside the call
+    saps = np.array(data.draw(_points(k_count)), dtype=float).reshape(-1, 2)
+    devices = np.array(data.draw(_points(n_dev)), dtype=float).reshape(-1, 2)
+    cells = st.lists(st.booleans(), min_size=slices * k_count * 3,
+                     max_size=slices * k_count * 3)
+    busy = np.array(data.draw(cells)).reshape(slices, k_count, 3)
+    truth = np.array(data.draw(cells)).reshape(slices, k_count, 3)
+    home = attach_devices(devices, saps)
+    assert (schedule_devices(_map(busy), truth, devices, saps, capacity,
+                             home=home)
+            == schedule_devices(_map(busy), truth, devices, saps, capacity))
+
+
 def test_aggregate():
     mean, std, n = aggregate([1.0, 2.0, 3.0])
     assert mean == pytest.approx(2.0)
