@@ -112,8 +112,7 @@ def structure_network(structure, sensing_mask, reference_powers, adjacency):
 
 
 def structure_weights(structures, *, measurements, sensing_mask,
-                      reference_powers, adjacency, params, gains=(1.0,),
-                      ceiling=None):
+                      reference_powers, adjacency, params, gains=(1.0,)):
     """Each structure's (T, K, M) weight stack, from one diffusion run.
 
     The frame is repeated once per structure on the channel axis, each copy
@@ -129,24 +128,24 @@ def structure_weights(structures, *, measurements, sensing_mask,
     frame = (measurements if len(structures) == 1 else
              np.concatenate([measurements] * len(structures), axis=1))
     w = run_diffusion(frame, np.concatenate([n[0] for n in networks], axis=1),
-                      powers, graph, params, gains=gains, ceiling=ceiling)
+                      powers, graph, params, gains=gains)
     # column (t * S + s) * M + m of w is channel m of structure s under gain t
     stacks = w.reshape(k_count, len(gains), len(structures), m_count)
     return dict(zip(structures, stacks.transpose(2, 1, 0, 3)))
 
 
-def run_scheme(name, *, measurements, gains=(1.0,), ceiling=None,
-               truth_busy=None, sensing_mask=None, reference_powers=None,
-               adjacency=None, params=None, thresholds=None,
-               channel_picks=None, raw_energy=False, shared=None, pack=()):
+def run_scheme(name, *, measurements, gains=(1.0,), truth_busy=None,
+               sensing_mask=None, reference_powers=None, adjacency=None,
+               params=None, thresholds=None, channel_picks=None,
+               raw_energy=False, shared=None, pack=()):
     """Dispatch one scheme by id over a gain sweep; one DecisionMap for all.
 
     ``measurements`` is the unscaled (K, M, N) frame; gain t rescales it as
     ``measurements * gains[t]``, and slice t of the returned (T, K, M)
     ``busy`` stack holds the verdicts under it. Adaptive-filter schemes see
-    the rescaled frame through the receiver ``ceiling``, raw energy
-    detectors see it as-is, and ``truth_busy`` is the genie's (T, K, M)
-    truth stack.
+    the rescaled frame through ``run_diffusion``'s receiver clamp, raw
+    energy detectors see it as-is, and ``truth_busy`` is the genie's
+    (T, K, M) truth stack.
     ``centralized`` compares the frame mean over SAPs and iterations, times
     each gain, with 1.0 (``centralized_egc``); it rejects a frame with a
     negative or NaN sample.
@@ -194,7 +193,7 @@ def run_scheme(name, *, measurements, gains=(1.0,), ceiling=None,
         if structure not in shared:
             inputs = dict(measurements=measurements, sensing_mask=sensing_mask,
                           reference_powers=reference_powers,
-                          adjacency=adjacency, gains=gains, ceiling=ceiling,
+                          adjacency=adjacency, gains=gains,
                           params=DiffusionParams() if params is None else params)
             group = (tuple(s for s in pack if s not in shared)
                      if structure in pack else (structure,))

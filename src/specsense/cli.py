@@ -119,9 +119,6 @@ def _add_simulate(sub):
     p.add_argument("--calibration-runs", type=int, default=10)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--noncoop-raw-energy", action="store_true")
-    p.add_argument("--no-dynamic-range-limit", action="store_true",
-                   help="no receiver clamp: the adaptation is stable only while"
-                        " mu*y^2 <= 1, so a sample above sqrt(1/mu) raises")
 
 
 def _cmd_simulate(args):
@@ -134,7 +131,6 @@ def _cmd_simulate(args):
         master_seed=args.seed,
         diffusion=DiffusionParams(iterations=args.iterations),
         calibration_runs=args.calibration_runs,
-        limit_dynamic_range=not args.no_dynamic_range_limit,
         device_count=args.devices,
         device_capacity=args.capacity,
         scheduler_restarts=args.restarts,

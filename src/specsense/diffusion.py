@@ -89,24 +89,26 @@ class DivergenceError(ArithmeticError):
 
 
 def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
-                  params, gains=(1.0,), ceiling=None, audit=None):
+                  params, gains=(1.0,), audit=None):
     """Run the full synchronous algorithm over a gain sweep; return the weights.
 
     ``measurements`` is the unscaled (K, M, N) energy frame. Gain t sees it
-    as ``np.minimum(measurements * gains[t], ceiling)``, the receiver clamp
-    (``ceiling`` None: no clamp), formed one iteration slice at a time.
-    Channels evolve independently, so the T gains run as T*M channels of
-    one network, laid out gain-major: column ``t * M + m`` of the returned
-    (K, T*M) weights is channel m under gain t, bit for bit what a
-    single-gain run on that frame returns. Iteration i reads frame slice i alone: the weights
-    after it are a run on ``measurements[:, :, :i + 1]`` with
-    ``iterations=i + 1``. Row k of the (K, K) ``adjacency`` lists SAP k's
-    neighbors, itself included; an iteration costs O(S * K * T * M) for
-    largest degree S and allocates nothing: its temporaries live in two
-    (S, K, T*M) and five (K, T*M) buffers made once per call. The alpha
-    distances floor at ``EPSILON_GUARD`` on a neighbor's slot and at +inf on
-    a padded slot, so a padded slot's alpha is 1/inf, the exact +0.0 the
-    dense combine gives a non-neighbor, with no mask pass.
+    as ``np.minimum(measurements * gains[t], default_ceiling(params))``,
+    formed one iteration slice at a time: the receiver clamp at sqrt(1/mu)
+    keeps every sample within the adaptation's mu * y^2 <= 1 stability
+    bound, and a NaN sample passes it. Channels evolve independently, so
+    the T gains run as T*M channels of one network, laid out gain-major:
+    column ``t * M + m`` of the returned (K, T*M) weights is channel m under
+    gain t, bit for bit what a single-gain run on that frame returns.
+    Iteration i reads frame slice i alone: the weights after it are a run
+    on ``measurements[:, :, :i + 1]`` with ``iterations=i + 1``. Row k of
+    the (K, K) ``adjacency`` lists SAP k's neighbors, itself included; an
+    iteration costs O(S * K * T * M) for largest degree S and allocates
+    nothing: its temporaries live in two (S, K, T*M) and five (K, T*M)
+    buffers made once per call. The alpha distances floor at
+    ``EPSILON_GUARD`` on a neighbor's slot and at +inf on a padded slot, so
+    a padded slot's alpha is 1/inf, the exact +0.0 the dense combine gives
+    a non-neighbor, with no mask pass.
 
     ``audit``, if given, is called each iteration with
     (i, alpha, beta, has_informative): alpha[s, k, c] and beta[s, k, c]
@@ -134,6 +136,7 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
     sensing_mask = np.asarray(sensing_mask, dtype=bool)
     mu = params.step_size
     fresh = 1.0 - params.smoothing
+    ceiling = default_ceiling(params)
 
     nbr, valid = neighbor_slots(adjacency)
     s_count = nbr.shape[0]
@@ -159,11 +162,11 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
 
     def condition(i):
         np.multiply(y_all[:, None, :, i], gains[None, :, None], out=y_gain)
-        if ceiling is not None:
-            np.minimum(y_gain, ceiling, out=y_gain)
+        np.minimum(y_gain, ceiling, out=y_gain)
 
-    # a diverging run overflows to inf and then NaN; the finiteness check
-    # below reports it as one DivergenceError instead of numpy warnings
+    # a NaN sample, or a negative one the clamp leaves, can overflow to inf
+    # and then NaN; the finiteness check below reports it as one
+    # DivergenceError instead of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         condition(0)
         np.copyto(d, y)
@@ -242,7 +245,7 @@ def default_ceiling(params):
 
 
 def calibrate_threshold(sensing_mask, reference_powers, adjacency, params, rng,
-                        calibration_runs=10, estimate_shape=0.7, ceiling=None):
+                        calibration_runs=10, estimate_shape=0.7):
     """Per-(SAP, channel) thresholds from known-energy training runs.
 
     Feeds the network injected samples of known energy 1.0 (the normalized
@@ -257,8 +260,8 @@ def calibrate_threshold(sensing_mask, reference_powers, adjacency, params, rng,
     draws group j+1's noise from ``rng``, run by run, while group j
     diffuses on the calling thread; the draws keep their order and the runs
     are summed in run order, so the result is that of a serial loop bit for
-    bit. The same receiver ``ceiling`` used on live measurements must be
-    supplied here. In normalized units the result is threshold-independent.
+    bit. ``run_diffusion`` clamps the training samples as it clamps live
+    measurements. In normalized units the result is threshold-independent.
     Raises ConfigurationError unless ``calibration_runs`` is an integer
     >= 1, and DivergenceError when a group's weights go non-finite.
     """
@@ -289,7 +292,7 @@ def calibrate_threshold(sensing_mask, reference_powers, adjacency, params, rng,
             if j + 1 < len(sizes):
                 pending = helper.submit(draw, j + 1)
             w = run_diffusion(u, np.tile(sensing_mask, size), reference_powers,
-                              adjacency, params, ceiling=ceiling)
+                              adjacency, params)
             for run in np.split(w, size, axis=1):
                 total += run
     return total / calibration_runs

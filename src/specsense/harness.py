@@ -7,15 +7,16 @@ scheme input; the frame is the truth times estimation noise. Then one
 decide step runs each scheme once over the whole sweep: threshold t is the
 frame times the gain that maps t to 1.0 in normalized units. Raw energy
 detectors (centralized, and the raw-energy non-cooperative variant) see
-the rescaled frame as-is; adaptive-filter schemes see it through the
-receiver's dynamic-range clamp, and run all T gains as one diffusion run
-over T*M channels. Each structure runs once per realization: both
-non-cooperative schemes decide on one standalone run, and the two
-cooperative structures run side by side as one call of 2*T*M channels
-when ``diffusion.runs_per_call`` packs two runs that wide. Each scheme
-returns one (T, K, M) decision stack, scored once against the truth stack;
-the realization's devices are attached to their SAPs once, in
-``prepare_realization``, and every scheme schedules them on that attachment.
+the rescaled frame as-is; adaptive-filter schemes run all T gains as one
+diffusion run over T*M channels, which clamps its input at sqrt(1/mu)
+(``diffusion.run_diffusion``), as calibration's runs do. Each structure
+runs once per realization: both non-cooperative schemes decide on one
+standalone run, and the two cooperative structures run side by side as
+one call of 2*T*M channels when ``diffusion.runs_per_call`` packs two
+runs that wide. Each scheme returns one (T, K, M) decision stack, scored
+once against the truth stack; the realization's devices are attached to
+their SAPs once, in ``prepare_realization``, and every scheme schedules
+them on that attachment.
 Decision thresholds for the diffusion schemes are calibrated once per
 campaign per network structure, on the network
 ``baselines.structure_network`` builds from representative inputs
@@ -52,7 +53,7 @@ from . import __version__
 from .baselines import (COOPERATIVE, SCHEME_IDS, run_scheme,
                         structure_network, structure_of)
 from .diffusion import (DiffusionParams, DivergenceError, calibrate_threshold,
-                        default_ceiling, runs_per_call)
+                        runs_per_call)
 from .metrics import (aggregate, attach_devices, correct_decision_pct,
                       misdetection_probability, schedule_devices,
                       utilization_ratio)
@@ -95,7 +96,6 @@ class Campaign:
     master_seed: int | None = None       # None: reuse the scenario seed
     diffusion: DiffusionParams = field(default_factory=DiffusionParams)
     calibration_runs: int = 10
-    limit_dynamic_range: bool = True
     device_count: int = 0
     device_capacity: int = 1
     scheduler_restarts: int = 8
@@ -171,12 +171,6 @@ def representative_assignment(campaign, reference_powers):
     return assignment
 
 
-def _ceiling(campaign):
-    """Receiver clamp on adaptive-filter inputs; None when unlimited."""
-    return (default_ceiling(campaign.diffusion)
-            if campaign.limit_dynamic_range else None)
-
-
 def _calibration_structures(campaign):
     """The diffusion network structures the campaign's schemes decide on.
 
@@ -203,7 +197,6 @@ def calibrate_campaign(campaign):
     if "proposed-singleband" in campaign.schemes:
         mask = representative_assignment(campaign, p_rep).sensing_mask(
             scn.spectrum)
-    ceiling = _ceiling(campaign)
     lams = {}
     for name in _calibration_structures(campaign):
         network = structure_network(name, mask, p_rep, scn.topology.adjacency)
@@ -212,8 +205,7 @@ def calibrate_campaign(campaign):
                 *network, campaign.diffusion,
                 substream(campaign.seed, "calibrate", name),
                 calibration_runs=campaign.calibration_runs,
-                estimate_shape=scn.propagation.estimate_shape,
-                ceiling=ceiling)
+                estimate_shape=scn.propagation.estimate_shape)
         except DivergenceError as exc:
             raise ArithmeticError(
                 f"calibration of structure {name}: {exc}") from exc
@@ -359,7 +351,6 @@ def decide_schemes(campaign, lams, inputs, r):
     thresholds = campaign.thresholds_dbm
     gains = [threshold_gain(t) for t in thresholds]
     truth = np.array([inputs.truth.busy_at(t) for t in thresholds])
-    ceiling = _ceiling(campaign)
     pack = _cooperative_pack(campaign)
     shared = {}                          # weight stacks by structure
     for scheme in campaign.schemes:
@@ -369,7 +360,6 @@ def decide_schemes(campaign, lams, inputs, r):
                 scheme,
                 measurements=inputs.frame.y,
                 gains=gains,
-                ceiling=ceiling,
                 truth_busy=truth,
                 sensing_mask=inputs.sensing_mask,
                 reference_powers=inputs.reference_powers,
@@ -602,8 +592,9 @@ def generate_scenario(template, seed=1, **overrides):
     (``channelization="lte-m"`` switches to 1.4 MHz channels), incumbents
     with 20/40/80 MHz signals.
     """
+    seed = check_integer("seed", seed)
     if template == "small-grid":
-        side = check_integer("side_count", overrides.pop("side_count", 10), 1)
+        side = overrides.pop("side_count", 10)
         spacing = float(overrides.pop("spacing_m", 200.0))
         radius = float(overrides.pop("radius_m", spacing))
         incumbents = check_integer(
@@ -624,7 +615,7 @@ def generate_scenario(template, seed=1, **overrides):
         return Scenario(topo, plan, incs, PropagationParams(), seed)
 
     if template == "large-synthetic":
-        count = check_integer("sap_count", overrides.pop("sap_count", 500), 1)
+        count = overrides.pop("sap_count", 500)
         region = float(overrides.pop("region_m", 2000.0))
         radius = float(overrides.pop("radius_m", 200.0))
         incumbents = check_integer(
@@ -702,8 +693,7 @@ def emit_footprint_snapshot(campaign, out_path, realization=0,
     Rows: scheme, k, x, y, m, energy_dbm (iteration-mean), truth_busy,
     decision (busy/available/none).
     """
-    if realization < 0:
-        raise ConfigurationError("realization must be >= 0")
+    realization = check_integer("realization", realization, 0)
     campaign = replace(campaign, thresholds_dbm=(float(threshold_dbm),))
     topo = campaign.scenario.topology
     lams = calibrate_campaign(campaign)

@@ -74,8 +74,7 @@ def _finalize_topology(positions, radius_m, height_m):
 
 def build_grid_topology(side_count, spacing_m, radius_m, height_m):
     """Square lattice of side_count x side_count SAPs with the given spacing."""
-    if side_count < 1:
-        raise ConfigurationError("side_count must be >= 1")
+    side_count = check_integer("side_count", side_count, 1)
     if spacing_m <= 0:
         raise ConfigurationError("spacing_m must be positive")
     xs = np.arange(side_count) * spacing_m
@@ -86,8 +85,7 @@ def build_grid_topology(side_count, spacing_m, radius_m, height_m):
 
 def build_random_topology(count, region_m, radius_m, height_m, rng):
     """``count`` SAPs placed i.i.d. uniform over a ``(width, height)`` region."""
-    if count < 1:
-        raise ConfigurationError("count must be >= 1")
+    count = check_integer("count", count, 1)
     width, depth = region_m
     if not (0 < width < math.inf and 0 < depth < math.inf):
         raise ConfigurationError("region_m must be finite and positive")
@@ -158,8 +156,7 @@ def build_spectrum_plan(total_bandwidth_hz, channel_bandwidth_hz, channels_per_s
         raise ConfigurationError("need 0 < b <= B < inf")
     if not 0 < center_frequency_hz < math.inf:
         raise ConfigurationError("center frequency must be finite and positive")
-    if channels_per_sap < 1:
-        raise ConfigurationError("channels_per_sap must be >= 1")
+    channels_per_sap = check_integer("channels_per_sap", channels_per_sap, 1)
     m_count = int(total_bandwidth_hz // channel_bandwidth_hz)
     l_count = int(total_bandwidth_hz // (channels_per_sap * channel_bandwidth_hz))
     if l_count < 1:
@@ -169,7 +166,7 @@ def build_spectrum_plan(total_bandwidth_hz, channel_bandwidth_hz, channels_per_s
     subset_of_channel.setflags(write=False)
     plan = SpectrumPlan(
         float(total_bandwidth_hz), float(channel_bandwidth_hz),
-        int(channels_per_sap), float(center_frequency_hz),
+        channels_per_sap, float(center_frequency_hz),
         m_count, l_count, subset_of_channel, None,
     )
     return plan if quota is None else plan.with_quota(quota)
@@ -274,7 +271,7 @@ def scenario_from_dict(spec):
 
     topo_spec = dict(spec["topology"])
     kind = topo_spec.pop("kind", "explicit")
-    seed = int(spec["seed"])
+    seed = check_integer("seed", spec["seed"])
     if kind == "grid":
         topology = build_grid_topology(
             topo_spec["side_count"], topo_spec["spacing_m"],

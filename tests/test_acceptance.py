@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 
 from specsense.baselines import genie, run_scheme
-from specsense.diffusion import (DiffusionParams, default_ceiling,
-                                 neighbor_slots, run_diffusion)
+from specsense.diffusion import DiffusionParams, neighbor_slots, run_diffusion
 from specsense.harness import (Campaign, calibrate_campaign, generate_scenario,
                                read_results_csv, run_campaign, run_realization)
 from specsense.metrics import (correct_decision_pct, misdetection_probability,
@@ -169,7 +168,6 @@ def test_criterion_4_filter_discriminability(capsys):
     t0 = time.perf_counter()
     topo = build_grid_topology(3, 50.0, 75.0, 10.0)
     params = DiffusionParams()
-    ceiling = default_ceiling(params)
     k_count, m_count, n_iter = topo.count, 2, params.iterations
     mask = np.ones((k_count, m_count), dtype=bool)
     p_hat = np.where(topo.adjacency & ~np.eye(k_count, dtype=bool), 0.5, 0.0)
@@ -179,8 +177,9 @@ def test_criterion_4_filter_discriminability(capsys):
     for run in range(200):
         u = substream(13, "disc", run).gamma(0.7, 1.0 / 0.7,
                                              size=(k_count, m_count, n_iter))
-        y = np.minimum(level[None, :, None] * u, ceiling)
-        w = run_diffusion(y, mask, p_hat, topo.adjacency, params)
+        # run_diffusion clamps the occupied channel's samples at sqrt(1/mu)
+        w = run_diffusion(level[None, :, None] * u, mask, p_hat,
+                          topo.adjacency, params)
         hi.append(w[:, 0].mean())
         lo.append(w[:, 1].mean())
     hi, lo = np.array(hi), np.array(lo)

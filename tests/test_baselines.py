@@ -18,8 +18,7 @@ from specsense.baselines import (
     run_scheme,
     structure_of,
 )
-from specsense.diffusion import (DiffusionParams, DivergenceError,
-                                 default_ceiling, run_diffusion)
+from specsense.diffusion import DiffusionParams, DivergenceError, run_diffusion
 from specsense.metrics import (
     correct_decision_pct,
     misdetection_probability,
@@ -258,12 +257,15 @@ def test_noncoop_raw_energy_uses_last_window():
     y = np.full((2, 2, 5), 0.1)
     y[0, 0, -1] = 2.0       # only the final reading counts
     y[1, 1, :-1] = 9.0      # earlier readings do not
+    # at mu = 4 the filter would clamp every reading at 0.5, below the
+    # busy level of 1.0
     [d, half] = _slices(run_scheme("noncoop-multiband", measurements=y,
-                                   gains=(1.0, 0.5), ceiling=0.5,
-                                   params=DiffusionParams(iterations=5),
+                                   gains=(1.0, 0.5),
+                                   params=DiffusionParams(step_size=4.0,
+                                                          iterations=5),
                                    raw_energy=True))
     assert d.decided.all() and half.decided.all()
-    # the gain scales the reading and no ceiling clamps it
+    # the gain scales the reading and the filter's ceiling does not clamp it
     np.testing.assert_array_equal(d.busy, [[True, False], [False, False]])
     np.testing.assert_array_equal(half.busy, d.busy)
     [single] = _slices(run_scheme("noncoop-singleband", measurements=y,
@@ -364,7 +366,6 @@ def test_run_scheme_stack_equals_single_gain_calls(name, raw_energy,
     adjacency = links | links.T | np.eye(k_count, dtype=bool)
     network = dict(
         measurements=rng.gamma(0.7, 1 / 0.7, size=(k_count, m_count, n_iter)),
-        ceiling=default_ceiling(params),
         sensing_mask=rng.uniform(size=(k_count, m_count)) < 0.6,
         reference_powers=np.where(adjacency & ~np.eye(k_count, dtype=bool),
                                   rng.uniform(0.5, 1.5, (k_count, k_count)),
@@ -414,7 +415,7 @@ def test_packed_cooperative_pair_matches_separate_calls(
     adjacency = links | links.T | np.eye(k_count, dtype=bool)
     network = dict(
         measurements=rng.gamma(0.7, 1 / 0.7, size=(k_count, m_count, 12)),
-        gains=[10.0 ** e for e in exponents], ceiling=default_ceiling(params),
+        gains=[10.0 ** e for e in exponents],
         sensing_mask=rng.uniform(size=(k_count, m_count)) < 0.6,
         reference_powers=np.where(adjacency & ~np.eye(k_count, dtype=bool),
                                   rng.uniform(0.5, 1.5, (k_count, k_count)),

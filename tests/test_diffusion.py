@@ -58,9 +58,9 @@ def adapt(psi, y, d, step_size, senses_channel):
     return psi + (step_size * y * (d - y * psi) if senses_channel else 0.0)
 
 
-def clip(y, ceiling):
-    """The receiver clamp ``run_diffusion`` applies; None is no clamp."""
-    return y if ceiling is None else np.minimum(y, ceiling)
+def clip(y, params):
+    """The receiver clamp ``run_diffusion`` applies: sqrt(1/mu)."""
+    return np.minimum(y, default_ceiling(params))
 
 
 def per_sap_oracle(y, mask, p_hat, adjacency, params):
@@ -92,8 +92,7 @@ def per_sap_oracle(y, mask, p_hat, adjacency, params):
     return w
 
 
-def dense_oracle(measurements, mask, p_hat, adjacency, params, gains=(1.0,),
-                 ceiling=None):
+def dense_oracle(measurements, mask, p_hat, adjacency, params, gains=(1.0,)):
     """Final weights of the network run as a dense (K, K, T*M) combine.
 
     Every SAP sums over all K SAPs, non-neighbors weighted by exact zeros.
@@ -107,7 +106,7 @@ def dense_oracle(measurements, mask, p_hat, adjacency, params, gains=(1.0,),
     mu = params.step_size
 
     def conditioned(i):
-        y = clip(y_all[:, None, :, i] * gains[None, :, None], ceiling)
+        y = clip(y_all[:, None, :, i] * gains[None, :, None], params)
         return y.reshape(k_count, columns)
 
     non_self = adjacency & ~np.eye(k_count, dtype=bool)
@@ -213,18 +212,47 @@ def test_decide_boundary_and_monotone():
 
 
 def test_clip_and_default_ceiling():
-    # the ceiling clamps the rescaled frame; None leaves it as it is
+    # the filter clamps the rescaled frame at sqrt(1/mu): samples above the
+    # ceiling all read as the ceiling, samples below it as they are
     params = DiffusionParams(iterations=6)
+    assert default_ceiling(params) == pytest.approx(np.sqrt(10.0))
     y = substream(3, "clip").uniform(0.5, 9.0, size=(1, 2, 6))
+    assert (y > default_ceiling(params)).any()
     network = (np.ones((1, 2), dtype=bool), np.zeros((1, 1)),
                np.eye(1, dtype=bool))
-    for ceiling in (3.0, None):
-        assert np.array_equal(
-            run_diffusion(y, *network, params, gains=(1.5,), ceiling=ceiling),
-            run_diffusion(clip(y * 1.5, ceiling), *network, params))
-    assert not np.array_equal(run_diffusion(y, *network, params, ceiling=3.0),
-                              run_diffusion(y, *network, params))
-    assert default_ceiling(DiffusionParams()) == pytest.approx(np.sqrt(10.0))
+    clamped = run_diffusion(clip(y, params), *network, params)
+    assert np.array_equal(run_diffusion(y, *network, params), clamped)
+    louder = np.where(y > default_ceiling(params), 1e12, y)
+    assert np.array_equal(run_diffusion(louder, *network, params), clamped)
+    assert np.array_equal(
+        run_diffusion(y, *network, params, gains=(1.5,)),
+        run_diffusion(clip(y * 1.5, params), *network, params))
+    # the ceiling is sqrt(1/mu) itself: a clamp just below it differs
+    assert not np.array_equal(
+        run_diffusion(np.minimum(y, 3.0), *network, params), clamped)
+
+
+@pytest.mark.parametrize("step_size", [1e-308, 1e-4, 0.1, 1e6])
+def test_clamped_run_diverges_only_on_nan(step_size):
+    # at the ceiling mu * y^2 = 1, so no sample, however loud, drives the
+    # weights past the stability bound; a NaN sample on a sensed block
+    # passes the clamp and fails loud under every gain
+    params = DiffusionParams(step_size=step_size, iterations=20)
+    rng = substream(53, "loud")
+    adjacency, mask, p_hat = _random_network(rng, 6, 3)
+    mask[2, 1] = True
+    y = rng.uniform(size=(6, 3, 20)) * 10.0 ** rng.uniform(0, 300, (6, 3, 20))
+    gains = (1.0, 1e8)
+    assert np.isfinite(run_diffusion(y, mask, p_hat, adjacency, params,
+                                     gains=gains)).all()
+    # a NaN gain makes the frame non-finite under that gain alone
+    with pytest.raises(DivergenceError) as err:
+        run_diffusion(y, mask, p_hat, adjacency, params, gains=(1.0, np.nan))
+    assert err.value.gain_index == 1
+    y[2, 1, 7] = np.nan
+    with pytest.raises(DivergenceError) as err:
+        run_diffusion(y, mask, p_hat, adjacency, params, gains=gains)
+    assert err.value.gain_index == 0
 
 
 def test_params_validation():
@@ -376,30 +404,23 @@ def test_network_run_matches_per_sap_oracle():
 @given(k_count=st.integers(1, 16), m_count=st.integers(1, 6),
        n_iter=st.integers(1, 25), seed=st.integers(0, 2**32 - 1),
        exponents=st.lists(st.floats(-1.0, 0.6), min_size=1, max_size=4),
-       ceiling=st.sampled_from([None, 3.16]))
+       step_size=st.sampled_from([1e-4, 0.1, 1e6]))
 def test_batched_gains_match_single_gain_runs(k_count, m_count, n_iter, seed,
-                                              exponents, ceiling):
+                                              exponents, step_size):
     rng = np.random.default_rng(seed)
     adjacency, mask, p_hat = _random_network(rng, k_count, m_count,
                                              density=rng.uniform(0.05, 0.9),
                                              sensed=rng.uniform(0.2, 1.0))
     y = rng.gamma(0.7, 1 / 0.7, size=(k_count, m_count, n_iter))
-    params = DiffusionParams(iterations=n_iter)
+    # the ceiling, sqrt(1/mu), sits above the samples at 1e-4, among them
+    # at 0.1 and below nearly all of them at 1e6
+    params = DiffusionParams(step_size=step_size, iterations=n_iter)
     gains = [10.0 ** e for e in exponents]
 
     def single(g):
-        return run_diffusion(clip(y * g, ceiling), mask, p_hat, adjacency,
-                             params)
+        return run_diffusion(y * g, mask, p_hat, adjacency, params)
 
-    try:
-        w = run_diffusion(y, mask, p_hat, adjacency, params, gains=gains,
-                          ceiling=ceiling)
-    except DivergenceError as exc:
-        for g in gains[:exc.gain_index]:
-            assert np.isfinite(single(g)).all()
-        with pytest.raises(DivergenceError):
-            single(gains[exc.gain_index])
-        return
+    w = run_diffusion(y, mask, p_hat, adjacency, params, gains=gains)
     assert w.shape == (k_count, len(gains) * m_count)
     for t, g in enumerate(gains):
         block = w[:, t * m_count:(t + 1) * m_count]
@@ -484,28 +505,24 @@ def test_weights_stay_on_simplex_for_random_graphs(k_count, m_count, n_iter,
     assert len(audited) == n_iter
 
 
-# the 1e6 step size diverges on purpose; overflow warnings are expected
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=80, deadline=None)
 @example(k_count=11, m_count=1, n_iter=25, seed=1, kind="symmetric",
          density=1.0, sensed=0.5, exponents=[0.0], step_size=0.1,
-         ceiling=None, unsensed_channel=False)
+         unsensed_channel=False)
 # padded slots on every SAP but the hub, beside a channel nobody senses
 @example(k_count=7, m_count=3, n_iter=20, seed=5, kind="star", density=0.0,
-         sensed=0.5, exponents=[0.0, 0.3], step_size=0.1, ceiling=3.16,
+         sensed=0.5, exponents=[0.0, 0.3], step_size=0.1,
          unsensed_channel=True)
 @given(k_count=st.integers(1, 16), m_count=st.integers(1, 6),
        n_iter=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["symmetric", "one-sided", "star", "eye"]),
        density=st.floats(0.0, 1.0), sensed=st.floats(0.0, 1.0),
        exponents=st.lists(st.floats(-1.0, 0.6), min_size=1, max_size=4),
-       step_size=st.sampled_from([0.1, 1e6]),
-       ceiling=st.sampled_from([None, 3.16]),
+       step_size=st.sampled_from([1e-4, 0.1, 1e6]),
        unsensed_channel=st.booleans())
 def test_slot_kernel_matches_dense_oracle(k_count, m_count, n_iter, seed, kind,
                                           density, sensed, exponents,
-                                          step_size, ceiling,
-                                          unsensed_channel):
+                                          step_size, unsensed_channel):
     rng = np.random.default_rng(seed)
     adjacency, mask, p_hat = _random_network(rng, k_count, m_count, density,
                                              sensed, kind)
@@ -514,14 +531,8 @@ def test_slot_kernel_matches_dense_oracle(k_count, m_count, n_iter, seed, kind,
     y = rng.gamma(0.7, 1 / 0.7, size=(k_count, m_count, n_iter))
     params = DiffusionParams(step_size=step_size, iterations=n_iter)
     gains = [10.0 ** e for e in exponents]
-    args = (y, mask, p_hat, adjacency, params, gains, ceiling)
-    try:
-        want = dense_oracle(*args)
-    except DivergenceError as exc:
-        with pytest.raises(DivergenceError) as got:
-            run_diffusion(*args)
-        assert got.value.gain_index == exc.gain_index
-        return
+    args = (y, mask, p_hat, adjacency, params, gains)
+    want = dense_oracle(*args)
     # bytes, not values: a -0.0 where the dense combine gives +0.0 fails
     got = run_diffusion(*args)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -624,17 +635,17 @@ def test_calibration_reproducible_and_noise_sensitive():
 
 
 def test_calibration_applies_ceiling():
-    # a ceiling below the reference level caps the training samples, which
-    # drags the calibrated threshold down with it
-    params = DiffusionParams(iterations=80)
+    # at mu = 4 the ceiling, 0.5, sits below the reference level: the
+    # training samples are clamped as live ones are, so calibration runs
+    # the scalar recursion on 0.5, where unclamped samples of 1.0
+    # (mu * y^2 = 4) would swing the weight by a factor -3 per iteration
+    params = DiffusionParams(step_size=4.0, iterations=80)
     mask, p_hat, adjacency = _self_structure(1, 1)
-    free = calibrate_threshold(mask, p_hat, adjacency, params,
-                               substream(37, "cal"), estimate_shape=None)
-    capped = calibrate_threshold(mask, p_hat, adjacency, params,
-                                 substream(37, "cal"), estimate_shape=None,
-                                 ceiling=0.5)
-    assert capped[0, 0] < free[0, 0]
-
+    lam = calibrate_threshold(mask, p_hat, adjacency, params,
+                              substream(37, "cal"), estimate_shape=None)
+    want = _standalone_trajectory(np.full(80, 0.5), params)[-1]
+    np.testing.assert_allclose(lam, want, rtol=1e-12)
+    assert abs(_standalone_trajectory(np.ones(80), params)[-1]) > 1e30
 
 
 def test_calibration_rejects_bad_run_count():
@@ -652,7 +663,7 @@ def test_calibration_rejects_bad_run_count():
 
 
 def _serial_calibration(sensing_mask, reference_powers, adjacency, params,
-                        rng, calibration_runs, estimate_shape, ceiling):
+                        rng, calibration_runs, estimate_shape):
     """Reference training loop: each run's noise drawn, then diffused."""
     k_count, m_count = sensing_mask.shape
     shape = (k_count, m_count, params.iterations)
@@ -660,58 +671,51 @@ def _serial_calibration(sensing_mask, reference_powers, adjacency, params,
     for _ in range(calibration_runs):
         u = estimation_noise(np.empty(shape), estimate_shape, rng)
         total += run_diffusion(u, sensing_mask, reference_powers, adjacency,
-                               params, ceiling=ceiling)
+                               params)
     return total / calibration_runs
 
 
 @settings(max_examples=40, deadline=None)
 @given(k_count=st.integers(1, 8), m_count=st.integers(1, 5),
        runs=st.integers(1, 4), estimate_shape=st.sampled_from([None, 0.7]),
-       clamp=st.booleans(), kind=st.sampled_from(["symmetric", "eye"]),
+       step_size=st.sampled_from([1e-4, 0.1, 1e6]),
+       kind=st.sampled_from(["symmetric", "eye"]),
        seed=st.integers(0, 2**32 - 1))
 def test_calibration_matches_serial_loop(k_count, m_count, runs,
-                                         estimate_shape, clamp, kind, seed):
+                                         estimate_shape, step_size, kind,
+                                         seed):
     # drawing run r+1's noise on the helper thread while run r diffuses
     # keeps the serial loop's draws, in order, and so its thresholds bit
     # for bit
-    params = DiffusionParams(iterations=12)
+    params = DiffusionParams(step_size=step_size, iterations=12)
     adjacency, mask, p_hat = _random_network(substream(seed, "net"),
                                              k_count, m_count, kind=kind)
     network = (mask, p_hat, adjacency, params)
-    options = dict(estimate_shape=estimate_shape,
-                   ceiling=default_ceiling(params) if clamp else None)
-    try:
-        want = _serial_calibration(*network, substream(seed, "cal"), runs,
-                                   **options)
-    except DivergenceError:
-        # an unclamped noise spike can diverge; both loops must say so
-        with pytest.raises(DivergenceError):
-            calibrate_threshold(*network, substream(seed, "cal"),
-                                calibration_runs=runs, **options)
-        return
+    want = _serial_calibration(*network, substream(seed, "cal"), runs,
+                               estimate_shape)
     got = calibrate_threshold(*network, substream(seed, "cal"),
-                              calibration_runs=runs, **options)
+                              calibration_runs=runs,
+                              estimate_shape=estimate_shape)
     assert np.array_equal(got, want)
 
 
 @settings(max_examples=60, deadline=None)
 @given(k_count=st.integers(1, 6), m_count=st.integers(1, 4),
        runs=st.integers(1, 7), per_call=st.integers(1, 7),
-       estimate_shape=st.sampled_from([None, 0.7]), clamp=st.booleans(),
+       estimate_shape=st.sampled_from([None, 0.7]),
+       step_size=st.sampled_from([1e-4, 0.1, 1e6]),
        kind=st.sampled_from(["symmetric", "eye"]),
        seed=st.integers(0, 2**32 - 1))
 def test_grouped_calibration_matches_serial_loop(k_count, m_count, runs,
                                                  per_call, estimate_shape,
-                                                 clamp, kind, seed):
+                                                 step_size, kind, seed):
     # runs packed per_call at a time (one run per call, some, or all of
     # them) side by side in one call give the serial loop's thresholds bit
     # for bit, in one call per group
-    params = DiffusionParams(iterations=12)
+    params = DiffusionParams(step_size=step_size, iterations=12)
     adjacency, mask, p_hat = _random_network(substream(seed, "net"),
                                              k_count, m_count, kind=kind)
     network = (mask, p_hat, adjacency, params)
-    options = dict(estimate_shape=estimate_shape,
-                   ceiling=default_ceiling(params) if clamp else None)
     widths = []
 
     def counted(measurements, *args, **kwargs):
@@ -720,23 +724,14 @@ def test_grouped_calibration_matches_serial_loop(k_count, m_count, runs,
 
     with mock.patch.object(diffusion, "PACK_COLUMNS", per_call * m_count), \
             mock.patch.object(diffusion, "run_diffusion", counted):
-        try:
-            got = calibrate_threshold(*network, substream(seed, "cal"),
-                                      calibration_runs=runs, **options)
-        except DivergenceError:
-            got = None
+        got = calibrate_threshold(*network, substream(seed, "cal"),
+                                  calibration_runs=runs,
+                                  estimate_shape=estimate_shape)
     group = min(per_call, runs)
-    assert widths[:-1] == [group * m_count] * (len(widths) - 1)
-    if got is None:
-        # an unclamped noise spike can diverge; the serial loop must too
-        with pytest.raises(DivergenceError):
-            _serial_calibration(*network, substream(seed, "cal"), runs,
-                                **options)
-        return
     assert widths == ([group * m_count] * (runs // group)
                       + [runs % group * m_count] * (runs % group > 0))
     want = _serial_calibration(*network, substream(seed, "cal"), runs,
-                               **options)
+                               estimate_shape)
     assert np.array_equal(got, want)
 
 
@@ -804,14 +799,26 @@ def test_noise_error_on_helper_thread_leaves_calibration(monkeypatch,
     assert threading.active_count() == threads
 
 
-def test_divergence_on_calling_thread_leaves_calibration():
+def test_divergence_on_calling_thread_leaves_calibration(monkeypatch):
+    # one run per call; run 0 has a NaN sample, which the clamp passes, so
     # run 0 diverges while the helper draws run 1's noise: DivergenceError
     # reaches the caller, and the helper thread is joined
     threads = threading.active_count()
+    draws = []
+
+    def nan_first(row, estimate_shape, rng):
+        draws.append(row)
+        estimation_noise(row, estimate_shape, rng)
+        if len(draws) == 1:
+            row[0, -1] = np.nan
+        return row
+
+    monkeypatch.setattr(diffusion, "estimation_noise", nan_first)
+    monkeypatch.setattr(diffusion, "PACK_COLUMNS", 2)
     mask, p_hat, adjacency = _self_structure(2, 2)
     with pytest.raises(DivergenceError):
         calibrate_threshold(mask, p_hat, adjacency,
-                            DiffusionParams(step_size=100.0, iterations=200),
-                            substream(47, "cal"), calibration_runs=3,
-                            ceiling=None)
+                            DiffusionParams(iterations=200),
+                            substream(47, "cal"), calibration_runs=3)
+    assert len(draws) == 2 * 2            # runs 0 and 1, two rows each
     assert threading.active_count() == threads

@@ -23,8 +23,7 @@ from specsense import baselines, diffusion, harness, metrics, propagation
 from specsense.baselines import run_scheme
 from specsense.cli import main
 from specsense.diffusion import (DiffusionParams, DivergenceError,
-                                 calibrate_threshold, decide, default_ceiling,
-                                 run_diffusion)
+                                 calibrate_threshold, decide, run_diffusion)
 from specsense.harness import (
     Campaign,
     calibrate_campaign,
@@ -159,9 +158,11 @@ def test_scenario_dict_round_trips_exactly(template, seed):
 ])
 def test_generate_scenario_rejects_bad_counts(template, bad):
     # counts were truncated (2.5 -> 2), taken as 1 (True) or left to numpy's
-    # "negative dimensions" error
+    # "negative dimensions" error. The topology builders check the SAP
+    # counts, so sap_count is reported as build_random_topology's count
     (name, _), = bad.items()
-    with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+    name = {"sap_count": "count"}.get(name, name)
+    with pytest.raises(ConfigurationError, match=f"^{name} must be an integer"):
         generate_scenario(template, seed=3, **bad)
 
 
@@ -173,6 +174,14 @@ def test_generate_scenario_takes_integer_counts():
                              incumbent_count=np.uint8(3),
                              total_bandwidth_hz=20e6)
     assert wide.topology.count == 5 and len(wide.incumbents) == 3
+    assert generate_scenario("small-grid", seed=np.int64(3),
+                             side_count=2).seed == 3
+    # a seed of 1.5 drew seed 1's placement but was saved as 1.5, which
+    # the scenario loader rejects
+    for bad in (1.5, True, "3"):
+        with pytest.raises(ConfigurationError,
+                           match="^seed must be an integer$"):
+            generate_scenario("small-grid", seed=bad, side_count=2)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +385,6 @@ def _check_literal_networks(campaign):
     scn = campaign.scenario
     k, m = scn.topology.count, scn.spectrum.channel_count
     adjacency = scn.topology.adjacency
-    ceiling = default_ceiling(campaign.diffusion)
 
     def networks(mask, p_hat):
         full = np.ones((k, m), dtype=bool)
@@ -395,7 +403,7 @@ def _check_literal_networks(campaign):
             *network, campaign.diffusion,
             substream(campaign.seed, "calibrate", name),
             calibration_runs=campaign.calibration_runs,
-            estimate_shape=scn.propagation.estimate_shape, ceiling=ceiling)
+            estimate_shape=scn.propagation.estimate_shape)
         assert np.array_equal(lams[name], want), name
 
     inputs = prepare_realization(campaign, 0)
@@ -407,13 +415,13 @@ def _check_literal_networks(campaign):
                               ("noncoop-multiband", "standalone"),
                               ("noncoop-singleband", "standalone")):
         dm = run_scheme(scheme, measurements=inputs.frame.y, gains=gains,
-                        ceiling=ceiling, sensing_mask=inputs.sensing_mask,
+                        sensing_mask=inputs.sensing_mask,
                         reference_powers=inputs.reference_powers,
                         adjacency=adjacency, params=campaign.diffusion,
                         thresholds=lams[structure],
                         channel_picks=inputs.picks)
         w = run_diffusion(inputs.frame.y, *live_nets[structure],
-                          campaign.diffusion, gains=gains, ceiling=ceiling)
+                          campaign.diffusion, gains=gains)
         decided = (picked if scheme == "noncoop-singleband"
                    else np.ones((k, m), dtype=bool))
         assert dm.busy.shape == (len(gains), k, m)
@@ -423,14 +431,48 @@ def _check_literal_networks(campaign):
             assert np.array_equal(busy_t, busy & decided), scheme
 
 
-def test_non_finite_weights_fail_loud(tmp_path):
-    # without the receiver clamp, -82 dBm pushes the cooperative adaptation
-    # past its stability bound; -52 dBm, earlier in the sweep, stays finite
+def _nan_noise(out, estimate_shape, rng):
+    """Estimation noise with one NaN sample, which the receiver clamp passes."""
+    propagation.estimation_noise(out, estimate_shape, rng)
+    out[(0,) * out.ndim] = np.nan
+    return out
+
+
+def test_non_finite_weights_fail_loud(tmp_path, monkeypatch):
+    # a NaN sample in realization 1's frame diverges the first diffusion
+    # scheme under every threshold, so the error names the sweep's first
+    threads = threading.active_count()
     scenario = generate_scenario("small-grid", seed=5, side_count=5,
                                  incumbent_count=10)
     campaign = Campaign(scenario=scenario, master_seed=3,
-                        thresholds_dbm=(-52.0, -82.0), realizations=1,
-                        calibration_runs=2, limit_dynamic_range=False)
+                        thresholds_dbm=(-52.0, -82.0), realizations=3,
+                        diffusion=DiffusionParams(iterations=30),
+                        calibration_runs=2)
+    draws = []
+
+    def nan_in_realization_1(out, estimate_shape, rng):
+        draws.append(rng)
+        if len(draws) == 2:
+            return _nan_noise(out, estimate_shape, rng)
+        return propagation.estimation_noise(out, estimate_shape, rng)
+
+    monkeypatch.setattr(harness, "estimation_noise", nan_in_realization_1)
+    with pytest.raises(ArithmeticError,
+                       match=r"^proposed-multiband: diffusion weights went "
+                             r"non-finite in realization 1 at threshold "
+                             r"-52\.0 dBm$"):
+        run_campaign(campaign, tmp_path / "out")
+    assert threading.active_count() == threads
+    assert not (tmp_path / "out").exists()
+
+    # a NaN second gain makes the frame non-finite under -82 dBm alone
+    monkeypatch.undo()
+    original = baselines.run_diffusion
+
+    def nan_second_gain(*args, gains, **kwargs):
+        return original(*args, gains=np.array([gains[0], np.nan]), **kwargs)
+
+    monkeypatch.setattr(baselines, "run_diffusion", nan_second_gain)
     with pytest.raises(ArithmeticError,
                        match=r"^proposed-multiband: .* realization 0 at "
                              r"threshold -82\.0 dBm$"):
@@ -438,15 +480,13 @@ def test_non_finite_weights_fail_loud(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_calibration_divergence_names_structure(tmp_path):
-    # a step size far past the stability bound diverges on the training
-    # samples, before any realization runs
+def test_calibration_divergence_names_structure(tmp_path, monkeypatch):
+    # NaN training noise diverges calibration, before any realization runs
+    monkeypatch.setattr(diffusion, "estimation_noise", _nan_noise)
     scenario = generate_scenario("small-grid", seed=5, side_count=3,
                                  incumbent_count=4)
     campaign = Campaign(scenario=scenario, schemes=("proposed-multiband",),
-                        realizations=1,
-                        diffusion=DiffusionParams(step_size=100.0),
-                        calibration_runs=1, limit_dynamic_range=False)
+                        realizations=1, calibration_runs=1)
     with pytest.raises(ArithmeticError,
                        match=r"^calibration of structure coop-full: "):
         run_campaign(campaign, tmp_path / "out")
@@ -454,12 +494,14 @@ def test_calibration_divergence_names_structure(tmp_path):
 
 
 def test_calibration_divergence_names_one_structure_in_every_process():
-    # both cooperative structures diverge; whatever the hash seed, the error
-    # names the structure of the first scheme
+    # NaN training noise diverges both cooperative structures; whatever the
+    # hash seed, the error names the structure of the first scheme
     code = """if True:
-        from specsense.diffusion import DiffusionParams
+        import numpy as np
+        from specsense import diffusion
         from specsense.harness import Campaign, calibrate_campaign
         from specsense.harness import generate_scenario
+        diffusion.estimation_noise = lambda out, shape, rng: out.fill(np.nan)
         scenario = generate_scenario("small-grid", seed=5, side_count=3,
                                      incumbent_count=4)
         for schemes in (("proposed-multiband", "proposed-singleband"),
@@ -467,8 +509,7 @@ def test_calibration_divergence_names_one_structure_in_every_process():
             try:
                 calibrate_campaign(Campaign(
                     scenario=scenario, schemes=schemes, realizations=1,
-                    diffusion=DiffusionParams(step_size=100.0),
-                    calibration_runs=1, limit_dynamic_range=False))
+                    calibration_runs=1))
             except ArithmeticError as exc:
                 print(str(exc).partition(":")[0])
     """
@@ -481,6 +522,51 @@ def test_calibration_divergence_names_one_structure_in_every_process():
         assert out.stdout.splitlines() == [
             "calibration of structure coop-full",
             "calibration of structure coop-assigned"], hash_seed
+
+
+INVARIANCE_THRESHOLDS = (-78.0, -70.0, -62.0, -54.0)
+_FULL_RUNS = {}
+
+
+def _full_campaign_values(raw_energy):
+    """Every realization's values from the six-scheme, four-threshold run."""
+    if raw_energy not in _FULL_RUNS:
+        scenario = generate_scenario("small-grid", seed=9, side_count=4,
+                                     incumbent_count=6)
+        campaign = Campaign(scenario=scenario,
+                            thresholds_dbm=INVARIANCE_THRESHOLDS,
+                            realizations=3,
+                            diffusion=DiffusionParams(iterations=30),
+                            calibration_runs=2, device_count=30,
+                            scheduler_restarts=2,
+                            noncoop_raw_energy=raw_energy)
+        lams = calibrate_campaign(campaign)
+        _FULL_RUNS[raw_energy] = (campaign, [
+            harness.run_realization(campaign, lams, r)[1]
+            for r in range(campaign.realizations)])
+    return _FULL_RUNS[raw_energy]
+
+
+@settings(max_examples=8, deadline=None)
+@given(schemes=st.lists(st.sampled_from(baselines.SCHEME_IDS), min_size=1,
+                        max_size=3, unique=True),
+       thresholds=st.lists(st.sampled_from(INVARIANCE_THRESHOLDS), min_size=1,
+                           max_size=2, unique=True),
+       raw_energy=st.booleans())
+def test_values_do_not_depend_on_the_other_schemes_and_thresholds(
+        schemes, thresholds, raw_energy):
+    # threshold batching, the cooperative pack and the shared standalone
+    # run all rely on this: each (scheme, threshold) value of a realization
+    # is the full campaign's, whatever else the campaign runs, in any order
+    full, values = _full_campaign_values(raw_energy)
+    campaign = replace(full, schemes=tuple(schemes),
+                       thresholds_dbm=tuple(thresholds))
+    lams = calibrate_campaign(campaign)
+    for r, want in enumerate(values):
+        _, got = harness.run_realization(campaign, lams, r)
+        assert len(got) == len(schemes) * len(thresholds) * 5
+        for key, value in got.items():
+            assert value == want[key], (r, key)
 
 
 def test_diffusion_runs_per_realization(small_campaign, monkeypatch):
@@ -793,6 +879,21 @@ def test_emit_footprint_snapshot(small_campaign, tmp_path):
     assert "none" not in verdicts["centralized"]
 
 
+@pytest.mark.parametrize("bad", [1.5, True, -1, "0"])
+def test_footprint_snapshot_rejects_bad_realization(small_campaign, tmp_path,
+                                                    monkeypatch, bad):
+    # 1.5 used to run the whole calibration and then fail with a TypeError
+    # in the noise draw, and True drew realization 1
+    def refused(_campaign):
+        raise RuntimeError("calibration ran")
+    monkeypatch.setattr(harness, "calibrate_campaign", refused)
+    with pytest.raises(ConfigurationError,
+                       match="^realization must be an integer >= 0$"):
+        emit_footprint_snapshot(small_campaign, tmp_path / "f.csv",
+                                realization=bad)
+    assert not (tmp_path / "f.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -852,7 +953,24 @@ def test_cli_footprint_snapshot(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_reports_errors(tmp_path, capsys):
+def test_cli_rejects_fractional_scenario_count(tmp_path, capsys):
+    # a random topology of 4.5 SAPs used to end in a TypeError traceback
+    spec = scenario_to_dict(generate_scenario("small-grid", seed=4,
+                                              side_count=2, incumbent_count=1))
+    spec["topology"] = {"kind": "random", "count": 4.5,
+                        "region_m": [400.0, 400.0], "radius_m": 100.0,
+                        "height_m": 10.0}
+    spec["spectrum"]["quota"] = None
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(spec))
+    rc = main(["simulate", "--scenario", str(path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: count must be an integer >= 1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_reports_errors(tmp_path, capsys, monkeypatch):
     rc = main(["simulate", "--scenario", str(tmp_path / "missing.json"),
                "--out", str(tmp_path / "out")])
     assert rc == 1
@@ -868,7 +986,7 @@ def test_cli_reports_errors(tmp_path, capsys):
                         (["small-grid", "--incumbents", "-1"],
                          "incumbent_count must be an integer >= 0"),
                         (["large-synthetic", "--saps", "0"],
-                         "sap_count must be an integer >= 1"),
+                         "count must be an integer >= 1"),
                         (["small-grid", "--saps", "0"],
                          "side_count must be an integer >= 1"),
                         (["small-grid", "--saps", "-4"],
@@ -920,22 +1038,24 @@ def test_cli_reports_errors(tmp_path, capsys):
             "error: diffusion.iterations must be an integer >= 1\n")
         assert not (tmp_path / "out").exists()
 
-    # without the receiver clamp the default grid's cooperative adaptation
-    # diverges at -82 dBm: one error line, no traceback and no numpy warning
-    assert main(["generate-scenario", "--template", "small-grid", "--seed", "1",
-                 "--out", scenario_path]) == 0
-    capsys.readouterr()
+    # a NaN sample in the frame diverges the first diffusion scheme: one
+    # error line, no traceback and no numpy warning, no output directory
+    # and no helper thread left
+    threads = threading.active_count()
+    monkeypatch.setattr(harness, "estimation_noise", _nan_noise)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(["simulate", "--scenario", scenario_path,
-                   "--out", str(tmp_path / "unclamped"), "--realizations", "1",
-                   "--thresholds-dbm=-82,-62", "--calibration-runs", "1",
-                   "--no-dynamic-range-limit"])
+                   "--out", str(tmp_path / "diverged"), "--realizations", "2",
+                   "--iterations", "30", "--thresholds-dbm=-82,-62",
+                   "--calibration-runs", "2"])
+    monkeypatch.undo()
     assert rc == 1
     assert capsys.readouterr().err == (
         "error: proposed-multiband: diffusion weights went non-finite in "
         "realization 0 at threshold -82.0 dBm\n")
-    assert not (tmp_path / "unclamped").exists()
+    assert not (tmp_path / "diverged").exists()
+    assert threading.active_count() == threads
 
     for flags in (["--sizes", "1"], ["--sizes", ""],
                   ["--sizes", "8", "--instances", "0"],

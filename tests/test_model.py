@@ -274,6 +274,55 @@ def test_scenario_dict_rejects_bad_parameters(section, key, value, field):
         scenario_from_dict(spec)
 
 
+BAD_INTEGERS = [
+    # a 2.5-wide grid was built 3 x 3, a fractional count raised TypeError,
+    # a 1.5-channel subset failed as a quota of the wrong length, and a
+    # fractional or boolean seed was truncated to seed 1
+    ("topology", dict(kind="grid", side_count=2.5, spacing_m=50.0,
+                      radius_m=75.0, height_m=10.0), "side_count"),
+    ("topology", dict(kind="grid", side_count=True, spacing_m=50.0,
+                      radius_m=75.0, height_m=10.0), "side_count"),
+    ("topology", dict(kind="random", count=4.5, region_m=[400.0, 400.0],
+                      radius_m=100.0, height_m=10.0), "count"),
+    ("topology", dict(kind="random", count=0, region_m=[400.0, 400.0],
+                      radius_m=100.0, height_m=10.0), "count"),
+    ("spectrum", dict(B_hz=80e6, b_hz=20e6, p=1.5), "channels_per_sap"),
+    ("spectrum", dict(B_hz=80e6, b_hz=20e6, p=0), "channels_per_sap"),
+    ("seed", 1.7, "seed"),
+    ("seed", True, "seed"),
+    ("seed", "1", "seed"),
+]
+
+
+@pytest.mark.parametrize("section, value, field", BAD_INTEGERS)
+def test_scenario_dict_rejects_non_integer_counts(section, value, field):
+    spec = scenario_to_dict(_small_scenario())
+    spec[section] = value
+    with pytest.raises(ConfigurationError,
+                       match=f"^{field} must be an integer"):
+        scenario_from_dict(spec)
+
+
+def test_builders_take_integer_counts():
+    for bad in (2.5, 2.0, True, "3", 0):
+        with pytest.raises(ConfigurationError, match="^side_count must be"):
+            build_grid_topology(bad, 50.0, 75.0, 10.0)
+        with pytest.raises(ConfigurationError, match="^count must be"):
+            build_random_topology(bad, (300.0, 200.0), 80.0, 10.0,
+                                  substream(3, "p"))
+        with pytest.raises(ConfigurationError,
+                           match="^channels_per_sap must be"):
+            build_spectrum_plan(80e6, 20e6, bad)
+    assert build_grid_topology(np.int64(2), 50.0, 75.0, 10.0).count == 4
+    assert build_random_topology(np.int64(3), (300.0, 200.0), 80.0, 10.0,
+                                 substream(3, "p")).count == 3
+    plan = build_spectrum_plan(80e6, 20e6, np.int64(2))
+    assert plan.channels_per_sap == 2 and type(plan.channels_per_sap) is int
+    spec = scenario_to_dict(_small_scenario())
+    spec["seed"] = -7                   # any integer seeds a substream
+    assert scenario_from_dict(spec).seed == -7
+
+
 def test_substream_independence_and_stability():
     # named substreams are stable across calls and distinct across tags
     a1 = substream(5, "alpha").uniform(size=4)
