@@ -6,10 +6,10 @@ adapts the combined value on channels it senses. Channels it senses combine
 under adaptive distance weights; channels it does not sense combine under
 reference-power weights restricted to neighbors that do sense them,
 freezing when no such neighbor exists. All SAPs advance synchronously: an
-iteration reads only iteration i-1 weights. Each SAP combines over its own
-padded row of neighbor slots (``neighbor_slots``), summing in ascending
-neighbor order: the order of a dense K x K sum, whose extra terms are exact
-zeros, so the weights are those of the dense combine bit for bit.
+iteration reads only iteration i-1 weights. The combine runs over the
+graph's edges, not a padded table, yet each SAP sums its neighbors in
+ascending index order: the order of a dense K x K sum, whose extra terms
+are exact zeros, so the weights are those of the dense combine bit for bit.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -55,7 +55,7 @@ def neighbor_slots(adjacency):
 
     Slot s of SAP k holds its s-th neighbor j (``adjacency[k, j]``) in
     ascending j order; S is the largest degree. Slots past a SAP's degree
-    hold the SAP itself with ``valid`` False and get an exact 0 weight.
+    hold the SAP itself with ``valid`` False; an audit reads 0 weight there.
     """
     adjacency = np.asarray(adjacency, dtype=bool)
     k_count = adjacency.shape[0]
@@ -66,17 +66,11 @@ def neighbor_slots(adjacency):
     return nbr, valid
 
 
-def _beta_slots(nbr, valid, sensing_mask, reference_powers):
-    """Unsensed channels' weights, (S, K, M): informative neighbors' powers."""
-    k_count = nbr.shape[1]
-    others = (valid & (nbr != np.arange(k_count)))[:, :, None]
-    informative = others & sensing_mask[nbr]
-    p_slot = np.asarray(reference_powers, dtype=float)[np.arange(k_count), nbr]
-    p = np.where(informative, p_slot[:, :, None], 0.0)
-    denom = np.add.reduce(p, axis=0)                 # (K, M)
-    has_informative = denom > 0
-    beta = np.divide(p, denom, out=np.zeros_like(p), where=has_informative)
-    return beta, has_informative
+def _slot_sum(parts, heads):
+    """Sum slot blocks of edge values into the rows they cover, in order."""
+    np.copyto(heads[0], parts[0])
+    for head, part in zip(heads[1:], parts[1:]):
+        head += part
 
 
 class DivergenceError(ArithmeticError):
@@ -92,30 +86,30 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
                   params, gains=(1.0,), audit=None):
     """Run the full synchronous algorithm over a gain sweep; return the weights.
 
-    ``measurements`` is the unscaled (K, M, N) energy frame. Gain t sees it
-    as ``np.minimum(measurements * gains[t], default_ceiling(params))``,
-    formed one iteration slice at a time: the receiver clamp at sqrt(1/mu)
-    keeps every sample within the adaptation's mu * y^2 <= 1 stability
-    bound, and a NaN sample passes it. Channels evolve independently, so
-    the T gains run as T*M channels of one network, laid out gain-major:
-    column ``t * M + m`` of the returned (K, T*M) weights is channel m under
-    gain t, bit for bit what a single-gain run on that frame returns.
-    Iteration i reads frame slice i alone: the weights after it are a run
-    on ``measurements[:, :, :i + 1]`` with ``iterations=i + 1``. Row k of
-    the (K, K) ``adjacency`` lists SAP k's neighbors, itself included; an
-    iteration costs O(S * K * T * M) for largest degree S and allocates
-    nothing: its temporaries live in two (S, K, T*M) and five (K, T*M)
-    buffers made once per call. The alpha distances floor at
-    ``EPSILON_GUARD`` on a neighbor's slot and at +inf on a padded slot, so
-    a padded slot's alpha is 1/inf, the exact +0.0 the dense combine gives
-    a non-neighbor, with no mask pass.
+    ``measurements`` is the unscaled, nonnegative (K, M, N) energy frame.
+    Gain t sees it as ``np.minimum(measurements * gains[t],
+    default_ceiling(params))``, formed one iteration slice at a time: the
+    receiver clamp at sqrt(1/mu) keeps every sample within the adaptation's
+    mu * y^2 <= 1 stability bound, and a NaN sample passes it. Channels
+    evolve independently, so the T gains run as T*M channels of one
+    network, laid out gain-major: column ``t * M + m`` of the returned
+    (K, T*M) weights is channel m under gain t, bit for bit what a
+    single-gain run on that frame returns. Iteration i reads frame slice i
+    alone: the weights after it are a run on ``measurements[:, :, :i + 1]``
+    with ``iterations=i + 1``. Row k of the (K, K) ``adjacency`` lists SAP
+    k's neighbors, itself included. The combine runs over the graph's E
+    edges (E = sum of degrees), so an iteration costs O(E * T * M) and
+    allocates nothing: its temporaries live in two (E, T*M) and six
+    (K, T*M) buffers made once per call.
 
     ``audit``, if given, is called each iteration with
-    (i, alpha, beta, has_informative): alpha[s, k, c] and beta[s, k, c]
-    weigh SAP k's slot-s neighbor on column c. alpha lives in a buffer the
-    next iteration overwrites, so ``audit`` must not keep a reference to
-    it. Raises ConfigurationError on a short frame or a malformed
-    adjacency and DivergenceError when any final weight is non-finite.
+    (i, alpha, beta, has_informative) in the slot form of
+    ``neighbor_slots``: alpha[s, k, c] and beta[s, k, c] weigh SAP k's
+    slot-s neighbor on column c, exactly 0 on a padded slot. alpha lives in
+    a buffer the next iteration overwrites, so ``audit`` must not keep a
+    reference to it. Raises ConfigurationError on a short frame, a
+    negative sample or gain, or a malformed adjacency, and DivergenceError
+    when any final weight is non-finite.
     """
     y_all = np.asarray(measurements, dtype=float)
     k_count, m_count, n_iter = y_all.shape
@@ -131,6 +125,9 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
         raise ConfigurationError("adjacency must list every SAP as its own "
                                  "neighbor")
     gains = np.asarray(gains, dtype=float)
+    # min passes NaN on, so a NaN sample or gain still diverges loud below
+    if y_all.min(initial=0.0) < 0 or gains.min(initial=0.0) < 0:
+        raise ConfigurationError("samples and gains must be nonnegative")
     t_count = gains.size
     columns = t_count * m_count
     sensing_mask = np.asarray(sensing_mask, dtype=bool)
@@ -138,35 +135,59 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
     fresh = 1.0 - params.smoothing
     ceiling = default_ceiling(params)
 
-    nbr, valid = neighbor_slots(adjacency)
-    s_count = nbr.shape[0]
-    beta, has_informative = _beta_slots(nbr, valid, sensing_mask,
-                                        reference_powers)
-    # Slot-major layout, (s, k, column): every neighbor sum runs as an
-    # outer-axis reduction, which numpy accumulates in slot order whatever
-    # the column count, so no column's arithmetic depends on T or M. Every
-    # temporary lives in a buffer made here.
-    beta = np.tile(beta, t_count)
-    floor = np.where(valid, EPSILON_GUARD, np.inf)[:, :, None]
-    unsensed = np.tile(~sensing_mask, t_count)
+    # Row r is SAP order[r]: SAPs by descending degree, ties in index order,
+    # so slot s covers a prefix of the rows, the SAPs of degree above s.
+    # Edges run slot-major, one (rows, ...) block per slot, and edge e is
+    # the slot of row row[e] holding SAP nbr[e]. A neighbor sum is slot 0's
+    # block plus each later block added to its rows in slot order: the
+    # order of the padded slot sum, whose padded terms are exact zeros, and
+    # so of the dense K x K sum. Every temporary lives in a buffer made here.
+    table, valid = neighbor_slots(adjacency)
+    order = np.argsort(-valid.sum(axis=0), kind="stable")
+    slot, row = np.nonzero(valid[:, order])
+    rank, sap = np.argsort(order), order[row]
+    nbr = table[slot, sap]
+    stops = np.cumsum(valid.sum(axis=1))[:-1]
+
+    # beta: the reference powers of a row's informative neighbors, normalized
+    informative = (nbr != sap)[:, None] & sensing_mask[nbr]
+    p = np.where(informative, np.asarray(reference_powers, dtype=float)[
+        sap, nbr][:, None], 0.0)
+    denom = np.empty((k_count, m_count))
+    p_blocks = np.split(p, stops)
+    _slot_sum(p_blocks, [denom[:len(b)] for b in p_blocks])
+    has_informative = denom > 0
+    beta = np.tile(np.divide(p, denom[row], out=np.zeros_like(p),
+                             where=has_informative[row]), t_count)
+    unsensed = np.tile(~sensing_mask[order], t_count)
     has_informative = np.tile(has_informative, t_count)
     freeze = unsensed & ~has_informative
     any_unsensed = unsensed.any()
 
-    y_gain = np.empty((k_count, t_count, m_count))
+    y_gain, y_caller = np.empty((2, k_count, t_count, m_count))
     y = y_gain.reshape(k_count, columns)
     w = np.zeros((k_count, columns))
     d, psi, tmp = (np.empty_like(w) for _ in range(3))
-    w_nbr = np.empty((s_count, k_count, columns))
-    buf = np.empty_like(w_nbr)
+    w_nbr, buf = np.empty((2, row.size, columns))
+    nbr_blocks, buf_blocks = np.split(w_nbr, stops), np.split(buf, stops)
+    tmp_heads, psi_heads = ([a[:len(b)] for b in buf_blocks]
+                            for a in (tmp, psi))
+    src = rank[nbr]
+    if audit is not None:
+        # slot form: edge e is row at[e] of the (S * K, columns) views
+        at = slot * k_count + sap
+        alpha_slots, beta_slots = np.zeros((2,) + valid.shape + (columns,))
+        beta_slots.reshape(-1, columns)[at] = beta
 
     def condition(i):
-        np.multiply(y_all[:, None, :, i], gains[None, :, None], out=y_gain)
+        # scaled in the caller's order, then whole rows gathered: cheaper
+        # than gathering the strided frame slice
+        np.multiply(y_all[:, None, :, i], gains[None, :, None], out=y_caller)
+        np.take(y_caller, order, axis=0, out=y_gain, mode="clip")
         np.minimum(y_gain, ceiling, out=y_gain)
 
-    # a NaN sample, or a negative one the clamp leaves, can overflow to inf
-    # and then NaN; the finiteness check below reports it as one
-    # DivergenceError instead of numpy warnings
+    # a loud sample may overflow to inf before the clamp, and a NaN turns
+    # weights NaN: the finiteness check below raises, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         condition(0)
         np.copyto(d, y)
@@ -181,23 +202,27 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
             tmp *= mu
             tmp += w
 
-            # alpha = 1 / max((target_k - w_nbr)^2, floor), normalized over
-            # slots; NaN passes through maximum, so divergence still shows
-            np.take(w, nbr, axis=0, out=w_nbr, mode="clip")
-            np.subtract(tmp, w_nbr, out=buf)
+            # alpha = 1 / max((target_k - w_nbr)^2, EPSILON_GUARD), normalized
+            # over the row's edges; NaN passes through maximum, so divergence
+            # still shows
+            np.take(w, src, axis=0, out=w_nbr, mode="clip")
+            for target, nbr_w, dist in zip(tmp_heads, nbr_blocks, buf_blocks):
+                np.subtract(target, nbr_w, out=dist)
             np.square(buf, out=buf)
-            np.maximum(buf, floor, out=buf)
+            np.maximum(buf, EPSILON_GUARD, out=buf)
             np.reciprocal(buf, out=buf)
-            np.add.reduce(buf, axis=0, out=tmp)
-            buf /= tmp
+            _slot_sum(buf_blocks, tmp_heads)
+            for alpha, total in zip(buf_blocks, tmp_heads):
+                alpha /= total
             if audit is not None:
-                audit(i, buf, beta, has_informative)
+                alpha_slots.reshape(-1, columns)[at] = buf
+                audit(i, alpha_slots, beta_slots, has_informative[rank])
 
             buf *= w_nbr
-            np.add.reduce(buf, axis=0, out=psi)
+            _slot_sum(buf_blocks, psi_heads)
             if any_unsensed:
                 np.multiply(beta, w_nbr, out=buf)
-                np.add.reduce(buf, axis=0, out=tmp)
+                _slot_sum(buf_blocks, tmp_heads)
                 np.putmask(psi, unsensed, tmp)
                 np.putmask(psi, freeze, w)
 
@@ -215,7 +240,7 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
         per_gain = finite.reshape(k_count, gains.size, m_count).all(axis=(0, 2))
         first = int(np.argmin(per_gain))
         raise DivergenceError(first, float(gains[first]))
-    return w
+    return w[rank]
 
 
 # Widest packed call: per-column cost of run_diffusion falls with the call's

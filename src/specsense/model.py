@@ -75,8 +75,8 @@ def _finalize_topology(positions, radius_m, height_m):
 def build_grid_topology(side_count, spacing_m, radius_m, height_m):
     """Square lattice of side_count x side_count SAPs with the given spacing."""
     side_count = check_integer("side_count", side_count, 1)
-    if spacing_m <= 0:
-        raise ConfigurationError("spacing_m must be positive")
+    if not 0 < spacing_m < math.inf:
+        raise ConfigurationError("spacing_m must be finite and positive")
     xs = np.arange(side_count) * spacing_m
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     positions = np.column_stack([gx.ravel(), gy.ravel()])

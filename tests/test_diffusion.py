@@ -20,6 +20,7 @@ from specsense.diffusion import (
     neighbor_slots,
     run_diffusion,
 )
+from specsense.harness import generate_scenario
 from specsense.model import ConfigurationError
 from specsense.propagation import estimation_noise
 from specsense.seeding import substream
@@ -371,11 +372,13 @@ def test_locality_under_non_neighbor_perturbation():
 
 def _random_network(rng, k_count, m_count, density=0.5, sensed=0.6,
                     kind="symmetric"):
-    """Graph with self-loops (symmetric, one-sided, "star" or "eye"), mask,
-    powers. A star's hub has degree K and every other SAP degree 2."""
+    """Graph with self-loops (symmetric, one-sided, "star", "last-star" or
+    "eye"), mask, powers. A star's hub, SAP 0 (the last SAP for
+    "last-star"), has degree K and every other SAP degree 2."""
     adjacency = np.eye(k_count, dtype=bool)
-    if kind == "star":
-        adjacency[0] = adjacency[:, 0] = True
+    if kind in ("star", "last-star"):
+        hub = 0 if kind == "star" else k_count - 1
+        adjacency[hub] = adjacency[:, hub] = True
     elif kind != "eye":
         adjacency |= rng.uniform(size=(k_count, k_count)) < density
     if kind == "symmetric":
@@ -513,6 +516,11 @@ def test_weights_stay_on_simplex_for_random_graphs(k_count, m_count, n_iter,
 @example(k_count=7, m_count=3, n_iter=20, seed=5, kind="star", density=0.0,
          sensed=0.5, exponents=[0.0, 0.3], step_size=0.1,
          unsensed_channel=True)
+# the highest-degree SAP last and every other degree tied: the kernel's
+# relabelling by degree moves the hub first and keeps the rest in order
+@example(k_count=9, m_count=2, n_iter=15, seed=3, kind="last-star",
+         density=0.0, sensed=0.5, exponents=[0.0, -0.5], step_size=0.1,
+         unsensed_channel=False)
 @given(k_count=st.integers(1, 16), m_count=st.integers(1, 6),
        n_iter=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["symmetric", "one-sided", "star", "eye"]),
@@ -536,6 +544,75 @@ def test_slot_kernel_matches_dense_oracle(k_count, m_count, n_iter, seed, kind,
     # bytes, not values: a -0.0 where the dense combine gives +0.0 fails
     got = run_diffusion(*args)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_slot_kernel_matches_dense_oracle_on_paper_graph():
+    # the default large-synthetic graph at the device workload's scenario
+    # seed: K = 500 SAPs of degree 5 to 28 (mean 15.1), so 28 slot blocks
+    # over shrinking prefixes of the SAPs relabelled by degree, each SAP's
+    # sum still in ascending neighbor order
+    adjacency = generate_scenario("large-synthetic", seed=5,
+                                  incumbent_count=0).topology.adjacency
+    degree = adjacency.sum(axis=1)
+    assert adjacency.shape == (500, 500) and degree.min() < degree.max()
+    rng = substream(67, "paper-graph")
+    mask = rng.uniform(size=(500, 2)) < 0.6
+    p_hat = np.where(adjacency & ~np.eye(500, dtype=bool),
+                     rng.uniform(0.1, 2.0, size=(500, 500)), 0.0)
+    y = rng.gamma(0.7, 1 / 0.7, size=(500, 2, 5))
+    args = (y, mask, p_hat, adjacency, DiffusionParams(iterations=5),
+            (1.0, 0.3))
+    assert run_diffusion(*args).tobytes() == dense_oracle(*args).tobytes()
+
+
+def test_run_memory_scales_with_edges_not_padded_slots():
+    # a K = 400 star: the hub has degree 400 and every other SAP degree 2,
+    # so E = 1198 edges against S * K = 160,000 padded slots. An (S, K, M)
+    # float buffer alone is 10.24 MB at M = 8; the (S, K) neighbor table,
+    # 1.28 MB, is the one slot-sized array left
+    k_count, n_iter = 400, 5
+    adjacency = np.eye(k_count, dtype=bool)
+    adjacency[0] = adjacency[:, 0] = True
+    edges = int(adjacency.sum())
+    p_hat = np.where(adjacency & ~np.eye(k_count, dtype=bool), 1.0, 0.0)
+    rng = substream(71, "star")
+    params = DiffusionParams(iterations=n_iter)
+    peaks = []
+    for m_count in (8, 16):
+        mask = rng.uniform(size=(k_count, m_count)) < 0.5
+        y = rng.uniform(0.05, 3.0, size=(k_count, m_count, n_iter))
+        tracemalloc.start()
+        try:
+            run_diffusion(y, mask, p_hat, adjacency, params)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 4e6
+    # each more column costs a few (E + K) floats, not (S * K) ones
+    assert peaks[1] - peaks[0] < 8 * 16 * 8 * (edges + k_count)
+
+
+def test_run_rejects_negative_samples_and_gains():
+    # a constant -10 frame used to return weights near -5.2e47 without an
+    # error, as did a -1 gain on a +10 frame; NaN still diverges loud
+    params = DiffusionParams(iterations=50)
+    network = (np.ones((2, 1), dtype=bool), np.ones((2, 2)) - np.eye(2),
+               np.ones((2, 2), dtype=bool))
+    y = np.full((2, 1, 50), 10.0)
+    for frame, gains in ((-y, (1.0,)), (y, (-1.0,)), (y, (1.0, -1e-300))):
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            run_diffusion(frame, *network, params, gains=gains)
+    one_negative = y.copy()
+    one_negative[1, 0, 49] = -1e-300
+    with pytest.raises(ConfigurationError, match="nonnegative"):
+        run_diffusion(one_negative, *network, params)
+    # -0.0 is not below 0
+    assert np.isfinite(run_diffusion(y, *network, params, gains=(-0.0,))).all()
+    with pytest.raises(DivergenceError):
+        run_diffusion(y, *network, params, gains=(np.nan,))
+    y[0, 0, 3] = np.nan
+    with pytest.raises(DivergenceError):
+        run_diffusion(y, *network, params)
 
 
 def test_run_allocates_no_dense_neighbor_array():

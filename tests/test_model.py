@@ -72,6 +72,23 @@ def test_random_topology_rejects_bad_region(bad):
                           region_m=bad)
 
 
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
+def test_grid_topology_rejects_bad_spacing(bad):
+    # a NaN spacing gave NaN positions and an adjacency with a False
+    # diagonal, and an infinite one inf and NaN positions with two numpy
+    # warnings; either was reported only by the first diffusion call
+    with pytest.raises(ConfigurationError, match="spacing_m"):
+        build_grid_topology(3, bad, 75.0, 10.0)
+    with pytest.raises(ConfigurationError, match="spacing_m"):
+        generate_scenario("small-grid", side_count=3, incumbent_count=0,
+                          spacing_m=bad, radius_m=75.0)
+    spec = scenario_to_dict(_small_scenario())
+    spec["topology"] = {"kind": "grid", "side_count": 3, "spacing_m": bad,
+                        "radius_m": 75.0, "height_m": 10.0}
+    with pytest.raises(ConfigurationError, match="spacing_m"):
+        scenario_from_dict(spec)
+
+
 def test_grid_bounding_box():
     topo = build_grid_topology(5, 50.0, 75.0, 10.0)
     assert topo.bounding_box() == (0.0, 0.0, 200.0, 200.0)
