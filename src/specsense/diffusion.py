@@ -147,6 +147,7 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
     slot, row = np.nonzero(valid[:, order])
     rank, sap = np.argsort(order), order[row]
     nbr = table[slot, sap]
+    src = rank[nbr]                  # the neighbor's row
     stops = np.cumsum(valid.sum(axis=1))[:-1]
 
     # beta: the reference powers of a row's informative neighbors, normalized
@@ -172,7 +173,6 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
     nbr_blocks, buf_blocks = np.split(w_nbr, stops), np.split(buf, stops)
     tmp_heads, psi_heads = ([a[:len(b)] for b in buf_blocks]
                             for a in (tmp, psi))
-    src = rank[nbr]
     if audit is not None:
         # slot form: edge e is row at[e] of the (S * K, columns) views
         at = slot * k_count + sap
