@@ -7,9 +7,10 @@ under adaptive distance weights; channels it does not sense combine under
 reference-power weights restricted to neighbors that do sense them,
 freezing when no such neighbor exists. All SAPs advance synchronously: an
 iteration reads only iteration i-1 weights. The combine runs over the
-graph's edges, not a padded table, yet each SAP sums its neighbors in
-ascending index order: the order of a dense K x K sum, whose extra terms
-are exact zeros, so the weights are those of the dense combine bit for bit.
+graph's edges, read straight from the adjacency, yet each SAP sums its
+neighbors in ascending index order: the order of a dense K x K sum, whose
+extra terms are exact zeros, so the weights are those of the dense combine
+bit for bit.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -50,22 +51,6 @@ def decide(w, thresholds):
 # Synchronous network run
 # ---------------------------------------------------------------------------
 
-def neighbor_slots(adjacency):
-    """Padded neighbor table of a (K, K) graph: ``(nbr, valid)``, each (S, K).
-
-    Slot s of SAP k holds its s-th neighbor j (``adjacency[k, j]``) in
-    ascending j order; S is the largest degree. Slots past a SAP's degree
-    hold the SAP itself with ``valid`` False; an audit reads 0 weight there.
-    """
-    adjacency = np.asarray(adjacency, dtype=bool)
-    k_count = adjacency.shape[0]
-    degree = adjacency.sum(axis=1)
-    valid = np.arange(degree.max(initial=0))[:, None] < degree
-    nbr = np.tile(np.arange(k_count), (valid.shape[0], 1))
-    nbr.T[valid.T] = np.nonzero(adjacency)[1]      # row-major: k, then j
-    return nbr, valid
-
-
 def _slot_sum(parts, heads):
     """Sum slot blocks of edge values into the rows they cover, in order."""
     np.copyto(heads[0], parts[0])
@@ -103,13 +88,14 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
     (K, T*M) buffers made once per call.
 
     ``audit``, if given, is called each iteration with
-    (i, alpha, beta, has_informative) in the slot form of
-    ``neighbor_slots``: alpha[s, k, c] and beta[s, k, c] weigh SAP k's
-    slot-s neighbor on column c, exactly 0 on a padded slot. alpha lives in
-    a buffer the next iteration overwrites, so ``audit`` must not keep a
-    reference to it. Raises ConfigurationError on a short frame, a
-    negative sample or gain, or a malformed adjacency, and DivergenceError
-    when any final weight is non-finite.
+    (i, alpha, beta, has_informative), all in the caller's SAP order:
+    alpha[k, j, c] and beta[k, j, c], each (K, K, T*M), weigh SAP k's
+    neighbor j on column c, exactly 0 off the graph. Both live in buffers
+    made only for an audit, and the next iteration overwrites alpha's, so
+    ``audit`` must not keep a reference to it. Raises ConfigurationError on
+    a short frame, a negative sample or gain, a mask not shaped (K, M),
+    powers or an adjacency not shaped (K, K), or a missing self-loop, and
+    DivergenceError when any final weight is non-finite.
     """
     y_all = np.asarray(measurements, dtype=float)
     k_count, m_count, n_iter = y_all.shape
@@ -118,9 +104,14 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
     if params.iterations > n_iter:
         raise ConfigurationError("more iterations requested than measurements")
     adjacency = np.asarray(adjacency, dtype=bool)
-    if adjacency.shape != (k_count, k_count):
-        raise ConfigurationError(f"adjacency must be ({k_count}, {k_count}), "
-                                 f"got shape {adjacency.shape}")
+    sensing_mask = np.asarray(sensing_mask, dtype=bool)
+    reference_powers = np.asarray(reference_powers, dtype=float)
+    for name, array, width in (("adjacency", adjacency, k_count),
+                               ("sensing_mask", sensing_mask, m_count),
+                               ("reference_powers", reference_powers, k_count)):
+        if array.shape != (k_count, width):
+            raise ConfigurationError(f"{name} must be {(k_count, width)}, "
+                                     f"got shape {array.shape}")
     if not adjacency.diagonal().all():
         raise ConfigurationError("adjacency must list every SAP as its own "
                                  "neighbor")
@@ -130,30 +121,31 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
         raise ConfigurationError("samples and gains must be nonnegative")
     t_count = gains.size
     columns = t_count * m_count
-    sensing_mask = np.asarray(sensing_mask, dtype=bool)
     mu = params.step_size
     fresh = 1.0 - params.smoothing
     ceiling = default_ceiling(params)
 
     # Row r is SAP order[r]: SAPs by descending degree, ties in index order,
-    # so slot s covers a prefix of the rows, the SAPs of degree above s.
-    # Edges run slot-major, one (rows, ...) block per slot, and edge e is
-    # the slot of row row[e] holding SAP nbr[e]. A neighbor sum is slot 0's
-    # block plus each later block added to its rows in slot order: the
-    # order of the padded slot sum, whose padded terms are exact zeros, and
-    # so of the dense K x K sum. Every temporary lives in a buffer made here.
-    table, valid = neighbor_slots(adjacency)
-    order = np.argsort(-valid.sum(axis=0), kind="stable")
-    slot, row = np.nonzero(valid[:, order])
+    # so slot s, a row's s-th neighbor in index order, covers a prefix of
+    # the rows, the SAPs of degree above s. Edges run slot-major, one
+    # (rows, ...) block per slot, and edge e is the slot of row row[e]
+    # holding SAP nbr[e]. A neighbor sum is slot 0's block plus each later
+    # block added to its rows in slot order: the order of the dense K x K
+    # sum, whose extra terms are exact zeros. Every temporary lives in a
+    # buffer made here.
+    order = np.argsort(-adjacency.sum(axis=1), kind="stable")
+    # row-major: r, then j (a flat nonzero is faster than a 2-D one)
+    row, nbr = np.divmod(np.flatnonzero(adjacency[order]), k_count)
+    slot = np.arange(row.size) - np.searchsorted(row, row)
+    edge = np.argsort(slot, kind="stable")
+    row, nbr = row[edge], nbr[edge]
     rank, sap = np.argsort(order), order[row]
-    nbr = table[slot, sap]
     src = rank[nbr]                  # the neighbor's row
-    stops = np.cumsum(valid.sum(axis=1))[:-1]
+    stops = np.cumsum(np.bincount(slot))[:-1]
 
     # beta: the reference powers of a row's informative neighbors, normalized
     informative = (nbr != sap)[:, None] & sensing_mask[nbr]
-    p = np.where(informative, np.asarray(reference_powers, dtype=float)[
-        sap, nbr][:, None], 0.0)
+    p = np.where(informative, reference_powers[sap, nbr][:, None], 0.0)
     denom = np.empty((k_count, m_count))
     p_blocks = np.split(p, stops)
     _slot_sum(p_blocks, [denom[:len(b)] for b in p_blocks])
@@ -174,10 +166,8 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
     tmp_heads, psi_heads = ([a[:len(b)] for b in buf_blocks]
                             for a in (tmp, psi))
     if audit is not None:
-        # slot form: edge e is row at[e] of the (S * K, columns) views
-        at = slot * k_count + sap
-        alpha_slots, beta_slots = np.zeros((2,) + valid.shape + (columns,))
-        beta_slots.reshape(-1, columns)[at] = beta
+        alpha_dense, beta_dense = np.zeros((2, k_count, k_count, columns))
+        beta_dense[sap, nbr] = beta
 
     def condition(i):
         # scaled in the caller's order, then whole rows gathered: cheaper
@@ -215,8 +205,8 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
             for alpha, total in zip(buf_blocks, tmp_heads):
                 alpha /= total
             if audit is not None:
-                alpha_slots.reshape(-1, columns)[at] = buf
-                audit(i, alpha_slots, beta_slots, has_informative[rank])
+                alpha_dense[sap, nbr] = buf
+                audit(i, alpha_dense, beta_dense, has_informative[rank])
 
             buf *= w_nbr
             _slot_sum(buf_blocks, psi_heads)

@@ -8,6 +8,8 @@ those realizations and reports how many contributed.
 
 import numpy as np
 
+from .model import check_integer
+
 
 def _per_slice(hits, evaluated, scale=1.0):
     """``scale * hits / evaluated`` per (K, M) slice; None where empty."""
@@ -83,8 +85,8 @@ def schedule_devices(decision_map, truth_busy, device_positions, sap_positions,
     again (a campaign, once per realization for all its schemes); None
     attaches them here, once for every slice of the stack.
     """
-    if capacity_per_block < 1:
-        raise ValueError("capacity_per_block must be >= 1")
+    capacity_per_block = check_integer("capacity_per_block",
+                                       capacity_per_block, 1)
     truth_busy = np.asarray(truth_busy, dtype=bool)
     correct_available = decision_map.available & ~truth_busy
     slots = correct_available.sum(axis=-1) * capacity_per_block

@@ -15,14 +15,11 @@ time: ``realize_links`` forms the links in blocks and snapshots the fading
 stream, and the level sum draws, weighs and adds each incumbent's gains from
 that snapshot on its own run. Per iteration: only the energy-estimation
 noise of the detector, a unit-mean Gamma factor whose shape is the effective
-number of averaged signal samples, drawn by ``estimation_noise``: in
-threshold calibration, run by run into calibration's own group buffers on a
-helper thread while the previous group of training runs diffuses; in a
-campaign's serial loop, into frames allocated once calibration has returned,
-on a helper thread while the previous realization is decided (or while the
-links are realized when the loop holds one frame). The frame is the truth
-times that noise, so the detectors only ever see the truth through noisy
-per-window estimates.
+number of averaged signal samples, drawn by ``estimation_noise`` into a
+caller's buffer; it touches nothing but that buffer and its generator, so a
+caller may draw it on a helper thread. The frame is the truth times that
+noise, so the detectors only ever see the truth through noisy per-window
+estimates.
 """
 
 from dataclasses import dataclass

@@ -222,8 +222,7 @@ def heuristic_assign(cost, positions, quota, rng, restarts=8):
     """
     quota, _ = _checked_problem(cost, quota)
     k_count, _, l_count = cost.shape
-    if restarts < 1:
-        raise ConfigurationError("restarts must be >= 1")
+    restarts = check_integer("restarts", restarts, 1)
     positions = np.asarray(positions, dtype=float)
     if positions.shape != (k_count, 2):
         raise ConfigurationError("positions must be shaped (K, 2)")
@@ -488,6 +487,9 @@ def benchmark_gap(sap_counts, subset_count, instances, master_seed,
     {sap_count, mean_gap_pct, std_gap_pct, mean_exact, mean_heuristic, instances}.
     Empty sizes, a size < 2, or zero subsets or instances: ConfigurationError.
     """
+    sap_counts = [check_integer("sap count", k) for k in sap_counts]
+    subset_count = check_integer("subset_count", subset_count)
+    instances = check_integer("instances", instances)
     if min(sap_counts, default=0) < 2 or subset_count < 1 or instances < 1:
         raise ConfigurationError(
             "gap benchmark needs sizes >= 2, subsets >= 1 and instances >= 1")

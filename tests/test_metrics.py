@@ -17,6 +17,7 @@ from specsense.metrics import (
     schedule_devices,
     utilization_ratio,
 )
+from specsense.model import ConfigurationError
 from specsense.seeding import substream
 
 
@@ -160,6 +161,17 @@ def test_schedule_devices_examples():
     assert schedule_devices(d, truth, devices, saps, capacity_per_block=3) == 5
     with pytest.raises(ValueError):
         schedule_devices(d, truth, devices, saps, capacity_per_block=0)
+
+
+@pytest.mark.parametrize("capacity", [1.5, np.nan, True])
+def test_schedule_devices_rejects_non_integer_capacity(capacity):
+    # 1.5 would serve a fractional device count, and NaN a NaN one
+    saps = np.array([[0.0, 0.0]])
+    truth = np.zeros((1, 2), dtype=bool)
+    devices = np.tile([[1.0, 1.0]], (5, 1))
+    with pytest.raises(ConfigurationError, match="capacity_per_block"):
+        schedule_devices(genie(truth), truth, devices, saps,
+                         capacity_per_block=capacity)
 
 
 def test_schedule_devices_counts_only_correct_availability():

@@ -614,6 +614,17 @@ def test_heuristic_rejects_bad_inputs():
         heuristic_assign(cost, positions, (3, 2), substream(43, "h"))
 
 
+@pytest.mark.parametrize("restarts", [2.5, True, np.nan])
+def test_heuristic_rejects_non_integer_restarts(restarts):
+    # Generator.spawn would truncate 2.5 to 2 restarts and read True as 1
+    rng = substream(43, "restarts")
+    cost = build_cost_tensor(5, 2, rng)
+    positions = rng.uniform(0.0, 100.0, size=(5, 2))
+    with pytest.raises(ConfigurationError, match="restarts must be an integer"):
+        heuristic_assign(cost, positions, (3, 2), substream(43, "h"),
+                         restarts=restarts)
+
+
 def _solve_with(solver, cost, quota, positions=None):
     """Run one of the three solvers; the heuristic gets K spread positions
     unless ``positions`` are given."""
@@ -683,6 +694,15 @@ def test_assignment_sensing_mask_shape():
 ])
 def test_benchmark_gap_rejects_degenerate_input(sizes, subsets, instances):
     with pytest.raises(ConfigurationError, match="gap benchmark needs"):
+        benchmark_gap(sizes, subsets, instances, master_seed=1)
+
+
+@pytest.mark.parametrize("sizes, subsets, instances", [
+    ([8, 2.5], 1, 2), ([8], 2.5, 2), ([8], 1, 2.5), ([8], True, 2),
+])
+def test_benchmark_gap_rejects_non_integer_counts(sizes, subsets, instances):
+    # a non-integer count would fail deep inside the run, or not at all
+    with pytest.raises(ConfigurationError, match="must be an integer"):
         benchmark_gap(sizes, subsets, instances, master_seed=1)
 
 
