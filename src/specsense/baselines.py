@@ -125,6 +125,8 @@ def structure_weights(structures, *, measurements, sensing_mask,
     networks = [structure_network(s, sensing_mask, reference_powers, adjacency)
                 for s in structures]
     _, powers, graph = networks[0]
+    # one copy of the frame per structure: only diffusion.PACK_BYTES, which
+    # runs_per_call applies to the pack, keeps a paper-scale frame out of it
     frame = (measurements if len(structures) == 1 else
              np.concatenate([measurements] * len(structures), axis=1))
     w = run_diffusion(frame, np.concatenate([n[0] for n in networks], axis=1),

@@ -13,13 +13,11 @@ extra terms are exact zeros, so the weights are those of the dense combine
 bit for bit.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ConfigurationError, check_integer
-from .propagation import estimation_noise
 
 EPSILON_GUARD = 1e-12                 # floor on squared weight distances
 
@@ -259,55 +257,29 @@ def default_ceiling(params):
     return float(np.sqrt(1.0 / params.step_size))
 
 
-def calibrate_threshold(sensing_mask, reference_powers, adjacency, params, rng,
-                        calibration_runs=10, estimate_shape=0.7):
-    """Per-(SAP, channel) thresholds from known-energy training runs.
+def calibrate_threshold(sensing_mask, reference_powers, adjacency, params,
+                        groups):
+    """Per-(SAP, channel) thresholds: training runs' final weights, averaged.
 
-    Feeds the network injected samples of known energy 1.0 (the normalized
-    reference level) on every channel, corrupted only by the receiver's own
-    estimation noise (``propagation.estimation_noise`` with
-    ``estimate_shape``), and averages the resulting final weights over
-    ``calibration_runs`` runs. The runs go ``runs_per_call`` at a time
-    into one ``run_diffusion`` call, their noise side by side on the
-    channel axis under the mask tiled once per run. Calibration holds its
-    own noise: at most two group buffers of (K, ``runs_per_call`` * M,
-    ``params.iterations``), and no other frame. A one-worker helper thread
-    draws group j+1's noise from ``rng``, run by run, while group j
-    diffuses on the calling thread; the draws keep their order and the runs
-    are summed in run order, so the result is that of a serial loop bit for
-    bit. ``run_diffusion`` clamps the training samples as it clamps live
-    measurements. In normalized units the result is threshold-independent.
-    Raises ConfigurationError unless ``calibration_runs`` is an integer
-    >= 1, and DivergenceError when a group's weights go non-finite.
+    A training run feeds the network samples of known energy 1.0 (the
+    normalized reference level) times the receiver's estimation noise.
+    ``groups`` yields that noise, each group R runs side by side on the
+    channel axis, (K, R * M, N), for one ``run_diffusion`` call under the
+    mask tiled R times, which clamps the samples as it clamps live ones.
+    A group is read only until the next is asked for. Runs are summed in
+    order, so any grouping gives the same bits. Raises ConfigurationError
+    when ``groups`` holds no run, DivergenceError when weights diverge.
     """
-    check_integer("calibration_runs", calibration_runs, 1)
-    k_count, m_count = sensing_mask.shape
-    shape = (k_count, m_count, params.iterations)
-    per_call = runs_per_call(m_count, shape, calibration_runs)
-    sizes = [min(per_call, calibration_runs - start)
-             for start in range(0, calibration_runs, per_call)]
-    # run_diffusion only reads its frame, so two group buffers suffice
-    buffers = [np.empty((k_count, per_call * m_count, params.iterations))
-               for _ in range(min(2, len(sizes)))]
-
-    def draw(j):
-        # each row of a run is a C-contiguous (M, N) block; drawn in order,
-        # the rows take the stream of one (K, M, N) draw
-        out = buffers[j % 2][:, :sizes[j] * m_count]
-        for run in np.split(out, sizes[j], axis=1):
-            for row in run:
-                estimation_noise(row, estimate_shape, rng)
-        return out
-
-    total = np.zeros((k_count, m_count))
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        pending = helper.submit(draw, 0)
-        for j, size in enumerate(sizes):
-            u = pending.result()
-            if j + 1 < len(sizes):
-                pending = helper.submit(draw, j + 1)
-            w = run_diffusion(u, np.tile(sensing_mask, size), reference_powers,
-                              adjacency, params)
-            for run in np.split(w, size, axis=1):
-                total += run
-    return total / calibration_runs
+    m_count = sensing_mask.shape[1]
+    total = np.zeros(sensing_mask.shape)
+    runs = 0
+    for u in groups:
+        size = u.shape[1] // m_count
+        w = run_diffusion(u, np.tile(sensing_mask, size), reference_powers,
+                          adjacency, params)
+        for run in np.split(w, size, axis=1):
+            total += run
+        runs += size
+    if runs == 0:
+        raise ConfigurationError("calibration needs at least one run")
+    return total / runs

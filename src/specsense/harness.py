@@ -23,14 +23,13 @@ campaign per network structure, on the network
 (line-of-sight reference powers and a representative assignment); in
 normalized units one calibration covers the whole sweep.
 
-Calibration holds its own group buffers of training noise. Once it has
-returned, the serial loop allocates its (K, M, N) noise frames: a pair
-when a calibrated structure has two or more runs, and a campaign-long
-helper thread draws realization r+1's noise into one while realization r
-is decided and scored in the other; else one, drawn while each
-realization's links are realized. Worker processes,
-``emit_footprint_snapshot`` and direct ``prepare_realization`` calls draw
-each frame on demand, on the calling thread.
+A serial campaign draws all its estimation noise on one helper thread
+(``_NoiseDraws``): each structure's training groups, then each (K, M, N)
+frame. Where calibration draws two or more runs, it draws one ahead into
+two reused buffers, so the frames never outweigh calibration's buffers;
+else into one, each frame while its realization's links are realized.
+Workers' parents and ``emit_footprint_snapshot`` calibrate on a helper of
+their own; they and the workers draw each frame on the calling thread.
 
 All randomness flows through named substreams of the master seed, so reruns
 are byte-identical and realizations are order-independent.
@@ -39,6 +38,7 @@ are byte-identical and realizations are order-independent.
 import contextlib
 import contextvars
 import csv
+import itertools
 import json
 import logging
 import os
@@ -186,10 +186,10 @@ def calibrate_campaign(campaign):
     """λ per structure: the once-per-campaign known-energy training pass.
 
     Networks are built from line-of-sight reference powers, plus the
-    representative assignment when ``proposed-singleband`` runs. Each
-    structure draws its training noise into buffers of its own (see
-    ``diffusion.calibrate_threshold``). Raises ArithmeticError naming the
-    structure whose weights diverge.
+    representative assignment when ``proposed-singleband`` runs. The
+    training noise comes from the campaign's ``_NoiseDraws``: the serial
+    loop's, else draws of calibration's own. Raises ArithmeticError naming
+    the structure whose weights diverge.
     """
     scn = campaign.scenario
     p_rep = representative_reference_powers(scn)
@@ -198,18 +198,18 @@ def calibrate_campaign(campaign):
         mask = representative_assignment(campaign, p_rep).sensing_mask(
             scn.spectrum)
     lams = {}
-    for name in _calibration_structures(campaign):
-        network = structure_network(name, mask, p_rep, scn.topology.adjacency)
-        try:
-            lams[name] = calibrate_threshold(
-                *network, campaign.diffusion,
-                substream(campaign.seed, "calibrate", name),
-                calibration_runs=campaign.calibration_runs,
-                estimate_shape=scn.propagation.estimate_shape)
-        except DivergenceError as exc:
-            raise ArithmeticError(
-                f"calibration of structure {name}: {exc}") from exc
-        log.debug("calibrated structure %s", name)
+    with _noise_draws(campaign) as draws:
+        for name in _calibration_structures(campaign):
+            network = structure_network(name, mask, p_rep,
+                                        scn.topology.adjacency)
+            try:
+                lams[name] = calibrate_threshold(
+                    *network, campaign.diffusion,
+                    (draws.take() for _ in range(draws.group_count)))
+            except DivergenceError as exc:
+                raise ArithmeticError(
+                    f"calibration of structure {name}: {exc}") from exc
+            log.debug("calibrated structure %s", name)
     return lams
 
 
@@ -237,67 +237,101 @@ def _frame_shape(campaign):
 
 
 class _NoiseDraws:
-    """Estimation noise for one campaign's realizations, in reused frames.
+    """One campaign's estimation noise, drawn in order on one ``helper``.
 
-    Realization r's noise is drawn into ``frames[r % len(frames)]`` from its
-    own ``"estimate"`` substream, so no draw depends on when it runs. With a
-    ``helper`` (a one-worker executor), ``start`` puts a draw in flight and
-    ``take`` waits for it; with two frames, ``take`` then queues r+1's draw
-    into the other frame while r is decided, so realizations must come in
-    order. Without a helper, ``take`` draws on the calling thread.
+    First each calibrated structure's training runs from its
+    ``"calibrate"`` substream, ``group_count`` groups of ``runs_per_call``
+    runs side by side; then each of ``realizations``' frames from its own
+    ``"estimate"`` substream. ``take`` returns the next draw; ``start`` puts
+    it in flight early. Where calibration draws two or more runs, ``take``
+    also starts the draw after it, into the other of two reused buffers.
     """
 
-    def __init__(self, campaign, frames, helper=None):
-        self.campaign = campaign
-        self.frames = frames
-        self.helper = helper
-        self._queued = None                  # the next realization's draw
+    def __init__(self, campaign, realizations, helper):
+        self.campaign, self.helper = campaign, helper
+        shape = _frame_shape(campaign)
+        runs = campaign.calibration_runs
+        per_call = runs_per_call(shape[1], shape, runs)
+        structures = _calibration_structures(campaign)
+        self.group_count = len(range(0, runs, per_call))
+        self._plan = itertools.chain(      # (runs side by side, generator)
+            ((min(per_call, runs - first), rng) for rng in (
+                substream(campaign.seed, "calibrate", s) for s in structures)
+             for first in range(0, runs, per_call)),
+            ((1, substream(campaign.seed, "estimate", r)) for r in realizations))
+        self._buffers = [None] * (2 if structures and runs > 1 else 1)
+        self._queued = None                  # the next draw, in flight
 
-    def _args(self, r):
-        return (self.frames[r % len(self.frames)],
-                self.campaign.scenario.propagation.estimate_shape,
-                substream(self.campaign.seed, "estimate", r))
+    def start(self):
+        """Put the plan's next draw in flight, unless one is already."""
+        draw = None if self._queued else next(self._plan, None)
+        if draw is None:
+            return
+        runs, rng = draw
+        k_count, m_count, n_iter = _frame_shape(self.campaign)
+        shape = (k_count, runs * m_count, n_iter)
+        self._buffers.reverse()              # the one not drawn into last
+        if getattr(self._buffers[0], "shape", None) != shape:
+            self._buffers[0] = None          # freed before its successor
+            self._buffers[0] = np.empty(shape)
+        self._queued = self.helper.submit(
+            _draw_noise, self._buffers[0], runs,
+            self.campaign.scenario.propagation.estimate_shape, rng)
 
-    def start(self, r):
-        if self.helper is not None and self._queued is None:
-            self._queued = self.helper.submit(estimation_noise, *self._args(r))
-
-    def take(self, r):
-        if self.helper is None:
-            return estimation_noise(*self._args(r))
-        self.start(r)
+    def take(self):
+        """Wait for the plan's next draw; put the one after in flight."""
+        self.start()
         noise, self._queued = self._queued.result(), None
-        if len(self.frames) > 1 and r + 1 < self.campaign.realizations:
-            self.start(r + 1)
+        if len(self._buffers) > 1:
+            self.start()
         return noise
 
 
-# The serial campaign loop's draws. run_campaign calls run_realization with
-# just (campaign, lams, r), the call perfbench times, so prepare_realization
-# finds them here; any other caller draws on demand.
+def _draw_noise(out, runs, estimate_shape, rng):
+    """Fill ``out``, ``runs`` runs side by side, run by run, row by row: a
+    row of a run is a C-contiguous (M, N) block, and the rows of a lone
+    run, drawn in order, take the stream of one (K, M, N) draw."""
+    for run in np.split(out, runs, axis=1):
+        for row in run:
+            estimation_noise(row, estimate_shape, rng)
+    return out
+
+
+# The serial loop's draws: calibrate_campaign and run_realization, whose
+# signatures perfbench times, find them here.
 _LOOKAHEAD = contextvars.ContextVar("specsense_noise_draws", default=None)
+
+
+@contextlib.contextmanager
+def _noise_draws(campaign, realizations=()):
+    """This campaign's draws in the context, else new ones with a helper."""
+    draws = _LOOKAHEAD.get()
+    if draws is not None and draws.campaign is campaign:
+        yield draws
+    else:
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            yield _NoiseDraws(campaign, realizations, helper)
 
 
 def prepare_realization(campaign, r):
     """Draw realization ``r``: propagation state, truth, frame, scheme inputs.
 
     The frame is the truth times estimation noise, so the realized level is
-    computed once. The noise depends on nothing else. Inside
-    ``run_campaign``'s serial loop a campaign-long helper thread draws it
-    (numpy releases the GIL) into one of the campaign's reused frames, while
-    this thread realizes the links; with two frames, realization r+1's draw
-    is queued as soon as r's frame is ready. Called any other way, this
-    draws the noise on the calling thread into a new frame. Either way the
-    frame keeps the bits of a serial draw. The devices are attached to
-    their nearest SAPs here, once for every scheme that schedules them.
+    computed once. In ``run_campaign``'s serial loop the campaign's helper
+    thread draws the noise (numpy releases the GIL) while this thread
+    realizes the links, or before (``_NoiseDraws``); else this thread draws
+    it into a new frame. Either way it keeps the bits of a serial draw. The
+    devices are attached to their nearest SAPs here, once for every scheme
+    that schedules them.
     """
     scn = campaign.scenario
     seed = campaign.seed
     topo = scn.topology
     draws = _LOOKAHEAD.get()
-    if draws is None or draws.campaign is not campaign:
-        draws = _NoiseDraws(campaign, [np.empty(_frame_shape(campaign))])
-    draws.start(r)
+    if draws is not None and draws.campaign is campaign:
+        draws.start()
+    else:
+        draws = None                        # drawn below, on this thread
     links = realize_links(scn, substream(seed, "bands", r),
                           substream(seed, "shadow", r),
                           substream(seed, "fading", r))
@@ -322,7 +356,10 @@ def prepare_realization(campaign, r):
         devices = np.column_stack([x0 + u[:, 0] * (x1 - x0),
                                    y0 + u[:, 1] * (y1 - y0)])
         home = attach_devices(devices, topo.positions)
-    frame = generate_measurements(truth, draws.take(r))
+    noise = draws.take() if draws else estimation_noise(
+        np.empty(_frame_shape(campaign)), scn.propagation.estimate_shape,
+        substream(seed, "estimate", r))
+    frame = generate_measurements(truth, noise)
     return RealizationInputs(frame, truth, p_hat, sensing_mask, picks, devices,
                              home)
 
@@ -440,15 +477,18 @@ def run_campaign(campaign, out_dir):
 
 
 def _run_and_write(campaign, out_dir):
-    scn = campaign.scenario
-
-    lams = calibrate_campaign(campaign)
-    log.info("calibrated %d structure/threshold pairs", len(lams))
-
     total = campaign.realizations
     per_real, checksums = [], []
-    start = time.perf_counter()
     with contextlib.ExitStack() as stack:
+        if campaign.workers == 1:
+            # realization 0's frame may be drawn during calibration, but
+            # without a calibrated structure not before run_realization(0)
+            draws = stack.enter_context(_noise_draws(campaign, range(total)))
+            stack.callback(_LOOKAHEAD.reset, _LOOKAHEAD.set(draws))
+        lams = calibrate_campaign(campaign)
+        log.info("calibrated %d structure/threshold pairs", len(lams))
+
+        start = time.perf_counter()
         if campaign.workers > 1:
             # imported here: multiprocessing is a tenth of the package's
             # import time, and serial runs never need it
@@ -461,15 +501,6 @@ def _run_and_write(campaign, out_dir):
                 initargs=(replace(campaign, workers=1), lams)))
             outcomes = pool.map(_worker_run, range(total))
         else:
-            # two frames only where calibration's group buffers held two
-            # frames of noise, so the loop's frames never outweigh them
-            count = min(2, campaign.calibration_runs) if lams else 1
-            frames = [np.empty(_frame_shape(campaign)) for _ in range(count)]
-            # the helper starts with realization 0's draw, inside
-            # run_realization(0), and is joined before this block exits
-            helper = stack.enter_context(ThreadPoolExecutor(max_workers=1))
-            token = _LOOKAHEAD.set(_NoiseDraws(campaign, frames, helper))
-            stack.callback(_LOOKAHEAD.reset, token)
             outcomes = (run_realization(campaign, lams, r)
                         for r in range(total))
         for done, (crc, res) in enumerate(outcomes, 1):
@@ -488,21 +519,15 @@ def _run_and_write(campaign, out_dir):
                     continue
                 values = [per_real[r][(scheme, t, metric)]
                           for r in range(campaign.realizations)]
-                mean, std, count = aggregate(values)
-                rows.append({
-                    "scheme": scheme,
-                    "threshold_dbm": float(t),
-                    "metric": metric,
-                    "mean": mean,
-                    "std": std,
-                    "realizations": count,
-                })
+                # mean, std and realizations, in the file's column order
+                rows.append(dict(zip(_RESULT_COLUMNS, (
+                    scheme, float(t), metric, *aggregate(values)))))
 
     results_path = os.path.join(out_dir, "results.csv")
     write_results_csv(rows, results_path)
 
     summary = {
-        "scenario": scenario_to_dict(scn),
+        "scenario": scenario_to_dict(campaign.scenario),
         "schemes": list(campaign.schemes),
         "thresholds_dbm": [float(t) for t in campaign.thresholds_dbm],
         "realizations": campaign.realizations,
@@ -553,11 +578,14 @@ def _fmt(value):
     return str(value)
 
 
+_RESULT_COLUMNS = ("scheme", "threshold_dbm", "metric", "mean", "std",
+                  "realizations")
+
+
 def write_results_csv(rows, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["scheme", "threshold_dbm", "metric", "mean", "std",
-                         "realizations"])
+        writer.writerow(_RESULT_COLUMNS)
         for row in rows:
             writer.writerow([row["scheme"], _fmt(float(row["threshold_dbm"])),
                              row["metric"], _fmt(row["mean"]), _fmt(row["std"]),
@@ -565,18 +593,15 @@ def write_results_csv(rows, path):
 
 
 def read_results_csv(path):
-    rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append({
-                "scheme": rec["scheme"],
-                "threshold_dbm": float(rec["threshold_dbm"]),
-                "metric": rec["metric"],
-                "mean": float(rec["mean"]) if rec["mean"] else None,
-                "std": float(rec["std"]) if rec["std"] else None,
-                "realizations": int(rec["realizations"]),
-            })
-    return rows
+        reader = csv.DictReader(fh)
+        for column in _RESULT_COLUMNS:
+            if column not in (reader.fieldnames or ()):
+                raise ConfigurationError(f"{path} has no {column!r} column")
+        return [dict(zip(_RESULT_COLUMNS, (
+            rec["scheme"], float(rec["threshold_dbm"]), rec["metric"],
+            *(float(rec[c]) if rec[c] else None for c in ("mean", "std")),
+            int(rec["realizations"])))) for rec in reader]
 
 
 # ---------------------------------------------------------------------------
@@ -593,59 +618,47 @@ def generate_scenario(template, seed=1, **overrides):
     with 20/40/80 MHz signals.
     """
     seed = check_integer("seed", seed)
+    take = overrides.pop
     if template == "small-grid":
-        side = overrides.pop("side_count", 10)
-        spacing = float(overrides.pop("spacing_m", 200.0))
-        radius = float(overrides.pop("radius_m", spacing))
-        incumbents = check_integer(
-            "incumbent_count", overrides.pop("incumbent_count", 50), 0)
-        tx_dbm = float(overrides.pop("incumbent_tx_dbm", 30.0))
-        height = float(overrides.pop("height_m", 10.0))
-        if overrides:
-            raise ConfigurationError(f"unknown overrides {sorted(overrides)}")
+        side = take("side_count", 10)
+        spacing = float(take("spacing_m", 200.0))
+        radius = float(take("radius_m", spacing))
+        incumbents, inc_bw = take("incumbent_count", 50), 20e6
+    elif template == "large-synthetic":
+        count = take("sap_count", 500)
+        region = float(take("region_m", 2000.0))
+        radius = float(take("radius_m", 200.0))
+        incumbents = take("incumbent_count", 2000)
+        channelization = take("channelization", "nb-iot")
+        total_bw = float(take("total_bandwidth_hz", 500e6))
+        sap_bw = float(take("sap_bandwidth_hz", 20e6))
+        inc_bw = take("incumbent_bandwidth_hz", (20e6, 40e6, 80e6))
+    else:
+        raise ConfigurationError(f"unknown template {template!r}")
+    incumbents = check_integer("incumbent_count", incumbents, 0)
+    tx_dbm = float(take("incumbent_tx_dbm", 30.0))
+    height = float(take("height_m", 10.0))
+    if overrides:
+        raise ConfigurationError(f"unknown overrides {sorted(overrides)}")
+    if template == "small-grid":
         topo = build_grid_topology(side, spacing, radius, height)
         plan = build_spectrum_plan(80e6, 20e6, 1)
-        plan = plan.with_quota(uniform_quota(plan.subset_count, topo.count))
         x0, y0, x1, y1 = topo.bounding_box()
-        rng = substream(seed, "incumbent-placement")
-        incs = tuple(
-            Incumbent((float(x0 + u * (x1 - x0)), float(y0 + v * (y1 - y0))),
-                      height, tx_dbm, 20e6, None)
-            for u, v in rng.uniform(size=(incumbents, 2)))
-        return Scenario(topo, plan, incs, PropagationParams(), seed)
-
-    if template == "large-synthetic":
-        count = overrides.pop("sap_count", 500)
-        region = float(overrides.pop("region_m", 2000.0))
-        radius = float(overrides.pop("radius_m", 200.0))
-        incumbents = check_integer(
-            "incumbent_count", overrides.pop("incumbent_count", 2000), 0)
-        tx_dbm = float(overrides.pop("incumbent_tx_dbm", 30.0))
-        height = float(overrides.pop("height_m", 10.0))
-        channelization = overrides.pop("channelization", "nb-iot")
-        total_bw = float(overrides.pop("total_bandwidth_hz", 500e6))
-        sap_bw = float(overrides.pop("sap_bandwidth_hz", 20e6))
-        inc_bw = overrides.pop("incumbent_bandwidth_hz", (20e6, 40e6, 80e6))
-        if overrides:
-            raise ConfigurationError(f"unknown overrides {sorted(overrides)}")
-        if channelization == "nb-iot":
-            b = 180e3
-        elif channelization == "lte-m":
-            b = 1.4e6
-        else:
+    else:
+        b = {"nb-iot": 180e3, "lte-m": 1.4e6}.get(str(channelization))
+        if b is None:
             raise ConfigurationError(f"unknown channelization {channelization!r}")
         topo = build_random_topology(count, (region, region), radius, height,
                                      substream(seed, "sap-placement"))
         plan = build_spectrum_plan(total_bw, b, max(1, int(sap_bw // b)))
-        plan = plan.with_quota(uniform_quota(plan.subset_count, count))
-        rng = substream(seed, "incumbent-placement")
-        incs = tuple(
-            Incumbent((float(u * region), float(v * region)), height, tx_dbm,
-                      inc_bw, None)
-            for u, v in rng.uniform(size=(incumbents, 2)))
-        return Scenario(topo, plan, incs, PropagationParams(), seed)
-
-    raise ConfigurationError(f"unknown template {template!r}")
+        x0, y0, x1, y1 = 0.0, 0.0, region, region
+    plan = plan.with_quota(uniform_quota(plan.subset_count, topo.count))
+    rng = substream(seed, "incumbent-placement")
+    incs = tuple(
+        Incumbent((float(x0 + u * (x1 - x0)), float(y0 + v * (y1 - y0))),
+                  height, tx_dbm, inc_bw, None)
+        for u, v in rng.uniform(size=(incumbents, 2)))
+    return Scenario(topo, plan, incs, PropagationParams(), seed)
 
 
 # ---------------------------------------------------------------------------

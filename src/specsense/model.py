@@ -8,7 +8,7 @@ otherwise. The neighborhood of SAP k contains every SAP within
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -57,6 +57,8 @@ class Topology:
 
 def _finalize_topology(positions, radius_m, height_m):
     positions = np.asarray(positions, dtype=float)
+    if positions.ndim != 2 or positions.shape[1] != 2:
+        raise ConfigurationError("topology positions must be [x, y] pairs")
     k = positions.shape[0]
     heights = np.full(k, float(height_m))
     if not 0 < height_m < math.inf:
@@ -266,10 +268,24 @@ def scenario_to_dict(scenario):
     }
 
 
+class _Section(dict):
+    """A scenario's JSON object; a missing field raises ConfigurationError."""
+
+    def __init__(self, value, where):
+        if not isinstance(value, dict):
+            raise ConfigurationError(f"{where} must be a JSON object")
+        super().__init__(value)
+        self.where = where
+
+    def __missing__(self, name):
+        raise ConfigurationError(f"{self.where} needs field {name!r}")
+
+
 def scenario_from_dict(spec):
     from .propagation import PropagationParams
 
-    topo_spec = dict(spec["topology"])
+    spec = _Section(spec, "scenario")
+    topo_spec = _Section(spec["topology"], "topology")
     kind = topo_spec.pop("kind", "explicit")
     seed = check_integer("seed", spec["seed"])
     if kind == "grid":
@@ -287,7 +303,7 @@ def scenario_from_dict(spec):
     else:
         raise ConfigurationError(f"unknown topology kind {kind!r}")
 
-    sp = spec["spectrum"]
+    sp = _Section(spec["spectrum"], "spectrum")
     plan = build_spectrum_plan(
         sp["B_hz"], sp["b_hz"], sp.get("p", 1),
         quota=sp.get("quota"),
@@ -307,10 +323,12 @@ def scenario_from_dict(spec):
                                  else item["signal_bandwidth_hz"]),
             signal_center_hz=item.get("signal_center_hz"),
         )
-        for item in spec["incumbents"]
+        for item in (_Section(i, "incumbent") for i in spec["incumbents"])
     )
-    propagation = PropagationParams(**spec["propagation"])
-    return Scenario(topology, plan, incumbents, propagation, seed)
+    prop = _Section(spec["propagation"], "propagation")
+    for name in sorted(set(prop) - {f.name for f in fields(PropagationParams)}):
+        raise ConfigurationError(f"propagation has unknown field {name!r}")
+    return Scenario(topology, plan, incumbents, PropagationParams(**prop), seed)
 
 
 def save_scenario(scenario, path):

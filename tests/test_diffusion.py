@@ -1,6 +1,5 @@
 """Tests for the combine-then-adapt engine: scalar ops, network runs, calibration."""
 
-import threading
 import tracemalloc
 from unittest import mock
 from dataclasses import fields, replace
@@ -691,11 +690,27 @@ def _self_structure(k_count, m_count):
             np.eye(k_count, dtype=bool))
 
 
+def _training_runs(shape, count, estimate_shape, rng):
+    """``count`` runs of training noise, drawn one after another."""
+    return [estimation_noise(np.empty(shape), estimate_shape, rng)
+            for _ in range(count)]
+
+
+def _serial_calibration(sensing_mask, reference_powers, adjacency, params,
+                        runs):
+    """Reference training loop: each run diffused alone, summed in order."""
+    total = np.zeros(sensing_mask.shape)
+    for u in runs:
+        total += run_diffusion(u, sensing_mask, reference_powers, adjacency,
+                               params)
+    return total / len(runs)
+
+
 def test_calibration_noiseless_matches_scalar_recursion():
     params = DiffusionParams(iterations=80)
     mask, p_hat, adjacency = _self_structure(2, 3)
     lam = calibrate_threshold(mask, p_hat, adjacency, params,
-                              substream(29, "cal"), estimate_shape=None)
+                              [np.ones((2, 3, 80))])
     want = _standalone_trajectory(np.ones(80), params)[-1]
     np.testing.assert_allclose(lam, want, rtol=1e-12)
     assert np.isfinite(lam).all() and (lam > 0).all()
@@ -704,12 +719,12 @@ def test_calibration_noiseless_matches_scalar_recursion():
 def test_calibration_reproducible_and_noise_sensitive():
     params = DiffusionParams(iterations=60)
     mask, p_hat, adjacency = _self_structure(2, 2)
-    a = calibrate_threshold(mask, p_hat, adjacency, params,
-                            substream(31, "cal"), calibration_runs=3)
-    b = calibrate_threshold(mask, p_hat, adjacency, params,
-                            substream(31, "cal"), calibration_runs=3)
-    c = calibrate_threshold(mask, p_hat, adjacency, params,
-                            substream(31, "other"), calibration_runs=3)
+
+    def calibrated(name):
+        runs = _training_runs((2, 2, 60), 3, 0.7, substream(31, name))
+        return calibrate_threshold(mask, p_hat, adjacency, params, runs)
+
+    a, b, c = calibrated("cal"), calibrated("cal"), calibrated("other")
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -722,37 +737,26 @@ def test_calibration_applies_ceiling():
     params = DiffusionParams(step_size=4.0, iterations=80)
     mask, p_hat, adjacency = _self_structure(1, 1)
     lam = calibrate_threshold(mask, p_hat, adjacency, params,
-                              substream(37, "cal"), estimate_shape=None)
+                              [np.ones((1, 1, 80))])
     want = _standalone_trajectory(np.full(80, 0.5), params)[-1]
     np.testing.assert_allclose(lam, want, rtol=1e-12)
     assert abs(_standalone_trajectory(np.ones(80), params)[-1]) > 1e30
 
 
 def test_calibration_rejects_bad_run_count():
-    mask, p_hat, adjacency = _self_structure(1, 1)
+    # no run at all would average to an all-NaN threshold; a group that is
+    # not a whole number of runs does not fit the mask tiled once per run
+    mask, p_hat, adjacency = _self_structure(1, 2)
     params = DiffusionParams(iterations=5)
-    # 0 runs averaged to an all-NaN threshold, 2.5 failed in range()
-    for bad in (0, -1, 2.5, float("nan"), True, "3"):
-        with pytest.raises(ConfigurationError, match="calibration_runs"):
+    with pytest.raises(ConfigurationError, match="at least one run"):
+        calibrate_threshold(mask, p_hat, adjacency, params, iter(()))
+    for width in (1, 3):
+        with pytest.raises(ConfigurationError, match="sensing_mask"):
             calibrate_threshold(mask, p_hat, adjacency, params,
-                                substream(41, "cal"), calibration_runs=bad)
+                                [np.ones((1, width, 5))])
     lam = calibrate_threshold(mask, p_hat, adjacency, params,
-                              substream(41, "cal"),
-                              calibration_runs=np.int64(1))
-    assert lam.shape == (1, 1)
-
-
-def _serial_calibration(sensing_mask, reference_powers, adjacency, params,
-                        rng, calibration_runs, estimate_shape):
-    """Reference training loop: each run's noise drawn, then diffused."""
-    k_count, m_count = sensing_mask.shape
-    shape = (k_count, m_count, params.iterations)
-    total = np.zeros((k_count, m_count))
-    for _ in range(calibration_runs):
-        u = estimation_noise(np.empty(shape), estimate_shape, rng)
-        total += run_diffusion(u, sensing_mask, reference_powers, adjacency,
-                               params)
-    return total / calibration_runs
+                              [np.ones((1, 2, 5))])
+    assert lam.shape == (1, 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -764,18 +768,19 @@ def _serial_calibration(sensing_mask, reference_powers, adjacency, params,
 def test_calibration_matches_serial_loop(k_count, m_count, runs,
                                          estimate_shape, step_size, kind,
                                          seed):
-    # drawing run r+1's noise on the helper thread while run r diffuses
-    # keeps the serial loop's draws, in order, and so its thresholds bit
-    # for bit
+    # each run is drawn into one reused buffer only when calibration asks
+    # for it, as a look-ahead reuses its buffers: a group is read only
+    # while its call runs, so the serial loop's thresholds hold bit for bit
     params = DiffusionParams(step_size=step_size, iterations=12)
     adjacency, mask, p_hat = _random_network(substream(seed, "net"),
                                              k_count, m_count, kind=kind)
     network = (mask, p_hat, adjacency, params)
-    want = _serial_calibration(*network, substream(seed, "cal"), runs,
-                               estimate_shape)
-    got = calibrate_threshold(*network, substream(seed, "cal"),
-                              calibration_runs=runs,
-                              estimate_shape=estimate_shape)
+    shape = (k_count, m_count, params.iterations)
+    want = _serial_calibration(*network, _training_runs(
+        shape, runs, estimate_shape, substream(seed, "cal")))
+    rng, buffer = substream(seed, "cal"), np.empty(shape)
+    got = calibrate_threshold(*network, (
+        estimation_noise(buffer, estimate_shape, rng) for _ in range(runs)))
     assert np.array_equal(got, want)
 
 
@@ -796,43 +801,37 @@ def test_grouped_calibration_matches_serial_loop(k_count, m_count, runs,
     adjacency, mask, p_hat = _random_network(substream(seed, "net"),
                                              k_count, m_count, kind=kind)
     network = (mask, p_hat, adjacency, params)
+    noise = _training_runs((k_count, m_count, params.iterations), runs,
+                           estimate_shape, substream(seed, "cal"))
+    groups = [np.concatenate(noise[first:first + per_call], axis=1)
+              for first in range(0, runs, per_call)]
     widths = []
 
     def counted(measurements, *args, **kwargs):
         widths.append(measurements.shape[1])
         return run_diffusion(measurements, *args, **kwargs)
 
-    with mock.patch.object(diffusion, "PACK_COLUMNS", per_call * m_count), \
-            mock.patch.object(diffusion, "run_diffusion", counted):
-        got = calibrate_threshold(*network, substream(seed, "cal"),
-                                  calibration_runs=runs,
-                                  estimate_shape=estimate_shape)
-    group = min(per_call, runs)
-    assert widths == ([group * m_count] * (runs // group)
-                      + [runs % group * m_count] * (runs % group > 0))
-    want = _serial_calibration(*network, substream(seed, "cal"), runs,
-                               estimate_shape)
-    assert np.array_equal(got, want)
+    with mock.patch.object(diffusion, "run_diffusion", counted):
+        got = calibrate_threshold(*network, groups)
+    assert widths == [g.shape[1] for g in groups]
+    assert np.array_equal(got, _serial_calibration(*network, noise))
 
 
 def test_packed_calibration_holds_only_its_group_buffer():
-    # six runs share one call, and their noise is drawn straight into that
-    # call's group buffer: calibration holds no other frame-sized array
+    # six runs share one call, which reads their group where it was drawn:
+    # calibration makes no frame-sized array of its own
     k_count, m_count, runs = 4, 2, 6
     params = DiffusionParams(iterations=2000)
-    shape = (k_count, m_count, params.iterations)
-    assert diffusion.runs_per_call(m_count, shape, runs) == runs
     frame_bytes = 8 * k_count * m_count * params.iterations
     mask, p_hat, adjacency = _self_structure(k_count, m_count)
-    rng = substream(61, "cal")    # made first: numpy.random loads lazily
+    group = np.ones((k_count, runs * m_count, params.iterations))
     tracemalloc.start()
     try:
-        calibrate_threshold(mask, p_hat, adjacency, params, rng,
-                            calibration_runs=runs)
+        calibrate_threshold(mask, p_hat, adjacency, params, [group])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < runs * frame_bytes + frame_bytes / 2
+    assert peak < frame_bytes / 2
 
 
 def test_runs_per_call_bounds_columns_and_bytes():
@@ -850,55 +849,21 @@ def test_runs_per_call_bounds_columns_and_bytes():
     assert diffusion.runs_per_call(0, (5, 0, 10), 3) == 3
 
 
-class _Boom(RuntimeError):
-    pass
+def test_divergence_on_calling_thread_leaves_calibration():
+    # one run per group; run 0 has a NaN sample, which the clamp passes, so
+    # its call diverges: DivergenceError reaches the caller, and no later
+    # group is asked for
+    asked = []
 
+    def groups():
+        for run in range(3):
+            asked.append(run)
+            u = np.ones((2, 2, 200))
+            u[0, -1, -1] = np.nan if run == 0 else 1.0
+            yield u
 
-@pytest.mark.parametrize("failing_draw", [0, 1])
-def test_noise_error_on_helper_thread_leaves_calibration(monkeypatch,
-                                                         failing_draw):
-    # the first draw fails while the calling thread waits for it; the
-    # second while run 0 diffuses. Either raises its own exception, and
-    # the helper thread is joined
-    threads = threading.active_count()
-    draws = []
-
-    def failing(out, estimate_shape, rng):
-        draws.append(threading.current_thread() is threading.main_thread())
-        if len(draws) > failing_draw:
-            raise _Boom("injected")
-        return estimation_noise(out, estimate_shape, rng)
-
-    monkeypatch.setattr(diffusion, "estimation_noise", failing)
-    mask, p_hat, adjacency = _self_structure(2, 2)
-    with pytest.raises(_Boom, match="injected"):
-        calibrate_threshold(mask, p_hat, adjacency,
-                            DiffusionParams(iterations=20),
-                            substream(43, "cal"), calibration_runs=3)
-    assert draws == [False] * (failing_draw + 1)
-    assert threading.active_count() == threads
-
-
-def test_divergence_on_calling_thread_leaves_calibration(monkeypatch):
-    # one run per call; run 0 has a NaN sample, which the clamp passes, so
-    # run 0 diverges while the helper draws run 1's noise: DivergenceError
-    # reaches the caller, and the helper thread is joined
-    threads = threading.active_count()
-    draws = []
-
-    def nan_first(row, estimate_shape, rng):
-        draws.append(row)
-        estimation_noise(row, estimate_shape, rng)
-        if len(draws) == 1:
-            row[0, -1] = np.nan
-        return row
-
-    monkeypatch.setattr(diffusion, "estimation_noise", nan_first)
-    monkeypatch.setattr(diffusion, "PACK_COLUMNS", 2)
     mask, p_hat, adjacency = _self_structure(2, 2)
     with pytest.raises(DivergenceError):
         calibrate_threshold(mask, p_hat, adjacency,
-                            DiffusionParams(iterations=200),
-                            substream(47, "cal"), calibration_runs=3)
-    assert len(draws) == 2 * 2            # runs 0 and 1, two rows each
-    assert threading.active_count() == threads
+                            DiffusionParams(iterations=200), groups())
+    assert asked == [0]

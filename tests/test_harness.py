@@ -1,5 +1,6 @@
 """Tests for campaign orchestration, scenario templates, emission, and the CLI."""
 
+import csv
 import json
 import logging
 import os
@@ -399,11 +400,8 @@ def _check_literal_networks(campaign):
     rep_nets = networks(rep.sensing_mask(scn.spectrum), p_rep)
     assert set(lams) == set(rep_nets)
     for name, network in rep_nets.items():
-        want = calibrate_threshold(
-            *network, campaign.diffusion,
-            substream(campaign.seed, "calibrate", name),
-            calibration_runs=campaign.calibration_runs,
-            estimate_shape=scn.propagation.estimate_shape)
+        want = calibrate_threshold(*network, campaign.diffusion,
+                                   _training_runs(campaign, name))
         assert np.array_equal(lams[name], want), name
 
     inputs = prepare_realization(campaign, 0)
@@ -431,6 +429,23 @@ def _check_literal_networks(campaign):
             assert np.array_equal(busy_t, busy & decided), scheme
 
 
+def _training_runs(campaign, name):
+    """Structure ``name``'s training runs: serial (K, M, N) draws."""
+    shape = harness._frame_shape(campaign)
+    rng = substream(campaign.seed, "calibrate", name)
+    return [propagation.estimation_noise(
+        np.empty(shape), campaign.scenario.propagation.estimate_shape, rng)
+        for _ in range(campaign.calibration_runs)]
+
+
+def _frame_of(rng, seed, realizations):
+    """The realization whose frame a fresh ``rng`` draws, else None."""
+    state = rng.bit_generator.state
+    return next((r for r in range(realizations)
+                 if substream(seed, "estimate", r).bit_generator.state
+                 == state), None)
+
+
 def _nan_noise(out, estimate_shape, rng):
     """Estimation noise with one NaN sample, which the receiver clamp passes."""
     propagation.estimation_noise(out, estimate_shape, rng)
@@ -448,11 +463,9 @@ def test_non_finite_weights_fail_loud(tmp_path, monkeypatch):
                         thresholds_dbm=(-52.0, -82.0), realizations=3,
                         diffusion=DiffusionParams(iterations=30),
                         calibration_runs=2)
-    draws = []
 
     def nan_in_realization_1(out, estimate_shape, rng):
-        draws.append(rng)
-        if len(draws) == 2:
+        if _frame_of(rng, campaign.seed, campaign.realizations) == 1:
             return _nan_noise(out, estimate_shape, rng)
         return propagation.estimation_noise(out, estimate_shape, rng)
 
@@ -482,7 +495,7 @@ def test_non_finite_weights_fail_loud(tmp_path, monkeypatch):
 
 def test_calibration_divergence_names_structure(tmp_path, monkeypatch):
     # NaN training noise diverges calibration, before any realization runs
-    monkeypatch.setattr(diffusion, "estimation_noise", _nan_noise)
+    monkeypatch.setattr(harness, "estimation_noise", _nan_noise)
     scenario = generate_scenario("small-grid", seed=5, side_count=3,
                                  incumbent_count=4)
     campaign = Campaign(scenario=scenario, schemes=("proposed-multiband",),
@@ -498,10 +511,10 @@ def test_calibration_divergence_names_one_structure_in_every_process():
     # hash seed, the error names the structure of the first scheme
     code = """if True:
         import numpy as np
-        from specsense import diffusion
+        from specsense import harness
         from specsense.harness import Campaign, calibrate_campaign
         from specsense.harness import generate_scenario
-        diffusion.estimation_noise = lambda out, shape, rng: out.fill(np.nan)
+        harness.estimation_noise = lambda out, shape, rng: out.fill(np.nan)
         scenario = generate_scenario("small-grid", seed=5, side_count=3,
                                      incumbent_count=4)
         for schemes in (("proposed-multiband", "proposed-singleband"),
@@ -740,20 +753,23 @@ def test_workers_match_serial(small_campaign, campaign_output, tmp_path):
 
 def test_serial_frames_match_direct_draws(small_campaign, tmp_path,
                                           monkeypatch):
-    # the look-ahead reuses two frames over four realizations, one draw
+    # the look-ahead reuses two buffers over four realizations, one draw
     # each, all on the helper thread; a direct prepare_realization draws
     # each frame anew, without a look-ahead
     campaign = replace(small_campaign, realizations=4)
-    draws = []
+    frames = []
 
-    def counted(*args):
-        draws.append(threading.current_thread() is threading.main_thread())
-        return propagation.estimation_noise(*args)
+    def counted(out, estimate_shape, rng):
+        r = _frame_of(rng, campaign.seed, campaign.realizations)
+        if r is not None:
+            frames.append((r, threading.current_thread()
+                           is threading.main_thread()))
+        return propagation.estimation_noise(out, estimate_shape, rng)
 
     monkeypatch.setattr(harness, "estimation_noise", counted)
     _, summary_path = run_campaign(campaign, tmp_path)
     monkeypatch.undo()
-    assert draws == [False] * 4
+    assert frames == [(r, False) for r in range(4)]
     with open(summary_path, encoding="utf-8") as fh:
         crcs = json.load(fh)["frame_crc32"]
     assert crcs == [f"{zlib.crc32(prepare_realization(campaign, r).frame.y):08x}"
@@ -771,8 +787,10 @@ def test_divergence_while_a_draw_is_in_flight(small_campaign, tmp_path,
     in_flight = threading.Event()
 
     def slow_noise(out, estimate_shape, rng):
-        draws.append(threading.current_thread() is threading.main_thread())
-        if len(draws) == 3:
+        r = _frame_of(rng, campaign.seed, campaign.realizations)
+        if r is not None:
+            draws.append(r)
+        if r == 2:
             in_flight.set()
             time.sleep(0.2)
         return propagation.estimation_noise(out, estimate_shape, rng)
@@ -790,7 +808,7 @@ def test_divergence_while_a_draw_is_in_flight(small_campaign, tmp_path,
                        match=r"^genie: diffusion weights went non-finite in "
                              r"realization 1 at threshold -74\.0 dBm$"):
         run_campaign(campaign, tmp_path / "out")
-    assert draws == [False] * 3
+    assert draws == [0, 1, 2]
     assert threading.active_count() == threads
     assert not (tmp_path / "out").exists()
 
@@ -806,17 +824,179 @@ def test_noise_error_in_a_look_ahead_draw(small_campaign, tmp_path,
     draws = []
 
     def failing(out, estimate_shape, rng):
-        draws.append(threading.current_thread() is threading.main_thread())
-        if len(draws) > failing_draw:
+        r = _frame_of(rng, campaign.seed, campaign.realizations)
+        if r is not None:
+            draws.append((r, threading.current_thread()
+                          is threading.main_thread()))
+        if r == failing_draw:
             raise _Boom("injected")
         return propagation.estimation_noise(out, estimate_shape, rng)
 
     monkeypatch.setattr(harness, "estimation_noise", failing)
     with pytest.raises(_Boom, match="injected"):
         run_campaign(campaign, tmp_path / "out")
-    assert draws == [False] * (failing_draw + 1)
+    assert draws == [(r, False) for r in range(failing_draw + 1)]
     assert threading.active_count() == threads
     assert not (tmp_path / "out").exists()
+
+
+def test_serial_campaign_draws_on_one_helper_thread(small_campaign, tmp_path,
+                                                  monkeypatch):
+    # one helper thread draws every training group and then every frame,
+    # and no other thread runs beside it
+    threads = threading.active_count()
+    draws = []
+
+    def recorded(out, estimate_shape, rng):
+        draws.append((threading.current_thread(), threading.active_count(),
+                      _frame_of(rng, small_campaign.seed, 2)))
+        return propagation.estimation_noise(out, estimate_shape, rng)
+
+    monkeypatch.setattr(harness, "estimation_noise", recorded)
+    run_campaign(small_campaign, tmp_path)
+    assert threading.active_count() == threads
+    helpers = {thread for thread, _, _ in draws}
+    assert len(helpers) == 1 and threading.main_thread() not in helpers
+    assert {count for _, count, _ in draws} == {threads + 1}
+    # every row of the three structures' training runs, then each frame's
+    k = small_campaign.scenario.topology.count
+    trained = 3 * small_campaign.calibration_runs * k
+    assert len(draws) == trained + 2 * k
+    assert draws[trained - 1][2] is None
+    assert [r for _, _, r in draws[trained::k]] == [0, 1]
+
+
+class _SetUpDone(Exception):
+    pass
+
+
+@pytest.mark.parametrize("stop", ["first-training-draw",
+                                  "look-ahead-training-draw", "calibration",
+                                  "realization", "first-realization"])
+def test_helper_is_joined_wherever_the_campaign_stops(small_campaign, tmp_path,
+                                                      monkeypatch, stop):
+    # a training draw fails on the helper while calibration waits for it or
+    # while the group before it diffuses, calibration diverges, realization
+    # 0 raises while frame 1 is drawn, or the first run_realization call is
+    # cut short, as a set-up timer that stops the campaign there does: the
+    # error reaches the caller, the helper thread is joined and the output
+    # directory is removed
+    threads = threading.active_count()
+    rows = small_campaign.calibration_runs * small_campaign.scenario.topology.count
+    draws = []
+
+    def failing(out, estimate_shape, rng):
+        draws.append(threading.current_thread() is threading.main_thread())
+        if len(draws) > (0 if stop == "first-training-draw" else rows):
+            raise _Boom("injected")
+        return propagation.estimation_noise(out, estimate_shape, rng)
+
+    if stop.endswith("training-draw"):
+        # each structure's two runs are one group, drawn row by row
+        monkeypatch.setattr(harness, "estimation_noise", failing)
+        error = (_Boom, "^injected$")
+    elif stop == "calibration":
+        monkeypatch.setattr(harness, "estimation_noise", _nan_noise)
+        error = (ArithmeticError, "^calibration of structure coop-full: ")
+    elif stop == "realization":
+        monkeypatch.setattr(harness, "run_scheme", _boom)
+        error = (_Boom, "^injected$")
+    else:
+        def first_realization(*_args):
+            raise _SetUpDone
+        monkeypatch.setattr(harness, "run_realization", first_realization)
+        error = (_SetUpDone, None)
+    with pytest.raises(error[0], match=error[1]):
+        run_campaign(small_campaign, tmp_path / "out")
+    assert threading.active_count() == threads
+    assert not (tmp_path / "out").exists()
+    assert not any(draws)
+
+
+@pytest.mark.parametrize("runs", [1, 2, 40])
+@pytest.mark.parametrize("schemes, structures", [
+    (("proposed-multiband",), 1),
+    (("proposed-singleband", "proposed-multiband"), 2),
+    (baselines.SCHEME_IDS, 3)])
+def test_training_groups_and_frames_are_serial_draws(small_campaign, tmp_path,
+                                                     monkeypatch, runs,
+                                                     schemes, structures):
+    # one to three structures: each structure's training groups, packed by
+    # runs_per_call (40 runs of 4 channels: 32, then 8), then each frame,
+    # drawn one ahead into reused buffers, keep the bits of serial draws
+    campaign = replace(small_campaign, schemes=schemes, realizations=3,
+                       calibration_runs=runs)
+    handed, frames = [], []
+    calibrate = harness.calibrate_threshold
+    measure = harness.generate_measurements
+
+    def copied(*args):
+        *network, groups = args
+        handed.append([u.copy() for u in groups])
+        return calibrate(*network, handed[-1])
+
+    def kept(truth, noise):
+        frames.append(noise.copy())
+        return measure(truth, noise)
+
+    monkeypatch.setattr(harness, "calibrate_threshold", copied)
+    monkeypatch.setattr(harness, "generate_measurements", kept)
+    run_campaign(campaign, tmp_path)
+    names = harness._calibration_structures(campaign)
+    assert len(names) == structures
+    shape = harness._frame_shape(campaign)
+    per_call = diffusion.runs_per_call(shape[1], shape, runs)
+    assert per_call == min(runs, 32)
+    for name, got in zip(names, handed, strict=True):
+        serial = _training_runs(campaign, name)
+        want = [np.concatenate(serial[first:first + per_call], axis=1)
+                for first in range(0, runs, per_call)]
+        assert len(got) == len(want), name
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b), name
+    estimate_shape = campaign.scenario.propagation.estimate_shape
+    assert len(frames) == 3
+    for r, got in enumerate(frames):
+        want = propagation.estimation_noise(
+            np.empty(shape), estimate_shape,
+            substream(campaign.seed, "estimate", r))
+        assert np.array_equal(got, want), r
+
+
+def test_no_frame_drawn_before_the_first_realization_without_calibration(
+        small_campaign, tmp_path, monkeypatch):
+    # with nothing to calibrate, realization r's frame is drawn inside
+    # run_realization(r), while its links are realized, and a campaign
+    # stopped at its first run_realization call has drawn nothing
+    campaign = replace(small_campaign, schemes=("genie", "centralized"))
+    events = []
+    original = harness.run_realization
+
+    def entered(campaign, lams, r):
+        events.append(("realization", r))
+        return original(campaign, lams, r)
+
+    def drawn(out, estimate_shape, rng):
+        r = _frame_of(rng, campaign.seed, 2)     # a frame's first row
+        if r is not None:
+            events.append(("draw", r))
+        return propagation.estimation_noise(out, estimate_shape, rng)
+
+    monkeypatch.setattr(harness, "estimation_noise", drawn)
+    monkeypatch.setattr(harness, "run_realization", entered)
+    run_campaign(campaign, tmp_path / "full")
+    assert events == [("realization", 0), ("draw", 0),
+                      ("realization", 1), ("draw", 1)]
+
+    events.clear()
+
+    def first_realization(*_args):
+        raise _SetUpDone
+
+    monkeypatch.setattr(harness, "run_realization", first_realization)
+    with pytest.raises(_SetUpDone):
+        run_campaign(campaign, tmp_path / "setup")
+    assert events == []
 
 
 def test_results_csv_round_trip(campaign_output, tmp_path):
@@ -970,6 +1150,63 @@ def test_cli_rejects_fractional_scenario_count(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _malformed(spec, shape):
+    """``spec`` (a scenario's JSON form) broken one way."""
+    if shape == "root list":
+        return [spec]
+    spec = json.loads(json.dumps(spec))
+    if shape == "no seed":
+        del spec["seed"]
+    elif shape == "no b_hz":
+        del spec["spectrum"]["b_hz"]
+    elif shape == "positions number":
+        spec["topology"]["positions"] = 5.0
+    elif shape == "propagation key":
+        spec["propagation"]["loss_exponent"] = 3.0
+    return spec
+
+
+@pytest.mark.parametrize("shape, message", [
+    ("no seed", "scenario needs field 'seed'"),
+    ("no b_hz", "spectrum needs field 'b_hz'"),
+    ("positions number", "topology positions must be [x, y] pairs"),
+    ("propagation key", "propagation has unknown field 'loss_exponent'"),
+    ("root list", "scenario must be a JSON object"),
+])
+def test_cli_rejects_malformed_scenario_json(tmp_path, capsys, shape,
+                                             message):
+    # these ended in a KeyError, IndexError or TypeError traceback
+    spec = scenario_to_dict(generate_scenario("small-grid", seed=4,
+                                              side_count=2, incumbent_count=1))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_malformed(spec, shape)))
+    rc = main(["simulate", "--scenario", str(path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("column", ["mean", "scheme"])
+def test_cli_rejects_results_csv_without_a_column(campaign_output, tmp_path,
+                                                  capsys, column):
+    # a missing column ended in a KeyError traceback
+    with open(campaign_output[0], encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    path = tmp_path / "results.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fields = [f for f in rows[0] if f != column]
+        writer = csv.DictWriter(fh, fields, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+    rc = main(["emit-plot-data", "--figure", "utilization-vs-threshold",
+               "--results", str(path), "--out", str(tmp_path / "u.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {path} has no {column!r} column\n")
+    assert not (tmp_path / "u.csv").exists()
+
+
 def test_cli_reports_errors(tmp_path, capsys, monkeypatch):
     rc = main(["simulate", "--scenario", str(tmp_path / "missing.json"),
                "--out", str(tmp_path / "out")])
@@ -1042,7 +1279,13 @@ def test_cli_reports_errors(tmp_path, capsys, monkeypatch):
     # error line, no traceback and no numpy warning, no output directory
     # and no helper thread left
     threads = threading.active_count()
-    monkeypatch.setattr(harness, "estimation_noise", _nan_noise)
+
+    def nan_frames(out, estimate_shape, rng):
+        if _frame_of(rng, 4, 2) is not None:
+            return _nan_noise(out, estimate_shape, rng)
+        return propagation.estimation_noise(out, estimate_shape, rng)
+
+    monkeypatch.setattr(harness, "estimation_noise", nan_frames)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(["simulate", "--scenario", scenario_path,
