@@ -5,8 +5,9 @@ import csv
 import sys
 
 from .diffusion import DiffusionParams
-from .harness import (Campaign, configure_logging, emit_footprint_snapshot,
-                      emit_plot_data, generate_scenario, read_results_csv,
+from .harness import (PLOT_FIGURES, Campaign, configure_logging,
+                      emit_footprint_snapshot, emit_plot_data,
+                      generate_scenario, read_results_csv,
                       representative_reference_powers, run_campaign)
 from .model import ConfigurationError, load_scenario, save_scenario
 from .scheduler import (benchmark_gap, build_cost_tensor,
@@ -25,6 +26,7 @@ def _parse_ints(text):
 
 def _add_generate(sub):
     p = sub.add_parser("generate-scenario", help="write a scenario JSON file")
+    p.set_defaults(run=_cmd_generate)
     p.add_argument("--template", required=True,
                    choices=["small-grid", "large-synthetic"])
     p.add_argument("--out", required=True)
@@ -64,6 +66,7 @@ def _cmd_generate(args):
 
 def _add_assign(sub):
     p = sub.add_parser("assign", help="compute a sensing assignment")
+    p.set_defaults(run=_cmd_assign)
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True, help="CSV of (k, l) rows")
     p.add_argument("--costs", choices=["reference", "uniform"],
@@ -103,6 +106,7 @@ def _cmd_assign(args):
 
 def _add_simulate(sub):
     p = sub.add_parser("simulate", help="run a Monte-Carlo campaign")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--realizations", type=int, default=100)
@@ -146,6 +150,7 @@ def _cmd_simulate(args):
 def _add_gap(sub):
     p = sub.add_parser("gap-benchmark",
                        help="heuristic vs exact scheduling objective")
+    p.set_defaults(run=_cmd_gap)
     p.add_argument("--sizes", type=str, default="8,12,16,20")
     p.add_argument("--instances", type=int, default=50)
     p.add_argument("--subsets", type=int, default=4)
@@ -172,12 +177,9 @@ def _cmd_gap(args):
 
 def _add_plot(sub):
     p = sub.add_parser("emit-plot-data", help="tidy CSVs for plotting")
+    p.set_defaults(run=_cmd_plot)
     p.add_argument("--figure", required=True,
-                   choices=["utilization-vs-threshold",
-                            "misdetection-vs-threshold",
-                            "correct-vs-threshold",
-                            "scheduled-devices",
-                            "footprint-snapshot"])
+                   choices=[*PLOT_FIGURES, "footprint-snapshot"])
     p.add_argument("--out", required=True)
     p.add_argument("--results", help="results.csv from simulate")
     p.add_argument("--scenario", help="scenario JSON (footprint-snapshot)")
@@ -192,7 +194,6 @@ def _cmd_plot(args):
             raise ConfigurationError("footprint-snapshot requires --scenario")
         scenario = load_scenario(args.scenario)
         campaign = Campaign(scenario=scenario, master_seed=args.seed,
-                            thresholds_dbm=(args.threshold_dbm,),
                             realizations=1)
         emit_footprint_snapshot(campaign, args.out,
                                 realization=args.realization,
@@ -217,15 +218,8 @@ def main(argv=None):
     _add_gap(sub)
     _add_plot(sub)
     args = parser.parse_args(argv)
-    handlers = {
-        "generate-scenario": _cmd_generate,
-        "assign": _cmd_assign,
-        "simulate": _cmd_simulate,
-        "gap-benchmark": _cmd_gap,
-        "emit-plot-data": _cmd_plot,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (ArithmeticError, ConfigurationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

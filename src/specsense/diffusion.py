@@ -66,7 +66,7 @@ class DivergenceError(ArithmeticError):
 
 
 def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
-                  params, gains=(1.0,), audit=None):
+                  params, gains=(1.0,)):
     """Run the full synchronous algorithm over a gain sweep; return the weights.
 
     ``measurements`` is the unscaled, nonnegative (K, M, N) energy frame.
@@ -85,15 +85,10 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
     allocates nothing: its temporaries live in two (E, T*M) and six
     (K, T*M) buffers made once per call.
 
-    ``audit``, if given, is called each iteration with
-    (i, alpha, beta, has_informative), all in the caller's SAP order:
-    alpha[k, j, c] and beta[k, j, c], each (K, K, T*M), weigh SAP k's
-    neighbor j on column c, exactly 0 off the graph. Both live in buffers
-    made only for an audit, and the next iteration overwrites alpha's, so
-    ``audit`` must not keep a reference to it. Raises ConfigurationError on
-    a short frame, a negative sample or gain, a mask not shaped (K, M),
-    powers or an adjacency not shaped (K, K), or a missing self-loop, and
-    DivergenceError when any final weight is non-finite.
+    Raises ConfigurationError on a short frame, a negative sample or gain,
+    a mask not shaped (K, M), powers or an adjacency not shaped (K, K), or
+    a missing self-loop, and DivergenceError when any final weight is
+    non-finite.
     """
     y_all = np.asarray(measurements, dtype=float)
     k_count, m_count, n_iter = y_all.shape
@@ -151,8 +146,7 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
     beta = np.tile(np.divide(p, denom[row], out=np.zeros_like(p),
                              where=has_informative[row]), t_count)
     unsensed = np.tile(~sensing_mask[order], t_count)
-    has_informative = np.tile(has_informative, t_count)
-    freeze = unsensed & ~has_informative
+    freeze = unsensed & ~np.tile(has_informative, t_count)
     any_unsensed = unsensed.any()
 
     y_gain, y_caller = np.empty((2, k_count, t_count, m_count))
@@ -163,9 +157,6 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
     nbr_blocks, buf_blocks = np.split(w_nbr, stops), np.split(buf, stops)
     tmp_heads, psi_heads = ([a[:len(b)] for b in buf_blocks]
                             for a in (tmp, psi))
-    if audit is not None:
-        alpha_dense, beta_dense = np.zeros((2, k_count, k_count, columns))
-        beta_dense[sap, nbr] = beta
 
     def condition(i):
         # scaled in the caller's order, then whole rows gathered: cheaper
@@ -202,9 +193,6 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
             _slot_sum(buf_blocks, tmp_heads)
             for alpha, total in zip(buf_blocks, tmp_heads):
                 alpha /= total
-            if audit is not None:
-                alpha_dense[sap, nbr] = buf
-                audit(i, alpha_dense, beta_dense, has_informative[rank])
 
             buf *= w_nbr
             _slot_sum(buf_blocks, psi_heads)

@@ -41,6 +41,7 @@ import csv
 import itertools
 import json
 import logging
+import numbers
 import os
 import time
 import zlib
@@ -112,13 +113,17 @@ class Campaign:
         check_integer("diffusion.iterations", self.diffusion.iterations, 1)
         if self.master_seed is not None:
             check_integer("master_seed", self.master_seed)
-        if not self.thresholds_dbm:
-            raise ConfigurationError("threshold sweep must be nonempty")
-        if not np.isfinite(self.thresholds_dbm).all():
-            raise ConfigurationError("thresholds must be finite")
+        for name, kind in (("schemes", str), ("thresholds_dbm", numbers.Real)):
+            values = getattr(self, name)
+            if not (isinstance(values, (tuple, list)) and values
+                    and all(isinstance(v, kind) for v in values)):
+                raise ConfigurationError(f"{name} must be a nonempty tuple")
+            if len(set(values)) != len(values):
+                raise ConfigurationError(f"{name} has duplicates")
         for t in map(float, self.thresholds_dbm):
             # 10 ** x overflows below about -3145 dBm and is 0.0 above
-            # about +3171 dBm; either would decide every block one way
+            # about +3171 dBm; either would decide every block one way, and
+            # a NaN or infinite threshold has no such gain either
             try:
                 gain = threshold_gain(t)
             except OverflowError:
@@ -126,15 +131,9 @@ class Campaign:
             if not 0.0 < gain < np.inf:
                 raise ConfigurationError(
                     f"threshold {t!r} dBm has no finite, positive gain")
-        if not self.schemes:
-            raise ConfigurationError("need at least one scheme")
         unknown = set(self.schemes) - set(SCHEME_IDS)
         if unknown:
             raise ConfigurationError(f"unknown schemes {sorted(unknown)}")
-        for name, values in (("schemes", self.schemes),
-                             ("thresholds_dbm", self.thresholds_dbm)):
-            if len(set(values)) != len(values):
-                raise ConfigurationError(f"{name} has duplicates")
 
     @property
     def seed(self):

@@ -8,7 +8,7 @@ otherwise. The neighborhood of SAP k contains every SAP within
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -129,12 +129,7 @@ class SpectrumPlan:
         quota = tuple(check_integer("quota entry", q, 0) for q in quota)
         if len(quota) != self.subset_count:
             raise ConfigurationError("quota length must equal subset count")
-        return SpectrumPlan(
-            self.total_bandwidth_hz, self.channel_bandwidth_hz,
-            self.channels_per_sap, self.center_frequency_hz,
-            self.channel_count, self.subset_count,
-            self.subset_of_channel, quota,
-        )
+        return replace(self, quota=quota)
 
 
 def uniform_quota(subset_count, sap_count):
@@ -217,6 +212,9 @@ class Incumbent:
         if not widths or not all(0 < w < math.inf for w in widths):
             raise ConfigurationError(
                 "incumbent signal bandwidths must be finite and positive")
+        if not (self.signal_center_hz is None
+                or math.isfinite(self.signal_center_hz)):
+            raise ConfigurationError("incumbent center must be finite or None")
 
 
 @dataclass(frozen=True)
@@ -268,6 +266,18 @@ def scenario_to_dict(scenario):
     }
 
 
+def _numbers(value, shape):
+    """Whether JSON ``value`` is a number, or lists of numbers shaped
+    ``shape`` (None: any length)."""
+    return type(value) in (int, float) if not shape else (
+        isinstance(value, list) and shape[0] in (None, len(value))
+        and all(_numbers(v, shape[1:]) for v in value))
+
+
+_KIND = {(): "a number", (2,): "two numbers", (None,): "a list of numbers",
+          (None, 2): "[x, y] pairs"}
+
+
 class _Section(dict):
     """A scenario's JSON object; a missing field raises ConfigurationError."""
 
@@ -280,6 +290,14 @@ class _Section(dict):
     def __missing__(self, name):
         raise ConfigurationError(f"{self.where} needs field {name!r}")
 
+    def number(self, name, *default, shape=(), nullable=False):
+        """Field ``name`` (``default`` if given and it is missing), checked
+        by ``_numbers``; null passes only if ``nullable``."""
+        value = self.get(name, *default) if default else self[name]
+        if not ((nullable and value is None) or _numbers(value, shape)):
+            raise ConfigurationError(f"{self.where} {name} must be {_KIND[shape]}")
+        return value
+
 
 def scenario_from_dict(spec):
     from .propagation import PropagationParams
@@ -288,46 +306,53 @@ def scenario_from_dict(spec):
     topo_spec = _Section(spec["topology"], "topology")
     kind = topo_spec.pop("kind", "explicit")
     seed = check_integer("seed", spec["seed"])
+    radius, height = topo_spec.number("radius_m"), topo_spec.number("height_m")
     if kind == "grid":
         topology = build_grid_topology(
-            topo_spec["side_count"], topo_spec["spacing_m"],
-            topo_spec["radius_m"], topo_spec["height_m"])
+            topo_spec["side_count"], topo_spec.number("spacing_m"), radius,
+            height)
     elif kind == "random":
         topology = build_random_topology(
-            topo_spec["count"], tuple(topo_spec["region_m"]),
-            topo_spec["radius_m"], topo_spec["height_m"],
-            substream(seed, "sap-placement"))
+            topo_spec["count"], topo_spec.number("region_m", shape=(2,)),
+            radius, height, substream(seed, "sap-placement"))
     elif kind == "explicit":
         topology = _finalize_topology(
-            topo_spec["positions"], topo_spec["radius_m"], topo_spec["height_m"])
+            topo_spec.number("positions", shape=(None, 2)), radius, height)
     else:
         raise ConfigurationError(f"unknown topology kind {kind!r}")
 
     sp = _Section(spec["spectrum"], "spectrum")
     plan = build_spectrum_plan(
-        sp["B_hz"], sp["b_hz"], sp.get("p", 1),
-        quota=sp.get("quota"),
-        center_frequency_hz=sp.get("center_hz", 5.43e9),
+        sp.number("B_hz"), sp.number("b_hz"), sp.get("p", 1),
+        quota=sp.number("quota", None, shape=(None,), nullable=True),
+        center_frequency_hz=sp.number("center_hz", 5.43e9),
     )
     if plan.quota is None:
         plan = plan.with_quota(uniform_quota(plan.subset_count, topology.count))
     check_quota_feasible(plan, topology.count)
 
+    if not isinstance(spec["incumbents"], list):
+        raise ConfigurationError("scenario incumbents must be a list")
     incumbents = tuple(
         Incumbent(
-            position=tuple(item["position"]),
-            height_m=item["height_m"],
-            tx_power_dbm=item["tx_power_dbm"],
-            signal_bandwidth_hz=(tuple(item["signal_bandwidth_hz"])
-                                 if isinstance(item["signal_bandwidth_hz"], list)
-                                 else item["signal_bandwidth_hz"]),
-            signal_center_hz=item.get("signal_center_hz"),
+            position=tuple(item.number("position", shape=(2,))),
+            height_m=item.number("height_m"),
+            tx_power_dbm=item.number("tx_power_dbm"),
+            signal_bandwidth_hz=(
+                tuple(item.number("signal_bandwidth_hz", shape=(None,)))
+                if isinstance(item["signal_bandwidth_hz"], list)
+                else item.number("signal_bandwidth_hz")),
+            signal_center_hz=item.number("signal_center_hz", None,
+                                         nullable=True),
         )
         for item in (_Section(i, "incumbent") for i in spec["incumbents"])
     )
     prop = _Section(spec["propagation"], "propagation")
     for name in sorted(set(prop) - {f.name for f in fields(PropagationParams)}):
         raise ConfigurationError(f"propagation has unknown field {name!r}")
+    for f in fields(PropagationParams):       # model and fading are names
+        if f.name in prop and f.type is not str:
+            prop.number(f.name, nullable=f.type is not float)
     return Scenario(topology, plan, incumbents, PropagationParams(**prop), seed)
 
 

@@ -31,6 +31,8 @@ from specsense.scheduler import (benchmark_gap, build_cost_tensor,
                                  solve_exact)
 from specsense.seeding import substream
 
+from diffusion_oracles import dense_oracle
+
 
 def _report(capsys, num, label, ok, detail, t0, budget_s):
     elapsed = time.perf_counter() - t0
@@ -115,8 +117,11 @@ def test_criterion_3_diffusion_invariants(capsys):
         np.testing.assert_allclose(beta.sum(axis=1)[covered], 1.0, atol=1e-9)
         audited.append(i)
 
-    run_diffusion(y, mask, p_hat, adjacency, params, audit=audit)
+    # audit the bit-exact reference, then hold the kernel to its bytes
+    want = dense_oracle(y, mask, p_hat, adjacency, params, audit=audit)
     assert len(audited) == 120
+    assert run_diffusion(y, mask, p_hat, adjacency, params).tobytes() == \
+        want.tobytes()
 
     # locality: a disconnected component never feels the other one
     adj2 = np.zeros((4, 4), dtype=bool)

@@ -23,133 +23,9 @@ from specsense.model import ConfigurationError
 from specsense.propagation import estimation_noise
 from specsense.seeding import substream
 
-
-# ---------------------------------------------------------------------------
-# Scalar building blocks, and the per-SAP reference oracle built from them
-# ---------------------------------------------------------------------------
-
-def smooth_energy(d_prev, y, smoothing):
-    return smoothing * d_prev + (1.0 - smoothing) * y
-
-
-def compute_gamma(d, y, w_prev):
-    return (d - y * w_prev) * y
-
-
-def alpha_weights(w_self_prev, step_size, gamma, neighbor_w_prev):
-    """Distance-based combination weights over a neighborhood (self included)."""
-    target = w_self_prev + step_size * gamma
-    dist2 = (target - np.asarray(neighbor_w_prev, dtype=float)) ** 2
-    inv = 1.0 / np.maximum(dist2, 1e-12)
-    return inv / inv.sum()
-
-
-def beta_weights(reference_powers_of_informative):
-    """Reference-power-proportional weights over the informative neighbors."""
-    p = np.asarray(reference_powers_of_informative, dtype=float)
-    total = p.sum()
-    if total <= 0:
-        raise ConfigurationError("no informative neighbor with positive reference power")
-    return p / total
-
-
-def adapt(psi, y, d, step_size, senses_channel):
-    return psi + (step_size * y * (d - y * psi) if senses_channel else 0.0)
-
-
-def clip(y, params):
-    """The receiver clamp ``run_diffusion`` applies: sqrt(1/mu)."""
-    return np.minimum(y, default_ceiling(params))
-
-
-def per_sap_oracle(y, mask, p_hat, adjacency, params):
-    """Final weights of the synchronous algorithm, one SAP and channel at a time."""
-    k_count, m_count, _ = y.shape
-    w = np.zeros((k_count, m_count))
-    d = y[:, :, 0].copy()
-    for i in range(params.iterations):
-        d = smooth_energy(d, y[:, :, i], params.smoothing)
-        new = np.empty_like(w)
-        for k in range(k_count):
-            nbrs = np.flatnonzero(adjacency[k])
-            others = nbrs[nbrs != k]
-            for m in range(m_count):
-                if mask[k, m]:
-                    gamma = compute_gamma(d[k, m], y[k, m, i], w[k, m])
-                    a = alpha_weights(w[k, m], params.step_size, gamma,
-                                      w[nbrs, m])
-                    psi = a @ w[nbrs, m]
-                else:
-                    informative = others[mask[others, m]]
-                    if p_hat[k, informative].sum() > 0:
-                        psi = beta_weights(p_hat[k, informative]) @ w[informative, m]
-                    else:
-                        psi = w[k, m]                       # frozen
-                new[k, m] = adapt(psi, y[k, m, i], d[k, m], params.step_size,
-                                  mask[k, m])
-        w = new
-    return w
-
-
-def dense_oracle(measurements, mask, p_hat, adjacency, params, gains=(1.0,)):
-    """Final weights of the network run as a dense (K, K, T*M) combine.
-
-    Every SAP sums over all K SAPs, non-neighbors weighted by exact zeros.
-    The sums run in the same neighbor order as ``run_diffusion``, so the
-    weights agree bit for bit.
-    """
-    y_all = np.asarray(measurements, dtype=float)
-    k_count, m_count, _ = y_all.shape
-    gains = np.asarray(gains, dtype=float)
-    columns = gains.size * m_count
-    mu = params.step_size
-
-    def conditioned(i):
-        y = clip(y_all[:, None, :, i] * gains[None, :, None], params)
-        return y.reshape(k_count, columns)
-
-    non_self = adjacency & ~np.eye(k_count, dtype=bool)
-    informative = non_self[:, :, None] & mask[None, :, :]
-    p = np.where(informative, p_hat[:, :, None], 0.0)
-    # j in ascending order: with M = 1, p.sum(axis=1) would reduce a
-    # contiguous axis, which numpy sums pairwise
-    denom = np.zeros((k_count, m_count))
-    for j in range(k_count):
-        denom += p[:, j, :]
-    beta = np.divide(p, denom[:, None, :], out=np.zeros_like(p),
-                     where=denom[:, None, :] > 0)
-    beta_jk = np.tile(beta.transpose(1, 0, 2), gains.size)
-    adj_jk = adjacency.T[:, :, None]
-    mask = np.tile(mask, gains.size)
-    freeze = ~mask & ~np.tile(denom > 0, gains.size)
-
-    w = np.zeros((k_count, columns))
-    d = conditioned(0)
-    buf = np.empty((k_count, k_count, columns))
-    for i in range(params.iterations):
-        y = conditioned(i)
-        d = smooth_energy(d, y, params.smoothing)
-        target = w + mu * compute_gamma(d, y, w)
-        np.subtract(target[None, :, :], w[:, None, :], out=buf)
-        np.square(buf, out=buf)
-        np.maximum(buf, 1e-12, out=buf)
-        np.divide(1.0, buf, out=buf)
-        buf *= adj_jk
-        buf /= np.add.reduce(buf, axis=0)
-        buf *= w[:, None, :]
-        psi = np.add.reduce(buf, axis=0)
-        if not mask.all():
-            np.multiply(beta_jk, w[:, None, :], out=buf)
-            psi = np.where(mask, psi, np.add.reduce(buf, axis=0))
-            psi[freeze] = w[freeze]
-        w = psi + np.where(mask, mu * y * (d - y * psi), 0.0)
-
-    finite = np.isfinite(w)
-    if not finite.all():
-        per_gain = finite.reshape(k_count, gains.size, m_count).all(axis=(0, 2))
-        first = int(np.argmin(per_gain))
-        raise DivergenceError(first, float(gains[first]))
-    return w
+from diffusion_oracles import (adapt, alpha_weights, beta_weights, clip,
+                               compute_gamma, dense_oracle, per_sap_oracle,
+                               simplex_audit, smooth_energy)
 
 
 def test_smooth_energy_values():
@@ -442,39 +318,6 @@ def test_batched_gains_match_single_gain_runs(k_count, m_count, n_iter, seed,
         assert np.array_equal(block, single(g))
 
 
-def _simplex_audit(adjacency, mask, gain_count, record=None):
-    """Audit callback asserting the dense weights stay on the simplex and
-    put no weight off the graph."""
-    off_graph = ~np.asarray(adjacency, dtype=bool)
-    unsensed = ~np.tile(mask, gain_count)
-
-    def audit(i, alpha, beta, has_informative):
-        assert alpha.shape == beta.shape == off_graph.shape + unsensed.shape[1:]
-        assert (alpha >= 0.0).all() and (beta >= 0.0).all()
-        np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-9)
-        # alpha and beta only draw from neighbors
-        assert not alpha[off_graph].any()
-        assert not beta[off_graph].any()
-        covered = unsensed & has_informative
-        np.testing.assert_allclose(beta.sum(axis=1)[covered], 1.0, atol=1e-9)
-        if record is not None:
-            record.append(alpha)
-    return audit
-
-
-def test_batched_audit_sees_simplex_in_reused_buffer():
-    params = DiffusionParams(iterations=30)
-    rng = substream(17, "audit")
-    adjacency, mask, p_hat = _random_network(rng, 5, 3)
-    y = rng.uniform(0.05, 3.0, size=(5, 3, 30))
-    gains = (0.5, 1.0, 2.0)
-    buffers = []
-    audit = _simplex_audit(adjacency, mask, len(gains), buffers)
-    run_diffusion(y, mask, p_hat, adjacency, params, gains=gains, audit=audit)
-    assert len(buffers) == 30
-    assert all(np.shares_memory(a, buffers[0]) for a in buffers)
-
-
 def test_weight_simplex_at_every_iteration():
     params = DiffusionParams(iterations=60)
     rng = substream(11, "simplex")
@@ -486,8 +329,9 @@ def test_weight_simplex_at_every_iteration():
     p_hat = np.where(adjacency & ~np.eye(k_count, dtype=bool),
                      rng.uniform(0.1, 2.0, size=(k_count, k_count)), 0.0)
     y = rng.uniform(0.05, 3.0, size=(k_count, m_count, 60))
-    run_diffusion(y, mask, p_hat, adjacency, params,
-                  audit=_simplex_audit(adjacency, mask, 1))
+    args = (y, mask, p_hat, adjacency, params)
+    want = dense_oracle(*args, audit=simplex_audit(adjacency, mask, 1))
+    assert run_diffusion(*args).tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -503,12 +347,40 @@ def test_weights_stay_on_simplex_for_random_graphs(k_count, m_count, n_iter,
     adjacency, mask, p_hat = _random_network(rng, k_count, m_count, density,
                                              sensed, kind)
     y = rng.uniform(0.05, 3.0, size=(k_count, m_count, n_iter))
-    params = DiffusionParams(iterations=n_iter)
-    gains = np.linspace(0.5, 1.0, gain_count)
+    args = (y, mask, p_hat, adjacency, DiffusionParams(iterations=n_iter),
+            np.linspace(0.5, 1.0, gain_count))
     audited = []
-    run_diffusion(y, mask, p_hat, adjacency, params, gains=gains,
-                  audit=_simplex_audit(adjacency, mask, gain_count, audited))
-    assert len(audited) == n_iter
+    want = dense_oracle(*args, audit=simplex_audit(adjacency, mask,
+                                                   gain_count, audited))
+    assert audited == list(range(n_iter))
+    assert run_diffusion(*args).tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(k_count=st.integers(1, 12), m_count=st.integers(1, 4),
+       n_iter=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["symmetric", "one-sided", "star", "eye"]),
+       density=st.floats(0.0, 1.0), sensed=st.floats(0.0, 1.0),
+       gain_count=st.integers(1, 3))
+def test_kernel_matches_audited_oracle_at_every_iteration(k_count, m_count,
+                                                          n_iter, seed, kind,
+                                                          density, sensed,
+                                                          gain_count):
+    # the oracle's weights after iteration i are its run on the first i + 1
+    # slices, and so are the kernel's: equal bytes at every i let the
+    # oracle's per-iteration simplex audit speak for the kernel
+    rng = np.random.default_rng(seed)
+    adjacency, mask, p_hat = _random_network(rng, k_count, m_count, density,
+                                             sensed, kind)
+    y = rng.gamma(0.7, 1 / 0.7, size=(k_count, m_count, n_iter))
+    params = DiffusionParams(iterations=n_iter)
+    gains = np.linspace(0.5, 1.5, gain_count)
+    dense_oracle(y, mask, p_hat, adjacency, params, gains,
+                 audit=simplex_audit(adjacency, mask, gain_count))
+    for i in range(n_iter):
+        args = (y[:, :, :i + 1], mask, p_hat, adjacency,
+                replace(params, iterations=i + 1), gains)
+        assert run_diffusion(*args).tobytes() == dense_oracle(*args).tobytes()
 
 
 @settings(max_examples=80, deadline=None)

@@ -216,6 +216,11 @@ def test_campaign_validation(tmp_path):
                 dict(scheduler_restarts=2.0), dict(workers=1.5),
                 dict(realizations=True), dict(master_seed=1.5),
                 dict(master_seed="9"),
+                # a sweep and a scheme list are sequences of numbers and
+                # names: these raised TypeError
+                dict(thresholds_dbm=-62.0), dict(thresholds_dbm=("x",)),
+                dict(thresholds_dbm=(None,)), dict(schemes=5),
+                dict(schemes=("genie", None)),
                 # a campaign's frames need at least one iteration slice
                 dict(diffusion=DiffusionParams(iterations=0))):
         with pytest.raises(ConfigurationError):
@@ -1150,6 +1155,26 @@ def test_cli_rejects_fractional_scenario_count(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# a field of the wrong type: its path in the spec, and the value put there
+_WRONG_TYPES = {
+    "position number": (("incumbents", 0, "position"), 5.0),
+    "position strings": (("incumbents", 0, "position"), ["a", "b"]),
+    "incumbents number": (("incumbents",), 5),
+    "radius string": (("topology", "radius_m"), "x"),
+    "height string": (("topology", "height_m"), "x"),
+    "position entry string": (("topology", "positions"), [[0, "a"]]),
+    "B_hz string": (("spectrum", "B_hz"), "x"),
+    "quota number": (("spectrum", "quota"), 5),
+    "tx power string": (("incumbents", 0, "tx_power_dbm"), "x"),
+    "bandwidth string": (("incumbents", 0, "signal_bandwidth_hz"), "x"),
+    "center string": (("incumbents", 0, "signal_center_hz"), "x"),
+    "center NaN": (("incumbents", 0, "signal_center_hz"), float("nan")),
+    "noise figure string": (("propagation", "noise_figure_db"), "x"),
+    "estimate shape string": (("propagation", "estimate_shape"), "x"),
+    "carrier string": (("propagation", "carrier_hz"), "x"),
+}
+
+
 def _malformed(spec, shape):
     """``spec`` (a scenario's JSON form) broken one way."""
     if shape == "root list":
@@ -1163,6 +1188,12 @@ def _malformed(spec, shape):
         spec["topology"]["positions"] = 5.0
     elif shape == "propagation key":
         spec["propagation"]["loss_exponent"] = 3.0
+    elif shape in _WRONG_TYPES:
+        (*path, name), value = _WRONG_TYPES[shape]
+        section = spec
+        for key in path:
+            section = section[key]
+        section[name] = value
     return spec
 
 
@@ -1172,10 +1203,26 @@ def _malformed(spec, shape):
     ("positions number", "topology positions must be [x, y] pairs"),
     ("propagation key", "propagation has unknown field 'loss_exponent'"),
     ("root list", "scenario must be a JSON object"),
+    ("position number", "incumbent position must be two numbers"),
+    ("position strings", "incumbent position must be two numbers"),
+    ("incumbents number", "scenario incumbents must be a list"),
+    ("radius string", "topology radius_m must be a number"),
+    ("height string", "topology height_m must be a number"),
+    ("position entry string", "topology positions must be [x, y] pairs"),
+    ("B_hz string", "spectrum B_hz must be a number"),
+    ("quota number", "spectrum quota must be a list of numbers"),
+    ("tx power string", "incumbent tx_power_dbm must be a number"),
+    ("bandwidth string", "incumbent signal_bandwidth_hz must be a number"),
+    ("center string", "incumbent signal_center_hz must be a number"),
+    ("center NaN", "incumbent center must be finite or None"),
+    ("noise figure string", "propagation noise_figure_db must be a number"),
+    ("estimate shape string", "propagation estimate_shape must be a number"),
+    ("carrier string", "propagation carrier_hz must be a number"),
 ])
 def test_cli_rejects_malformed_scenario_json(tmp_path, capsys, shape,
                                              message):
-    # these ended in a KeyError, IndexError or TypeError traceback
+    # these ended in a KeyError, IndexError, TypeError or ValueError
+    # traceback, or a message that did not name the field
     spec = scenario_to_dict(generate_scenario("small-grid", seed=4,
                                               side_count=2, incumbent_count=1))
     path = tmp_path / "scenario.json"

@@ -260,6 +260,16 @@ def test_scenario_dict_rejects_bad_position_and_height(position, height,
         scenario_from_dict(spec)
 
 
+@pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+def test_incumbent_rejects_non_finite_center(center):
+    # json.load reads a NaN literal. A NaN center passed the band-edge
+    # check, its channel run came out empty, and the incumbent dropped
+    # silently out of the ground truth
+    with pytest.raises(ConfigurationError,
+                       match="incumbent center must be finite or None"):
+        Incumbent((0.0, 0.0), 1.5, 30.0, 20e6, center)
+
+
 BAD_PARAMETERS = [
     ("topology", "radius_m", -1.0, "radius"),
     ("topology", "radius_m", float("nan"), "radius"),
