@@ -3,14 +3,13 @@
 Weights start at zero. Per iteration every SAP smooths its energy
 measurement, combines the previous-iteration weights of its neighbors, then
 adapts the combined value on channels it senses. Channels it senses combine
-under adaptive distance weights; channels it does not sense combine under
-reference-power weights restricted to neighbors that do sense them,
-freezing when no such neighbor exists. All SAPs advance synchronously: an
-iteration reads only iteration i-1 weights. The combine runs over the
-graph's edges, read straight from the adjacency, yet each SAP sums its
-neighbors in ascending index order: the order of a dense K x K sum, whose
-extra terms are exact zeros, so the weights are those of the dense combine
-bit for bit.
+under adaptive distance weights, the others under reference-power weights
+restricted to neighbors that sense them: a block that no neighbor senses
+keeps its zero weight. All SAPs advance synchronously: an iteration reads
+only iteration i-1 weights. The combine runs over the graph's edges, read
+straight from the adjacency, yet each SAP sums its neighbors in ascending
+index order: the order of a dense K x K sum, whose extra terms are exact
+zeros, so the weights are those of the dense combine bit for bit.
 """
 
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ class DiffusionParams:
     def __post_init__(self):
         if not 0.0 < self.smoothing < 1.0:
             raise ConfigurationError("smoothing must lie in (0, 1)")
-        if not 0.0 < self.step_size < np.inf:
+        if isinstance(self.step_size, bool) or not 0 < self.step_size < np.inf:
             raise ConfigurationError("step_size must be finite and positive")
         check_integer("iterations", self.iterations, 0)
 
@@ -80,10 +79,11 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
     single-gain run on that frame returns. Iteration i reads frame slice i
     alone: the weights after it are a run on ``measurements[:, :, :i + 1]``
     with ``iterations=i + 1``. Row k of the (K, K) ``adjacency`` lists SAP
-    k's neighbors, itself included. The combine runs over the graph's E
-    edges (E = sum of degrees), so an iteration costs O(E * T * M) and
-    allocates nothing: its temporaries live in two (E, T*M) and six
-    (K, T*M) buffers made once per call.
+    k's neighbors, itself included. The combine is one neighbor sum over
+    the graph's E edges (E = sum of degrees), beta weights standing in for
+    alpha on unsensed blocks, so a NaN sample on an unsensed block changes
+    no weight. An iteration costs O(E * T * M) and allocates nothing: its
+    temporaries live in two (E, T*M) and six (K, T*M) buffers made once.
 
     Raises ConfigurationError on a short frame, a negative sample or gain,
     a mask not shaped (K, M), powers or an adjacency not shaped (K, K), or
@@ -142,11 +142,10 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
     denom = np.empty((k_count, m_count))
     p_blocks = np.split(p, stops)
     _slot_sum(p_blocks, [denom[:len(b)] for b in p_blocks])
-    has_informative = denom > 0
     beta = np.tile(np.divide(p, denom[row], out=np.zeros_like(p),
-                             where=has_informative[row]), t_count)
+                             where=denom[row] > 0), t_count)
     unsensed = np.tile(~sensing_mask[order], t_count)
-    freeze = unsensed & ~np.tile(has_informative, t_count)
+    unsensed_edges = unsensed[row]
     any_unsensed = unsensed.any()
 
     y_gain, y_caller = np.empty((2, k_count, t_count, m_count))
@@ -194,13 +193,11 @@ def run_diffusion(measurements, sensing_mask, reference_powers, adjacency,
             for alpha, total in zip(buf_blocks, tmp_heads):
                 alpha /= total
 
+            # beta overwrites alpha, NaN or not, on unsensed rows' edges
+            if any_unsensed:
+                np.putmask(buf, unsensed_edges, beta)
             buf *= w_nbr
             _slot_sum(buf_blocks, psi_heads)
-            if any_unsensed:
-                np.multiply(beta, w_nbr, out=buf)
-                _slot_sum(buf_blocks, tmp_heads)
-                np.putmask(psi, unsensed, tmp)
-                np.putmask(psi, freeze, w)
 
             # w = psi + (mu * y * (d - y * psi) on sensed channels, else 0)
             np.multiply(y, psi, out=tmp)

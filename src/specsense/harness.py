@@ -109,6 +109,8 @@ class Campaign:
                               ("device_capacity", 1),
                               ("scheduler_restarts", 1)):
             check_integer(name, getattr(self, name), minimum)
+        if not isinstance(self.diffusion, DiffusionParams):
+            raise ConfigurationError("diffusion must be DiffusionParams")
         # a frame needs a slice; DiffusionParams allows 0, the initial state
         check_integer("diffusion.iterations", self.diffusion.iterations, 1)
         if self.master_seed is not None:
@@ -116,7 +118,8 @@ class Campaign:
         for name, kind in (("schemes", str), ("thresholds_dbm", numbers.Real)):
             values = getattr(self, name)
             if not (isinstance(values, (tuple, list)) and values
-                    and all(isinstance(v, kind) for v in values)):
+                    and all(isinstance(v, kind) and not isinstance(v, bool)
+                            for v in values)):
                 raise ConfigurationError(f"{name} must be a nonempty tuple")
             if len(set(values)) != len(values):
                 raise ConfigurationError(f"{name} has duplicates")

@@ -59,6 +59,8 @@ def _finalize_topology(positions, radius_m, height_m):
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != 2:
         raise ConfigurationError("topology positions must be [x, y] pairs")
+    if not np.isfinite(positions).all():
+        raise ConfigurationError("topology positions must be finite")
     k = positions.shape[0]
     heights = np.full(k, float(height_m))
     if not 0 < height_m < math.inf:

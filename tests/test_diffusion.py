@@ -140,7 +140,9 @@ def test_params_validation():
                 dict(step_size=float("nan")), dict(iterations=-1),
                 # an integer count: a float would fail only at run time
                 dict(iterations=float("nan")), dict(iterations=30.0),
-                dict(iterations=True)):
+                dict(iterations=True),
+                # a bool is no step size: True ran with mu = 1
+                dict(step_size=True)):
         with pytest.raises(ConfigurationError):
             DiffusionParams(**bad)
     assert DiffusionParams(iterations=np.int64(30)).iterations == 30
@@ -383,42 +385,62 @@ def test_kernel_matches_audited_oracle_at_every_iteration(k_count, m_count,
         assert run_diffusion(*args).tobytes() == dense_oracle(*args).tobytes()
 
 
+def _outcome(run, *args):
+    """A run's weights by shape and bytes, or the gain index it diverged on."""
+    try:
+        w = run(*args)
+    except DivergenceError as err:
+        return err.gain_index
+    return w.shape, w.tobytes()
+
+
 @settings(max_examples=80, deadline=None)
 @example(k_count=11, m_count=1, n_iter=25, seed=1, kind="symmetric",
          density=1.0, sensed=0.5, exponents=[0.0], step_size=0.1,
-         unsensed_channel=False)
+         unsensed_channel=False, nan_on=None)
 # padded slots on every SAP but the hub, beside a channel nobody senses
 @example(k_count=7, m_count=3, n_iter=20, seed=5, kind="star", density=0.0,
          sensed=0.5, exponents=[0.0, 0.3], step_size=0.1,
-         unsensed_channel=True)
+         unsensed_channel=True, nan_on=None)
 # the highest-degree SAP last and every other degree tied: the kernel's
 # relabelling by degree moves the hub first and keeps the rest in order
 @example(k_count=9, m_count=2, n_iter=15, seed=3, kind="last-star",
          density=0.0, sensed=0.5, exponents=[0.0, -0.5], step_size=0.1,
-         unsensed_channel=False)
+         unsensed_channel=False, nan_on=None)
+# a NaN on a block its SAP does not sense, two of whose neighbors do: its
+# alpha goes NaN and must be discarded, not blended with beta, or the run
+# diverges where the oracle's does not
+@example(k_count=6, m_count=2, n_iter=10, seed=6, kind="symmetric",
+         density=0.6, sensed=0.5, exponents=[0.0, 0.2], step_size=0.1,
+         unsensed_channel=False, nan_on="unsensed")
 @given(k_count=st.integers(1, 16), m_count=st.integers(1, 6),
        n_iter=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["symmetric", "one-sided", "star", "eye"]),
        density=st.floats(0.0, 1.0), sensed=st.floats(0.0, 1.0),
        exponents=st.lists(st.floats(-1.0, 0.6), min_size=1, max_size=4),
        step_size=st.sampled_from([1e-4, 0.1, 1e6]),
-       unsensed_channel=st.booleans())
+       unsensed_channel=st.booleans(),
+       nan_on=st.sampled_from([None, "sensed", "unsensed"]))
 def test_slot_kernel_matches_dense_oracle(k_count, m_count, n_iter, seed, kind,
                                           density, sensed, exponents,
-                                          step_size, unsensed_channel):
+                                          step_size, unsensed_channel, nan_on):
     rng = np.random.default_rng(seed)
     adjacency, mask, p_hat = _random_network(rng, k_count, m_count, density,
                                              sensed, kind)
     if unsensed_channel:
         mask[:, 0] = False               # every SAP's block 0 is frozen
     y = rng.gamma(0.7, 1 / 0.7, size=(k_count, m_count, n_iter))
+    blocks = np.argwhere(mask == (nan_on == "sensed"))
+    if nan_on is not None and blocks.size:
+        # one NaN sample on a block of the drawn kind, at any iteration
+        k, m = blocks[rng.integers(len(blocks))]
+        y[k, m, rng.integers(n_iter)] = np.nan
     params = DiffusionParams(step_size=step_size, iterations=n_iter)
     gains = [10.0 ** e for e in exponents]
     args = (y, mask, p_hat, adjacency, params, gains)
-    want = dense_oracle(*args)
-    # bytes, not values: a -0.0 where the dense combine gives +0.0 fails
-    got = run_diffusion(*args)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # bytes, not values: a -0.0 where the dense combine gives +0.0 fails.
+    # A divergence must come from the oracle's gain too
+    assert _outcome(run_diffusion, *args) == _outcome(dense_oracle, *args)
 
 
 def test_slot_kernel_matches_dense_oracle_on_paper_graph():
@@ -534,7 +556,8 @@ def test_freeze_without_informative_neighbor():
     mask = np.array([[True, False], [True, False]])
     p_hat = np.array([[0.0, 1.0], [1.0, 0.0]])
     w = run_diffusion(y, mask, p_hat, np.ones((2, 2), dtype=bool), params)
-    np.testing.assert_array_equal(w[:, 1], [0.0, 0.0])
+    # bytes: +0.0, never -0.0
+    assert w[:, 1].tobytes() == np.zeros(2).tobytes()
     assert (w[:, 0] != 0.0).all()
 
 

@@ -221,6 +221,9 @@ def test_campaign_validation(tmp_path):
                 dict(thresholds_dbm=-62.0), dict(thresholds_dbm=("x",)),
                 dict(thresholds_dbm=(None,)), dict(schemes=5),
                 dict(schemes=("genie", None)),
+                # True ran at 1 dBm; a missing diffusion raised AttributeError
+                dict(thresholds_dbm=(True,)),
+                dict(thresholds_dbm=(False, -62.0)), dict(diffusion=None),
                 # a campaign's frames need at least one iteration slice
                 dict(diffusion=DiffusionParams(iterations=0))):
         with pytest.raises(ConfigurationError):
@@ -1163,6 +1166,8 @@ _WRONG_TYPES = {
     "radius string": (("topology", "radius_m"), "x"),
     "height string": (("topology", "height_m"), "x"),
     "position entry string": (("topology", "positions"), [[0, "a"]]),
+    "position entry NaN": (("topology", "positions", 0, 1), float("nan")),
+    "position entry inf": (("topology", "positions", 2, 0), float("inf")),
     "B_hz string": (("spectrum", "B_hz"), "x"),
     "quota number": (("spectrum", "quota"), 5),
     "tx power string": (("incumbents", 0, "tx_power_dbm"), "x"),
@@ -1209,6 +1214,10 @@ def _malformed(spec, shape):
     ("radius string", "topology radius_m must be a number"),
     ("height string", "topology height_m must be a number"),
     ("position entry string", "topology positions must be [x, y] pairs"),
+    # a NaN position failed late, as a missing self-loop; an infinite one
+    # ran to the end with RuntimeWarnings and wrote results
+    ("position entry NaN", "topology positions must be finite"),
+    ("position entry inf", "topology positions must be finite"),
     ("B_hz string", "spectrum B_hz must be a number"),
     ("quota number", "spectrum quota must be a list of numbers"),
     ("tx power string", "incumbent tx_power_dbm must be a number"),
